@@ -26,7 +26,7 @@ values covering 1..k exactly once) happens during assembly and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SemanticError
@@ -92,7 +92,6 @@ class DslProgram:
     powers: dict[int, Fraction]      # p -> coefficient of n^p (0 = constant)
     geometrics: dict[Fraction, Fraction]  # base -> coefficient of base^n
     initials: dict[int, Fraction]
-    options: dict[str, str] = field(default_factory=dict)
 
     def to_spec(self) -> RecurrenceSpec:
         coefficients = tuple(self.shifts.get(j, Fraction(0))

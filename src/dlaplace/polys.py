@@ -19,7 +19,7 @@ and keeps repeated roots on the same code path as simple ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -296,14 +296,8 @@ def _integer_coefficients(f: Poly) -> list[int]:
     ints = [int(fr * scale) for fr in fracs]
     content = 0
     for v in ints:
-        content = _int_gcd(content, abs(v))
+        content = gcd(content, abs(v))
     return [v // content for v in ints] if content > 1 else ints
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import PHI, PSI, QuadExt, sort_key
-from .polys import partial_fractions
+from .polys import Poly, partial_fractions
 from . import transforms
 from .transforms import TransformExpr
 
@@ -127,8 +127,9 @@ class ClosedFormSequence:
             for _ in range(term.multiplicity - 1):
                 piece = transforms.convolve(piece, transforms.geometric(term.root))
             total = total + piece * term.coefficient
-        if self._deltas:
-            total = total + TransformExpr(deltas=self._deltas)
+        for j, c in self._deltas.items():
+            # c at n = j alone is c * e^(-js) = c/t^j
+            total = total + TransformExpr.from_ratfunc(c, Poly.monomial(j))
         return total
 
     def __str__(self) -> str:
@@ -186,8 +187,7 @@ def inverse_transform(expr: TransformExpr) -> ClosedFormSequence:
     """Invert a transform into its closed form via partial fractions."""
     pieces = partial_fractions(expr.rational)
     return ClosedFormSequence(
-        [Term(p.coefficient, p.root, p.multiplicity) for p in pieces],
-        expr.deltas)
+        [Term(p.coefficient, p.root, p.multiplicity) for p in pieces])
 
 
 def delta(f: Sequence1) -> Sequence1:

@@ -26,8 +26,8 @@ from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt, SQRT5
 from .polys import Poly, RatFunc
 from .transforms import MAX_N_POWER, TransformExpr, geometric, n_power
-from .sequences import (ClosedFormSequence, delta, equal_prefix,
-                        fibonacci_normal, inverse_transform)
+from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
+                        inverse_transform)
 
 RationalLike = Union[int, Fraction]
 
@@ -93,11 +93,6 @@ class RecurrenceSpec:
     @property
     def is_homogeneous(self) -> bool:
         return not self.forcing
-
-    @property
-    def is_fibonacci_form(self) -> bool:
-        return (self.order == 2 and not self.forcing
-                and self.coefficients == (Fraction(1), Fraction(1)))
 
     def characteristic(self) -> Poly:
         """t^k - c_{k-1} t^(k-1) - ... - c_0."""
@@ -345,35 +340,24 @@ class VerificationReport:
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
                     upto: int = 64) -> VerificationReport:
-    """Check initial values, the recurrence itself, and (for the
-    Fibonacci-form) the difference identity D^2 a + D a = a."""
-    def value(n: int) -> QuadExt:
-        return QuadExt.of(seq(n))  # type: ignore[arg-type]
-
-    for i, expected in enumerate(spec.initials, start=1):
-        if value(i) != expected:
-            return VerificationReport(
-                False, upto, i, f"initial value a({i}) is {seq(i)}, "
-                f"expected {expected}")
+    """Check the initial values and the recurrence for n + order <= upto."""
     k = spec.order
+    values = [QuadExt.of(seq(n))  # type: ignore[arg-type]
+              for n in range(1, max(upto, k) + 1)]
+    for i, expected in enumerate(spec.initials, start=1):
+        if values[i - 1] != expected:
+            return VerificationReport(
+                False, upto, i, f"initial value a({i}) is {values[i - 1]}, "
+                f"expected {expected}")
     for n in range(1, upto - k + 1):
         rhs = QuadExt.of(spec.forcing_value(n))
         for j, c in enumerate(spec.coefficients):
             if c:
-                rhs = rhs + c * value(n + j)
-        if value(n + k) != rhs:
+                rhs = rhs + c * values[n + j - 1]
+        if values[n + k - 1] != rhs:
             return VerificationReport(
                 False, upto, n + k,
                 f"recurrence fails producing a({n + k})")
-    if spec.is_fibonacci_form:
-        first_diff = delta(seq)
-        second_diff = delta(first_diff)
-        for n in range(1, upto - 1):
-            identity = QuadExt.of(second_diff(n)) + QuadExt.of(first_diff(n))
-            if identity != value(n):
-                return VerificationReport(
-                    False, upto, n,
-                    "difference identity D^2 a + D a = a fails")
     return VerificationReport(True, upto)
 
 

@@ -1,10 +1,10 @@
 """The transform calculus for sequences f: {1, 2, ...} -> R.
 
 The transform is F(s) = sum_{n>=1} f(n) e^{-sn}.  Writing t = e^s makes
-every transform in scope a strictly proper rational function of t, plus an
-optional finite "delta" tail: a transform c * t^-j stands for c at n = j
-and 0 elsewhere, which is how sequences supported on finitely many points
-(and powers of a zero base) are carried around exactly.
+every transform in scope a strictly proper rational function of t.  That
+includes sequences supported on finitely many points: c at n = j and 0
+elsewhere is c * e^(-js) = c/t^j, a pole of order j at t = 0, and the
+spike at n = 1 is the geometric sequence of base 0 (0^0 = 1).
 
 Rules, all exact in t:
 
@@ -24,7 +24,7 @@ actually encodes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DegreeLimitExceeded, ImproperResult
 from .exact import QuadExt
@@ -47,28 +47,17 @@ def _as_poly(value) -> Poly:
 
 
 class TransformExpr:
-    """A transform value: strictly proper rational part plus delta tail."""
+    """A transform value: a strictly proper rational function of t."""
 
-    __slots__ = ("_rational", "_deltas")
+    __slots__ = ("_rational",)
 
-    def __init__(self, rational: RatFunc = _ZERO_RF,
-                 deltas: Mapping[int, Scalar] | None = None) -> None:
+    def __init__(self, rational: RatFunc = _ZERO_RF) -> None:
         if not rational.is_strictly_proper:
             raise ValueError("rational part must be strictly proper")
-        cleaned: dict[int, QuadExt] = {}
-        for j, c in (deltas or {}).items():
-            if not isinstance(j, int) or j < 1:
-                raise ValueError(f"delta position must be a positive int: {j}")
-            value = QuadExt.of(c)
-            if value:
-                cleaned[j] = value
         self._rational = rational
-        self._deltas = cleaned
 
     @classmethod
-    def from_ratfunc(cls, num, den=1,
-                     deltas: Mapping[int, Scalar] | None = None,
-                     ) -> "TransformExpr":
+    def from_ratfunc(cls, num, den=1) -> "TransformExpr":
         """Wrap num/den as a transform; accepts Poly, scalar, or
         a coefficient sequence (lowest degree first)."""
         quotient = RatFunc(_as_poly(num), _as_poly(den))
@@ -76,54 +65,37 @@ class TransformExpr:
             raise ImproperResult(
                 f"{quotient} has a polynomial part; "
                 "not the transform of any sequence")
-        return cls(quotient, deltas)
+        return cls(quotient)
 
     @property
     def rational(self) -> RatFunc:
         return self._rational
 
     @property
-    def deltas(self) -> dict[int, QuadExt]:
-        return dict(self._deltas)
-
-    @property
     def is_zero(self) -> bool:
-        return self._rational.is_zero and not self._deltas
+        return self._rational.is_zero
 
     def as_ratfunc(self) -> RatFunc:
-        """Fold the delta tail into a single rational function."""
-        if not self._deltas:
-            return self._rational
-        top = max(self._deltas)
-        num = Poly((self._deltas.get(top - k, 0) for k in range(top + 1)))
-        return self._rational + RatFunc(num, Poly.monomial(top))
+        return self._rational
 
     def __add__(self, other: object) -> "TransformExpr":
         if not isinstance(other, TransformExpr):
             return NotImplemented
-        deltas = dict(self._deltas)
-        for j, c in other._deltas.items():
-            deltas[j] = deltas.get(j, QuadExt(0)) + c
-        return TransformExpr(self._rational + other._rational, deltas)
+        return TransformExpr(self._rational + other._rational)
 
     def __sub__(self, other: object) -> "TransformExpr":
         if not isinstance(other, TransformExpr):
             return NotImplemented
-        return self + (-other)
+        return TransformExpr(self._rational - other._rational)
 
     def __neg__(self) -> "TransformExpr":
-        return TransformExpr(-self._rational,
-                             {j: -c for j, c in self._deltas.items()})
+        return TransformExpr(-self._rational)
 
     def __mul__(self, other: object) -> "TransformExpr":
         if isinstance(other, TransformExpr):
             return convolve(self, other)
         if isinstance(other, (int, Fraction, QuadExt)):
-            c = QuadExt.of(other)
-            if not c:
-                return TransformExpr()
-            return TransformExpr(self._rational * c,
-                                 {j: v * c for j, v in self._deltas.items()})
+            return TransformExpr(self._rational * QuadExt.of(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -131,47 +103,27 @@ class TransformExpr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransformExpr):
             return NotImplemented
-        return self.as_ratfunc() == other.as_ratfunc()
+        return self._rational == other._rational
 
     def __hash__(self) -> int:
-        return hash(self.as_ratfunc())
+        return hash(self._rational)
 
     def eval_float(self, t0: float) -> float:
-        value = self._rational.eval_float(t0)
-        for j, c in self._deltas.items():
-            value += c.to_float() * t0 ** (-j)
-        return value
+        return self._rational.eval_float(t0)
 
     def render(self, var: str = "t") -> str:
-        parts: list[str] = []
-        if not self._rational.is_zero or not self._deltas:
-            parts.append(self._rational.render(var))
-        for j in sorted(self._deltas):
-            c = self._deltas[j]
-            if var == "e^s":
-                tail = f"e^(-{j}s)" if j > 1 else "e^(-s)"
-            else:
-                tail = f"t^(-{j})" if j > 1 else "t^(-1)"
-            if c == QuadExt(1):
-                parts.append(tail)
-            else:
-                text = str(c) if c.is_rational else f"({c})"
-                parts.append(f"{text}*{tail}")
-        return " + ".join(parts)
+        return self._rational.render(var)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"TransformExpr({self._rational!r}, {self._deltas!r})"
+        return f"TransformExpr({self._rational!r})"
 
 
 def geometric(a: Scalar) -> TransformExpr:
-    """Transform of a^(n-1), with 0^0 = 1 so base 0 means the spike at n=1."""
-    base = QuadExt.of(a)
-    if not base:
-        return TransformExpr(deltas={1: 1})
-    return TransformExpr(RatFunc(Poly((1,)), Poly((-base, 1))))
+    """Transform of a^(n-1); base 0 (0^0 = 1) gives 1/t, the spike at n=1."""
+    return TransformExpr(RatFunc(Poly((1,)), Poly((-QuadExt.of(a), 1))))
 
 
 def shift(expr: TransformExpr, k: int, initials: Sequence[Scalar],
@@ -182,32 +134,31 @@ def shift(expr: TransformExpr, k: int, initials: Sequence[Scalar],
     if len(initials) != k:
         raise ValueError(f"shift by {k} needs exactly {k} initial values")
     head = Poly((QuadExt.of(c) for c in reversed(initials)))
-    shifted = RatFunc(Poly.monomial(k)) * expr.as_ratfunc() - RatFunc(head)
+    shifted = RatFunc(Poly.monomial(k)) * expr.rational - RatFunc(head)
     return TransformExpr.from_ratfunc(shifted.num, shifted.den)
 
 
 def difference(expr: TransformExpr, first: Scalar) -> TransformExpr:
     """Transform of (Df)(n) = f(n+1) - f(n) given f(1)."""
-    moved = RatFunc(Poly((-1, 1))) * expr.as_ratfunc() - RatFunc(
+    moved = RatFunc(Poly((-1, 1))) * expr.rational - RatFunc(
         Poly((QuadExt.of(first),)))
     return TransformExpr.from_ratfunc(moved.num, moved.den)
 
 
 def times_n(expr: TransformExpr) -> TransformExpr:
-    """Transform of n*f(n): -d/ds on the rational part, rescaled deltas."""
-    return TransformExpr(-expr.rational.d_ds(),
-                         {j: j * c for j, c in expr.deltas.items()})
+    """Transform of n*f(n): -dF/ds = -t dF/dt, so c/t^j becomes j*c/t^j."""
+    return TransformExpr(-expr.rational.d_ds())
 
 
 def convolve(left: TransformExpr, right: TransformExpr) -> TransformExpr:
     """Transform of the convolution sum_{k=1}^{n-1} f(k) g(n-k)."""
-    product = left.as_ratfunc() * right.as_ratfunc()
+    product = left.rational * right.rational
     return TransformExpr.from_ratfunc(product.num, product.den)
 
 
 def partial_sum(expr: TransformExpr) -> TransformExpr:
     """Transform of n -> sum_{k=1}^{n-1} f(k); divides by (t - 1)."""
-    summed = expr.as_ratfunc() / RatFunc(Poly((-1, 1)))
+    summed = expr.rational / RatFunc(Poly((-1, 1)))
     return TransformExpr.from_ratfunc(summed.num, summed.den)
 
 

@@ -2,11 +2,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
+from dlaplace import solver
 from dlaplace.cli import main
+from dlaplace.sequences import ClosedFormSequence
 
 FIB_TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
 
@@ -215,6 +218,21 @@ def test_exit_code_check_failed(capsys):
     code = main(["verify", FIB_TEXT, "--s-grid", "1.2", "--tol", "1e-30"])
     assert code == 3
     assert "differ by" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("upto", ["1", "64"])
+def test_verify_checks_initial_values_below_the_order(capsys, monkeypatch,
+                                                       upto):
+    # a closed form wrong only at n = 2, by too little for the numeric
+    # check to see, must fail the exact check even when --upto is below
+    # the order of the recurrence
+    real = solver.inverse_transform
+    spike = ClosedFormSequence(deltas={2: Fraction(1, 10 ** 30)})
+    monkeypatch.setattr(solver, "inverse_transform",
+                        lambda expr: real(expr) + spike)
+    assert main(["verify", FIB_TEXT, "--upto", upto]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "differ by" not in err
 
 
 def test_module_entry_point():

@@ -89,7 +89,9 @@ def test_inverse_transform_fibonacci():
 
 
 def test_inverse_transform_keeps_deltas():
-    expr = TransformExpr.from_ratfunc((1,), (-1, 1), deltas={2: 7})
+    # 1/(t - 1) + 7/t^2: the constant 1 plus a spike of 7 at n = 2
+    expr = TransformExpr.from_ratfunc((1,), (-1, 1)) + \
+        TransformExpr.from_ratfunc((7,), (0, 0, 1))
     seq = inverse_transform(expr)
     assert seq(1) == 1 and seq(2) == 8 and seq(3) == 1
 

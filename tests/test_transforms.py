@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dlaplace.exact import PHI, QuadExt
+from dlaplace.exact import PHI
 from dlaplace.polys import Poly, RatFunc
+from dlaplace.sequences import ClosedFormSequence, inverse_transform
 from dlaplace.transforms import (MAX_N_POWER, TransformExpr, convolve,
                                  difference, geometric, n_power, partial_sum,
                                  shift, times_n)
@@ -27,9 +28,8 @@ def test_geometric_rule():
 
 def test_geometric_zero_base_is_the_spike_at_one():
     spike = geometric(0)
-    assert spike.rational.is_zero
-    assert spike.deltas == {1: QuadExt(1)}
-    assert spike.as_ratfunc() == rf([1], [0, 1])
+    assert spike.rational == rf([1], [0, 1])          # 1/t
+    assert inverse_transform(spike) == ClosedFormSequence(deltas={1: 1})
 
 
 def test_shift_rule_fibonacci_assembly():
@@ -97,8 +97,10 @@ def test_times_n_builds_power_table():
 
 
 def test_times_n_scales_deltas_by_position():
-    expr = TransformExpr(deltas={3: QuadExt(2), 1: QuadExt(1)})
-    assert times_n(expr).deltas == {3: QuadExt(6), 1: QuadExt(1)}
+    # 2/t^3 + 1/t, spikes at n = 3 and n = 1, becomes 6/t^3 + 1/t
+    expr = TransformExpr(rf([2], [0, 0, 0, 1]) + rf([1], [0, 1]))
+    expected = TransformExpr(rf([6], [0, 0, 0, 1]) + rf([1], [0, 1]))
+    assert times_n(expr) == expected
 
 
 def test_n_power_denominator_structure():
@@ -135,13 +137,11 @@ def test_linearity_and_scalar_ops():
 
 
 def test_deltas_fold_into_ratfunc():
-    expr = TransformExpr(rf([1], [-1, 1]), {2: Fraction(1, 2)})
-    # 1/(t-1) + (1/2)/t^2
-    assert expr.as_ratfunc() == rf([1], [-1, 1]) + rf([Fraction(1, 2)],
-                                                      [0, 0, 1])
+    # 1/(t-1) + (1/2)/t^2 is the single fraction (t^2 + t/2 - 1/2)/(t^3 - t^2)
     other = TransformExpr(rf([1], [-1, 1])) + \
-        TransformExpr(deltas={2: Fraction(1, 2)})
-    assert expr == other
+        TransformExpr(rf([Fraction(1, 2)], [0, 0, 1]))
+    assert other.rational == rf([Fraction(-1, 2), Fraction(1, 2), 1],
+                                [0, 0, -1, 1])
 
 
 def test_from_ratfunc_rejects_improper():
@@ -178,7 +178,8 @@ def test_definitional_series_agreement_randomized():
 
 
 def test_render_with_deltas():
-    expr = TransformExpr(rf([1], [-1, 1]), {2: 3})
-    assert expr.render() == "1/(t - 1) + 3*t^(-2)"
-    assert expr.render("e^s") == "1/(e^s - 1) + 3*e^(-2s)"
-    assert TransformExpr(deltas={1: 1}).render() == "t^(-1)"
+    # 1/(t - 1) + 3/t^2 prints as its one folded fraction
+    expr = TransformExpr(rf([1], [-1, 1]) + rf([3], [0, 0, 1]))
+    assert expr.render() == "(t^2 + 3*t - 3)/(t^3 - t^2)"
+    assert expr.render("e^s") == "(e^(2s) + 3*e^s - 3)/(e^(3s) - e^(2s))"
+    assert geometric(0).render() == "1/t"
