@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .dsl import parse_program
@@ -31,11 +32,36 @@ EXIT_VERIFY = 3
 
 def _read_program(args: argparse.Namespace) -> str:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SemanticError(f"cannot read --file: {exc}") from exc
     if args.program is None or args.program == "-":
         return sys.stdin.read()
     return args.program
+
+
+def _flag_value(convert, accept, wanted: str):
+    """An argparse ``type=`` that converts a flag value and checks it, so a
+    bad value ends in the usage error rather than a traceback."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+    return parse
+
+
+_count = _flag_value(int, lambda v: v >= 0, "an integer >= 0")
+_tolerance = _flag_value(float, lambda v: math.isfinite(v) and v > 0,
+                         "a finite number > 0")
+_grid = _flag_value(lambda text: tuple(float(x) for x in text.split(",")),
+                    lambda grid: all(map(math.isfinite, grid)),
+                    "comma-separated finite numbers")
 
 
 def _display_var(display: str) -> str:
@@ -48,14 +74,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(args.terms), indent=2))
         return EXIT_OK
+    # built before anything is printed, so a basis refusal prints nothing
+    basis = report.coefficient_decomposition
     var = _display_var(args.display)
     values = ", ".join(str(v) for v in report.values(args.terms))
     print(f"closed form: {report.closed_form_text()}")
     print(f"transform:   {report.transform.render(var)}")
     print(f"values:      {values}")
     print(f"verified:    n <= {report.verified_upto} (exact)")
-    if report.coefficient_decomposition is not None:
-        first, second = report.coefficient_decomposition
+    if basis is not None:
+        first, second = basis
         print(f"a(1) basis:  {first}")
         print(f"a(2) basis:  {second}")
     return EXIT_OK
@@ -67,9 +95,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The solve's self-check against direct recursion up to this horizon
     # proves the initial values and the recurrence for n + order <= upto.
     report = solve_ivp(spec, verify_upto=max(args.upto, spec.order))
-    grid = tuple(float(x) for x in args.s_grid.split(","))
     numeric = check_closed_form_pair(report.closed_form, report.transform,
-                                     grid, args.tol)
+                                     args.s_grid, args.tol)
     if args.json:
         payload = {
             "exact": {"passed": True, "upto": args.upto},
@@ -131,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("program", nargs="?",
                        help="recurrence text; '-' or absent reads stdin")
     solve.add_argument("--file", help="read the recurrence text from a file")
-    solve.add_argument("--terms", type=int, default=10,
+    solve.add_argument("--terms", type=_count, default=10,
                        help="how many values to print (default 10)")
-    solve.add_argument("--verify-upto", type=int, default=64,
+    solve.add_argument("--verify-upto", type=_count, default=64,
                        help="exact self-check horizon (default 64)")
     solve.add_argument("--json", action="store_true",
                        help="emit the full report as JSON")
@@ -146,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("program", nargs="?",
                         help="recurrence text; '-' or absent reads stdin")
     verify.add_argument("--file", help="read the recurrence text from a file")
-    verify.add_argument("--upto", type=int, default=64,
+    verify.add_argument("--upto", type=_count, default=64,
                         help="exact verification horizon (default 64)")
-    verify.add_argument("--s-grid", default="1.0,1.5,2.0",
+    verify.add_argument("--s-grid", type=_grid, default="1.0,1.5,2.0",
                         help="comma-separated sample points (default "
                              "1.0,1.5,2.0)")
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+    verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                         help="numeric tolerance (default 1e-9)")
     verify.add_argument("--json", action="store_true",
                         help="emit the verification report as JSON")

@@ -93,4 +93,5 @@ class ParseError(DlaplaceError):
 
 
 class SemanticError(DlaplaceError):
-    """Grammatical recurrence text that does not describe a solvable IVP."""
+    """Recurrence text that cannot be read, or grammatical text that does
+    not describe a solvable IVP."""

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt, SQRT5
 from .polys import Poly, RatFunc
 from .transforms import MAX_N_POWER, TransformExpr, geometric, n_power
-from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
-                        inverse_transform)
+from .sequences import ClosedFormSequence, fibonacci_normal, inverse_transform
 
 RationalLike = Union[int, Fraction]
 
@@ -198,8 +198,18 @@ class SolutionReport:
     transform: TransformExpr
     closed_form: ClosedFormSequence
     verified_upto: int
-    coefficient_decomposition: Optional[tuple[ClosedFormSequence,
-                                              ClosedFormSequence]] = None
+
+    @cached_property
+    def coefficient_decomposition(self) -> Optional[
+            tuple[ClosedFormSequence, ClosedFormSequence]]:
+        """a(n) = first(n) a(1) + second(n) a(2) for a homogeneous order-2
+        problem, each part self-checked like the solve; None otherwise."""
+        spec = self.spec
+        if spec.order != 2 or not spec.is_homogeneous:
+            return None
+        return tuple(solve_ivp(RecurrenceSpec(2, spec.coefficients, start),
+                               self.verified_upto).closed_form
+                     for start in ((1, 0), (0, 1)))
 
     def values(self, count: int = 10) -> list[Fraction]:
         out = []
@@ -253,8 +263,9 @@ def transform_of(spec: RecurrenceSpec) -> TransformExpr:
     return TransformExpr.from_ratfunc(quotient.num, quotient.den)
 
 
-def _solve_checked(spec: RecurrenceSpec, verify_upto: int,
-                   ) -> tuple[TransformExpr, ClosedFormSequence]:
+def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
+              ) -> SolutionReport:
+    """Solve the IVP exactly and self-check against direct recursion."""
     expr = transform_of(spec)
     closed = inverse_transform(expr)
     reference = RecursiveSequence(spec)
@@ -264,23 +275,7 @@ def _solve_checked(spec: RecurrenceSpec, verify_upto: int,
             raise VerificationFailed(
                 f"closed form disagrees with recursion at n = {n}: "
                 f"{got} vs {reference(n)}")
-    return expr, closed
-
-
-def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
-              ) -> SolutionReport:
-    """Solve the IVP exactly and self-check against direct recursion."""
-    expr, closed = _solve_checked(spec, verify_upto)
-    decomposition = None
-    if spec.order == 2 and spec.is_homogeneous:
-        basis = []
-        for initials in ((Fraction(1), Fraction(0)),
-                         (Fraction(0), Fraction(1))):
-            basis_spec = RecurrenceSpec(spec.order, spec.coefficients,
-                                        initials)
-            basis.append(_solve_checked(basis_spec, verify_upto)[1])
-        decomposition = (basis[0], basis[1])
-    return SolutionReport(spec, expr, closed, verify_upto, decomposition)
+    return SolutionReport(spec, expr, closed, verify_upto)
 
 
 def solve_affine(lam: RationalLike, beta: RationalLike, a1: RationalLike,

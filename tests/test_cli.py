@@ -1,13 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from dlaplace import solver
+import dlaplace
+from dlaplace import polys, solver
 from dlaplace.cli import main
 from dlaplace.sequences import ClosedFormSequence
 
@@ -235,9 +238,65 @@ def test_verify_checks_initial_values_below_the_order(capsys, monkeypatch,
     assert "error:" in err and "differ by" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_json_commands_solve_the_problem_once(capsys, monkeypatch, command):
+    # neither prints the a(1)/a(2) basis, so neither may build it
+    calls = {"transform_of": 0, "factor_roots": 0}
+    for module, name in ((solver, "transform_of"), (polys, "factor_roots")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert main([command, FIB_TEXT, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"transform_of": 1, "factor_roots": 1}
+
+
+def test_zero_solution_is_refused_only_where_the_basis_is_printed(capsys):
+    # the answer is identically 0, but the basis of a[n+2] = -a[n] needs
+    # the complex roots of t^2 + 1
+    zero = "a[n+2] = -a[n]; a[1] = 0; a[2] = 0"
+    assert main(["solve", zero, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["closed_form"]["text"] == "0"
+    assert main(["verify", zero]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert main(["solve", zero]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: quadratic factor t^2 + 1 has complex roots\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", FIB_TEXT, "--s-grid", "abc"], 2),
+    (["verify", FIB_TEXT, "--s-grid", "inf"], 2),
+    (["verify", FIB_TEXT, "--s-grid", "1.0,"], 2),
+    (["verify", FIB_TEXT, "--tol", "0"], 2),
+    (["verify", FIB_TEXT, "--tol", "nan"], 2),
+    (["verify", FIB_TEXT, "--upto", "-1"], 2),
+    (["solve", FIB_TEXT, "--verify-upto", "-5"], 2),
+    (["solve", FIB_TEXT, "--terms", "-1"], 2),
+    (["solve", "--file", "MISSING"], 1),
+])
+def test_bad_flag_values_end_in_an_error_message(capsys, tmp_path, argv,
+                                                  code):
+    argv = [str(tmp_path / "missing.dl") if a == "MISSING" else a
+            for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    assert got == code
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entry_point():
+    # the child imports the same source tree as this process
+    src = str(Path(dlaplace.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "dlaplace", "solve", FIB_TEXT, "--terms", "3"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "values:      1, 1, 2" in result.stdout
