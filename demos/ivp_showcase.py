@@ -4,9 +4,8 @@
 from fractions import Fraction
 
 from dlaplace import (GeometricTerm, PowerTerm, RecurrenceSpec,
-                      ResonantForcing, UnsupportedFactorization,
-                      check_inverse_square_ivp, inverse_square_partial,
-                      solve_affine, solve_ivp)
+                      ResonantForcing, UnsupportedFactorization, delta,
+                      partial_sums, solve_affine, solve_ivp)
 
 
 def main():
@@ -53,9 +52,15 @@ def main():
     print("== inverse-square partial sums as an IVP ==")
     print("h(n) = sum_(k<=n-1) 1/k^2 with h(1) = 1 satisfies")
     print("h(n+1) = h(n) + 1/n^2; the engine verifies the recursion")
-    print("and the exact rational values agree for n <= 200:",
-          check_inverse_square_ivp(200))
-    print("h(5) =", inverse_square_partial(5))
+    inverse_squares = partial_sums(lambda k: Fraction(1, k * k))
+
+    def h(n):
+        return inverse_squares(n) + 1
+
+    holds = h(2) == 2 and all(delta(h)(n) == Fraction(1, n * n)
+                              for n in range(1, 201))
+    print("and the exact rational values agree for n <= 200:", holds)
+    print("h(5) =", h(5))
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@
     dlaplace verify "a[n+1] = 2*a[n] + 1; a[1] = 1" --upto 50
     dlaplace table
 
-Exit codes: 0 success, 1 parse or semantic error in the recurrence text,
-2 the problem is outside the engine's exact capabilities, 3 a verification
-or numeric check failed.
+Exit codes: 0 success, 1 a usage error or a parse or semantic error in the
+recurrence text, 2 the problem is outside the engine's exact capabilities,
+3 a verification or numeric check failed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CAPABILITY = 2
 EXIT_VERIFY = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_PARSE, keeping 2 for refusals."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _read_program(args: argparse.Namespace) -> str:
@@ -91,10 +99,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     program = parse_program(_read_program(args))
-    spec = program.to_spec()
-    # The solve's self-check against direct recursion up to this horizon
-    # proves the initial values and the recurrence for n + order <= upto.
-    report = solve_ivp(spec, verify_upto=max(args.upto, spec.order))
+    # The solve's self-check, verify_solution, proves the initial values
+    # and the recurrence for n + order <= upto.
+    report = solve_ivp(program.to_spec(), verify_upto=args.upto)
     numeric = check_closed_form_pair(report.closed_form, report.transform,
                                      args.s_grid, args.tol)
     if args.json:
@@ -148,7 +155,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlaplace",
         description="Exact transform calculus for linear recurrences.")
     sub = parser.add_subparsers(dest="command", required=True)

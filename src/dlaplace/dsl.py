@@ -170,10 +170,6 @@ class _Parser:
                 token.line, token.column)
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.line, token.column)
-
     # -- grammar productions --------------------------------------------
 
     def parse_program(self) -> DslProgram:

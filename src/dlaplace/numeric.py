@@ -90,23 +90,21 @@ def terms_needed(alpha: float, s0: float, s: float, target: float) -> int:
     return terms
 
 
-def growth_bound(seq: ClosedFormSequence, samples: int = 50,
-                 margin: float = 0.01, safety: float = 2.0,
-                 ) -> tuple[float, float]:
+def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
     """Automatic (alpha, s0) with |seq(n)| <= alpha e^{s0 n} in practice.
 
-    s0 is log(max |root|) plus a small margin; alpha is read off the first
-    `samples` values and doubled.  Good enough to steer truncation for the
+    s0 is log(max |root|) plus a margin of 0.01; alpha is read off the
+    first 50 values and doubled.  Good enough to steer truncation for the
     tolerances used here, not a certified envelope.
     """
     largest = 1.0
     for term in seq.terms:
         largest = max(largest, abs(term.root).to_float())
-    s0 = math.log(largest) + margin
+    s0 = math.log(largest) + 0.01
     alpha = 0.0
-    for n in range(1, samples + 1):
+    for n in range(1, 51):
         alpha = max(alpha, abs(_as_float(seq(n))) * math.exp(-s0 * n))
-    return max(alpha, 1e-30) * safety, s0
+    return max(alpha, 1e-30) * 2.0, s0
 
 
 @dataclass

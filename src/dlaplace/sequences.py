@@ -4,13 +4,13 @@ A closed form here is a finite sum of terms
 
     coefficient * C(n-1, m-1) * root^(n-m)
 
-(one term per pole, multiplicity m) plus finitely many Kronecker deltas.
-That shape is exactly what inverting a strictly proper rational transform
-produces: a simple pole at r gives r^(n-1), an m-fold pole gives the
-(m-1)-fold self-convolution of that geometric sequence, and poles at zero
-collapse to single-point spikes.  The binomial factor vanishes for n < m,
-so no negative powers of the root are ever formed and a zero root never
-meets a negative exponent (0^0 counts as 1).
+(one term per pole, multiplicity m).  That shape is exactly what
+inverting a strictly proper rational transform produces: a simple pole at
+r gives r^(n-1), an m-fold pole gives the (m-1)-fold self-convolution of
+that geometric sequence, and a pole of order m at zero is the Kronecker
+delta at n = m.  The binomial factor vanishes for n < m, so no negative
+powers of the root are ever formed and a zero root never meets a negative
+exponent (0^0 counts as 1).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import PHI, PSI, QuadExt, sort_key
-from .polys import Poly, partial_fractions
+from .polys import partial_fractions
 from . import transforms
 from .transforms import TransformExpr
 
@@ -39,19 +39,20 @@ class Term:
 
 
 class ClosedFormSequence:
-    """An exact sequence given by pole terms plus Kronecker deltas."""
+    """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_deltas")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
         collected: dict[tuple[QuadExt, int], QuadExt] = {}
-        spikes: dict[int, QuadExt] = {}
+        items = list(terms)
         for j, c in (deltas or {}).items():
             if not isinstance(j, int) or j < 1:
                 raise ValueError(f"delta position must be a positive int: {j}")
-            spikes[j] = spikes.get(j, QuadExt(0)) + QuadExt.of(c)
-        for item in terms:
+            # c at n = j alone is c * C(n-1, j-1) * 0^(n-j)
+            items.append((c, 0, j))
+        for item in items:
             if isinstance(item, Term):
                 c, r, m = item.coefficient, item.root, item.multiplicity
             else:
@@ -59,28 +60,26 @@ class ClosedFormSequence:
             c, r = QuadExt.of(c), QuadExt.of(r)
             if m < 1:
                 raise ValueError(f"multiplicity must be positive: {m}")
-            if not r:
-                # coefficient * C(n-1, m-1) * 0^(n-m) is a spike at n = m
-                spikes[m] = spikes.get(m, QuadExt(0)) + c
-                continue
             key = (r, m)
             collected[key] = collected.get(key, QuadExt(0)) + c
         kept = [Term(c, r, m) for (r, m), c in collected.items() if c]
         kept.sort(key=lambda term: (sort_key(term.root), term.multiplicity))
         self._terms = tuple(kept)
-        self._deltas = {j: c for j, c in sorted(spikes.items()) if c}
 
     @property
     def terms(self) -> tuple[Term, ...]:
-        return self._terms
+        """The terms with a nonzero root."""
+        return tuple(t for t in self._terms if t.root)
 
     @property
     def deltas(self) -> dict[int, QuadExt]:
-        return dict(self._deltas)
+        """The zero-root terms, as spike heights keyed by position."""
+        return {t.multiplicity: t.coefficient
+                for t in self._terms if not t.root}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms and not self._deltas
+        return not self._terms
 
     def __call__(self, n: int) -> QuadExt:
         if n < 1:
@@ -91,33 +90,26 @@ class ClosedFormSequence:
             if weight:
                 total = total + term.coefficient * weight * \
                     term.root ** (n - term.multiplicity)
-        spike = self._deltas.get(n)
-        if spike is not None:
-            total = total + spike
         return total
 
     def __add__(self, other: object) -> "ClosedFormSequence":
         if not isinstance(other, ClosedFormSequence):
             return NotImplemented
-        deltas = dict(self._deltas)
-        for j, c in other._deltas.items():
-            deltas[j] = deltas.get(j, QuadExt(0)) + c
-        return ClosedFormSequence(self._terms + other._terms, deltas)
+        return ClosedFormSequence(self._terms + other._terms)
 
     def scale(self, factor: Scalar) -> "ClosedFormSequence":
         c = QuadExt.of(factor)
         return ClosedFormSequence(
             [Term(t.coefficient * c, t.root, t.multiplicity)
-             for t in self._terms],
-            {j: v * c for j, v in self._deltas.items()})
+             for t in self._terms])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedFormSequence):
             return NotImplemented
-        return self._terms == other._terms and self._deltas == other._deltas
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._terms, tuple(sorted(self._deltas.items()))))
+        return hash(self._terms)
 
     def transform(self) -> TransformExpr:
         """Forward transform, assembled term by term from the rules."""
@@ -127,23 +119,20 @@ class ClosedFormSequence:
             for _ in range(term.multiplicity - 1):
                 piece = transforms.convolve(piece, transforms.geometric(term.root))
             total = total + piece * term.coefficient
-        for j, c in self._deltas.items():
-            # c at n = j alone is c * e^(-js) = c/t^j
-            total = total + TransformExpr.from_ratfunc(c, Poly.monomial(j))
         return total
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = [_term_text(t) for t in self._terms]
-        parts += [_spike_text(j, c) for j, c in self._deltas.items()]
+        parts = [_term_text(t) for t in self.terms]
+        parts += [_spike_text(j, c) for j, c in self.deltas.items()]
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
     def __repr__(self) -> str:
-        return f"ClosedFormSequence({list(self._terms)!r}, {self._deltas!r})"
+        return f"ClosedFormSequence({list(self.terms)!r}, {self.deltas!r})"
 
 
 def _coeff_text(c: QuadExt) -> str:

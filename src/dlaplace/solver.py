@@ -24,10 +24,11 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
-from .exact import QuadExt, SQRT5
+from .exact import QuadExt
 from .polys import Poly, RatFunc
 from .transforms import MAX_N_POWER, TransformExpr, geometric, n_power
-from .sequences import ClosedFormSequence, fibonacci_normal, inverse_transform
+from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
+                        inverse_transform)
 
 RationalLike = Union[int, Fraction]
 
@@ -212,12 +213,9 @@ class SolutionReport:
                      for start in ((1, 0), (0, 1)))
 
     def values(self, count: int = 10) -> list[Fraction]:
-        out = []
-        for n in range(1, count + 1):
-            value = self.closed_form(n)
-            assert value.is_rational, "rational spec produced a radical value"
-            out.append(value.as_fraction())
-        return out
+        """a(1)..a(count), read off the recursion the closed form matches."""
+        reference = RecursiveSequence(self.spec)
+        return [reference(n) for n in range(1, count + 1)]
 
     def closed_form_text(self) -> str:
         pretty = fibonacci_normal(self.closed_form)
@@ -268,13 +266,10 @@ def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
     """Solve the IVP exactly and self-check against direct recursion."""
     expr = transform_of(spec)
     closed = inverse_transform(expr)
-    reference = RecursiveSequence(spec)
-    for n in range(1, verify_upto + 1):
-        got = closed(n)
-        if not got.is_rational or got.as_fraction() != reference(n):
-            raise VerificationFailed(
-                f"closed form disagrees with recursion at n = {n}: "
-                f"{got} vs {reference(n)}")
+    check = verify_solution(spec, closed, verify_upto)
+    if not check.passed:
+        raise VerificationFailed(
+            f"closed form disagrees with recursion: {check.detail}")
     return SolutionReport(spec, expr, closed, verify_upto)
 
 
@@ -301,28 +296,6 @@ def solve_affine(lam: RationalLike, beta: RationalLike, a1: RationalLike,
     return report
 
 
-def fibonacci_coefficients(n: int) -> tuple[QuadExt, QuadExt]:
-    """Weights (gamma_n, beta_n) with a(n) = gamma_n a(1) + beta_n a(2).
-
-    Both come out of the radical closed forms
-
-        gamma_n = ((sqrt5-1)(1+sqrt5)^(n-1) + (sqrt5+1)(1-sqrt5)^(n-1))
-                  / (2^n sqrt5)
-        beta_n  = ((1+sqrt5)^(n-1) - (1-sqrt5)^(n-1)) / (2^(n-1) sqrt5)
-
-    and are plain rationals (integers, in fact) for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError("sequences start at n = 1")
-    plus = QuadExt(1) + SQRT5
-    minus = QuadExt(1) - SQRT5
-    gamma = ((SQRT5 - 1) * plus ** (n - 1) + (SQRT5 + 1) * minus ** (n - 1)) \
-        / (SQRT5 * 2 ** n)
-    beta = (plus ** (n - 1) - minus ** (n - 1)) / (SQRT5 * 2 ** (n - 1))
-    assert gamma.is_rational and beta.is_rational
-    return gamma, beta
-
-
 @dataclass
 class VerificationReport:
     """Outcome of checking a proposed solution against its spec."""
@@ -335,46 +308,19 @@ class VerificationReport:
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
                     upto: int = 64) -> VerificationReport:
-    """Check the initial values and the recurrence for n + order <= upto."""
+    """Check the initial values and the recurrence for n + order <= upto:
+    both hold exactly when seq agrees with direct recursion that far."""
     k = spec.order
-    values = [QuadExt.of(seq(n))  # type: ignore[arg-type]
-              for n in range(1, max(upto, k) + 1)]
-    for i, expected in enumerate(spec.initials, start=1):
-        if values[i - 1] != expected:
-            return VerificationReport(
-                False, upto, i, f"initial value a({i}) is {values[i - 1]}, "
-                f"expected {expected}")
-    for n in range(1, upto - k + 1):
-        rhs = QuadExt.of(spec.forcing_value(n))
-        for j, c in enumerate(spec.coefficients):
-            if c:
-                rhs = rhs + c * values[n + j - 1]
-        if values[n + k - 1] != rhs:
-            return VerificationReport(
-                False, upto, n + k,
-                f"recurrence fails producing a({n + k})")
-    return VerificationReport(True, upto)
-
-
-def inverse_square_partial(n: int) -> Fraction:
-    """f(n) = 1 + sum_{k=1}^{n-1} 1/k^2.
-
-    This is the exact solution of (Df)(n) = 1/n^2 with f(2) = 2; the values
-    stay rational but no rational-transform closed form exists for them.
-    """
-    total = Fraction(1)
-    for k in range(1, n):
-        total += Fraction(1, k * k)
-    return total
-
-
-def check_inverse_square_ivp(upto: int = 200) -> bool:
-    """Confirm the partial-sum solution satisfies its IVP exactly."""
-    if inverse_square_partial(2) != 2:
-        return False
-    values = [inverse_square_partial(n) for n in range(1, upto + 2)]
-    return all(values[n] - values[n - 1] == Fraction(1, n * n)
-               for n in range(1, upto + 1))
+    passed, n = equal_prefix(seq, RecursiveSequence(spec), max(upto, k))
+    if passed:
+        return VerificationReport(True, upto)
+    if n <= k:
+        got = QuadExt.of(seq(n))  # type: ignore[arg-type]
+        return VerificationReport(
+            False, upto, n,
+            f"initial value a({n}) is {got}, expected {spec.initials[n - 1]}")
+    return VerificationReport(False, upto, n,
+                              f"recurrence fails producing a({n})")
 
 
 def integer_valued_prefix(seq: Callable[[int], object], upto: int) -> bool:

@@ -162,12 +162,13 @@ def partial_sum(expr: TransformExpr) -> TransformExpr:
     return TransformExpr.from_ratfunc(summed.num, summed.den)
 
 
-def n_power(k: int, limit: int = MAX_N_POWER) -> TransformExpr:
+def n_power(k: int) -> TransformExpr:
     """Transform of n^k, built by iterating times_n on 1/(t - 1)."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    if k > limit:
-        raise DegreeLimitExceeded(f"n^{k} exceeds the degree limit {limit}")
+    if k > MAX_N_POWER:
+        raise DegreeLimitExceeded(
+            f"n^{k} exceeds the degree limit {MAX_N_POWER}")
     expr = geometric(1)
     for _ in range(k):
         expr = times_n(expr)

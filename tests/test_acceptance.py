@@ -21,10 +21,9 @@ from dlaplace.numeric import (SeriesCheckConfig, check_closed_form_pair,
                               check_pair, growth_bound,
                               harmonic_transform_check, ratio_limit)
 from dlaplace.polys import PFTerm, Poly, RatFunc, partial_fractions
-from dlaplace.sequences import (ClosedFormSequence, convolve,
-                                inverse_transform)
+from dlaplace.sequences import (ClosedFormSequence, convolve, delta,
+                                inverse_transform, partial_sums)
 from dlaplace.solver import (PowerTerm, RecurrenceSpec, RecursiveSequence,
-                             check_inverse_square_ivp, fibonacci_coefficients,
                              solve_affine, solve_ivp)
 from dlaplace.transforms import TransformExpr, geometric, n_power, partial_sum, shift
 
@@ -67,6 +66,13 @@ def test_criterion_01_fibonacci_end_to_end():
 def test_criterion_02_superposition_random_initials():
     with criterion(2, "random initial values via gamma/beta superposition"):
         start = time.perf_counter()
+        # gamma and beta: the recursions started at (1,0) and (0,1), which
+        # the engine's own a(1)/a(2) basis must match
+        gamma = RecursiveSequence(RecurrenceSpec.fibonacci(1, 0))
+        beta = RecursiveSequence(RecurrenceSpec.fibonacci(0, 1))
+        first, second = solve_ivp(FIB_SPEC).coefficient_decomposition
+        for n in range(1, 65):
+            assert first(n) == gamma(n) and second(n) == beta(n)
         rng = random.Random(2026)
         for _ in range(5):
             a1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -76,8 +82,7 @@ def test_criterion_02_superposition_random_initials():
             for n in range(1, 65):
                 value = report.closed_form(n)
                 assert value == reference(n)
-                gamma, beta = fibonacci_coefficients(n)
-                assert value == gamma * a1 + beta * a2
+                assert value == gamma(n) * a1 + beta(n) * a2
         assert time.perf_counter() - start < 2.0
 
 
@@ -139,7 +144,14 @@ def test_criterion_06_harmonic_reference():
 
 def test_criterion_07_inverse_square_ivp():
     with criterion(7, "inverse-square partial sum IVP"):
-        assert check_inverse_square_ivp(200)
+        # f(n) = 1 + sum_{k=1}^{n-1} 1/k^2, (Df)(n) = 1/n^2, f(2) = 2
+        inverse_squares = partial_sums(lambda k: Fraction(1, k * k))
+
+        def f(n):
+            return inverse_squares(n) + 1
+
+        assert f(2) == 2
+        assert all(delta(f)(n) == Fraction(1, n * n) for n in range(1, 201))
 
 
 def test_criterion_08_golden_ratio_limit():

@@ -268,15 +268,17 @@ def test_zero_solution_is_refused_only_where_the_basis_is_printed(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["verify", FIB_TEXT, "--s-grid", "abc"], 2),
-    (["verify", FIB_TEXT, "--s-grid", "inf"], 2),
-    (["verify", FIB_TEXT, "--s-grid", "1.0,"], 2),
-    (["verify", FIB_TEXT, "--tol", "0"], 2),
-    (["verify", FIB_TEXT, "--tol", "nan"], 2),
-    (["verify", FIB_TEXT, "--upto", "-1"], 2),
-    (["solve", FIB_TEXT, "--verify-upto", "-5"], 2),
-    (["solve", FIB_TEXT, "--terms", "-1"], 2),
+    (["verify", FIB_TEXT, "--s-grid", "abc"], 1),
+    (["verify", FIB_TEXT, "--s-grid", "inf"], 1),
+    (["verify", FIB_TEXT, "--s-grid", "1.0,"], 1),
+    (["verify", FIB_TEXT, "--tol", "0"], 1),
+    (["verify", FIB_TEXT, "--tol", "nan"], 1),
+    (["verify", FIB_TEXT, "--upto", "-1"], 1),
+    (["solve", FIB_TEXT, "--verify-upto", "-5"], 1),
+    (["solve", FIB_TEXT, "--terms", "-1"], 1),
     (["solve", "--file", "MISSING"], 1),
+    (["solve", FIB_TEXT, "--bogus"], 1),
+    ([], 1),
 ])
 def test_bad_flag_values_end_in_an_error_message(capsys, tmp_path, argv,
                                                   code):
@@ -288,6 +290,43 @@ def test_bad_flag_values_end_in_an_error_message(capsys, tmp_path, argv,
         got = exc.code
     assert got == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_usage_errors_keep_the_usage_line_and_help_exits_zero(capsys):
+    # a usage error exits 1 like any other bad input; exit 2 is left to
+    # problems outside the engine's capabilities
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", FIB_TEXT, "--tol", "0"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dlaplace verify")
+    assert "dlaplace verify: error: argument --tol:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dlaplace")
+
+
+def test_json_solve_checks_the_closed_form_once(capsys, monkeypatch):
+    # one exact check, through verify_solution; the printed values come
+    # from the recursion, so only that check evaluates the closed form
+    calls = {"verify_solution": 0, "closed_form": 0}
+    real_verify = solver.verify_solution
+    real_call = ClosedFormSequence.__call__
+
+    def verify(*args):
+        calls["verify_solution"] += 1
+        return real_verify(*args)
+
+    def evaluate(self, n):
+        calls["closed_form"] += 1
+        return real_call(self, n)
+
+    monkeypatch.setattr(solver, "verify_solution", verify)
+    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    assert main(["solve", FIB_TEXT, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"verify_solution": 1, "closed_form": 64}
 
 
 def test_module_entry_point():

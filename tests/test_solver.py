@@ -5,12 +5,11 @@ import pytest
 
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.polys import Poly, RatFunc
-from dlaplace.sequences import ClosedFormSequence
+from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
 from dlaplace.solver import (GeometricTerm, PowerTerm, RecurrenceSpec,
-                             RecursiveSequence, check_inverse_square_ivp,
-                             fibonacci_coefficients, integer_valued_prefix,
-                             inverse_square_partial, solve_affine, solve_ivp,
-                             transform_of, verify_solution)
+                             RecursiveSequence, integer_valued_prefix,
+                             solve_affine, solve_ivp, transform_of,
+                             verify_solution)
 from dlaplace.errors import (ResonantForcing, UnsupportedFactorization,
                              UnsupportedForcing, VerificationFailed)
 
@@ -82,26 +81,27 @@ def test_solve_produces_basis_decomposition():
 
 
 def test_superposition_matches_gamma_beta():
+    # gamma and beta are the Fibonacci recursions started at (1,0) and (0,1)
+    gamma = RecursiveSequence(RecurrenceSpec.fibonacci(1, 0))
+    beta = RecursiveSequence(RecurrenceSpec.fibonacci(0, 1))
     rng = random.Random(64)
     for _ in range(5):
         a1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         a2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         report = solve_ivp(RecurrenceSpec.fibonacci(a1, a2))
         for n in range(1, 41):
-            gamma, beta = fibonacci_coefficients(n)
-            assert report.closed_form(n) == gamma * a1 + beta * a2
+            assert report.closed_form(n) == gamma(n) * a1 + beta(n) * a2
 
 
 def test_fibonacci_coefficients_oracle():
     # hand values: gamma = 1,0,1,1,2,3 and beta = 0,1,1,2,3,5
-    table = [fibonacci_coefficients(n) for n in range(1, 7)]
-    assert [g.as_fraction() for g, _ in table] == [1, 0, 1, 1, 2, 3]
-    assert [b.as_fraction() for _, b in table] == [0, 1, 1, 2, 3, 5]
+    gamma, beta = solve_ivp(FIB).coefficient_decomposition
+    assert [gamma(n).as_fraction() for n in range(1, 7)] == [1, 0, 1, 1, 2, 3]
+    assert [beta(n).as_fraction() for n in range(1, 7)] == [0, 1, 1, 2, 3, 5]
     # gamma_n + beta_n is the Fibonacci sequence itself
     fib = RecursiveSequence(FIB)
     for n in range(1, 25):
-        gamma, beta = fibonacci_coefficients(n)
-        assert gamma + beta == fib(n)
+        assert gamma(n) + beta(n) == fib(n)
 
 
 def test_exponent_normalizations_agree():
@@ -253,10 +253,16 @@ def test_verify_solution_checks_difference_identity():
 
 
 def test_inverse_square_ivp_partial_sums():
-    assert inverse_square_partial(1) == 1
-    assert inverse_square_partial(2) == 2
-    assert inverse_square_partial(4) == 1 + 1 + Fraction(1, 4) + Fraction(1, 9)
-    assert check_inverse_square_ivp(200)
+    # f(n) = 1 + sum_{k=1}^{n-1} 1/k^2 solves (Df)(n) = 1/n^2 with f(2) = 2
+    inverse_squares = partial_sums(lambda k: Fraction(1, k * k))
+
+    def f(n):
+        return inverse_squares(n) + 1
+
+    assert f(1) == 1
+    assert f(2) == 2
+    assert f(4) == 1 + 1 + Fraction(1, 4) + Fraction(1, 9)
+    assert all(delta(f)(n) == Fraction(1, n * n) for n in range(1, 201))
 
 
 def test_integer_valuedness_predicate():
