@@ -80,7 +80,8 @@ class DivergenceGuard(DlaplaceError):
 
 
 class SeriesCapExceeded(DlaplaceError):
-    """Reaching the requested tolerance would need too many series terms."""
+    """Reaching the requested tolerance would need too many series terms,
+    or terms past the double range."""
 
 
 class ParseError(DlaplaceError):

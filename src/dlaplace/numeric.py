@@ -62,8 +62,21 @@ def series_eval(f: Callable[[int], object], s: float, terms: int,
     if growth_s0 is not None and s <= growth_s0:
         raise DivergenceGuard(
             f"s = {s} is inside the divergence region (s0 = {growth_s0})")
-    return math.fsum(
-        _as_float(f(n)) * math.exp(-s * n) for n in range(1, terms + 1))
+    stage = f"series at s = {s}"
+    return math.fsum(_float_term(f, n, stage, terms) * math.exp(-s * n)
+                     for n in range(1, terms + 1))
+
+
+def _float_term(f: Callable[[int], object], n: int, stage: str,
+                terms: int) -> float:
+    """f(n) as a double, refusing a value past the double range."""
+    value = f(n)
+    try:
+        return _as_float(value)
+    except OverflowError:
+        raise SeriesCapExceeded(
+            f"{stage}: term {n} of {terms} is past the double range"
+        ) from None
 
 
 def tail_bound(alpha: float, s0: float, s: float, terms: int) -> float:
@@ -103,7 +116,8 @@ def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
     s0 = math.log(largest) + 0.01
     alpha = 0.0
     for n in range(1, 51):
-        alpha = max(alpha, abs(_as_float(seq(n))) * math.exp(-s0 * n))
+        value = _float_term(seq, n, f"growth estimate at s0 = {s0:.3f}", 50)
+        alpha = max(alpha, abs(value) * math.exp(-s0 * n))
     return max(alpha, 1e-30) * 2.0, s0
 
 

@@ -11,6 +11,11 @@ that geometric sequence, and a pole of order m at zero is the Kronecker
 delta at n = m.  The binomial factor vanishes for n < m, so no negative
 powers of the root are ever formed and a zero root never meets a negative
 exponent (0^0 counts as 1).
+
+A closed form memoises its values a(1), a(2), ... as they are read in
+order, stepping each term's running power coefficient * root^(n-m) by one
+multiplication per n, so the self-check, the growth estimate and every
+series sum of one request share a single pass.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from .transforms import TransformExpr
 Scalar = Union[int, Fraction, QuadExt]
 Sequence1 = Callable[[int], Scalar]
 
+# Values past this index are computed term by term and not kept, so the
+# memo's memory stays bounded however far a caller reads.
+_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class Term:
@@ -41,7 +50,7 @@ class Term:
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_memo", "_powers")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -65,6 +74,9 @@ class ClosedFormSequence:
         kept = [Term(c, r, m) for (r, m), c in collected.items() if c]
         kept.sort(key=lambda term: (sort_key(term.root), term.multiplicity))
         self._terms = tuple(kept)
+        # a cache only: _terms alone defines the sequence
+        self._memo: list[QuadExt] = []
+        self._powers: list[QuadExt | None] = [None] * len(kept)
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -84,6 +96,26 @@ class ClosedFormSequence:
     def __call__(self, n: int) -> QuadExt:
         if n < 1:
             raise ValueError("sequences start at n = 1")
+        memo = self._memo
+        if n <= len(memo):
+            return memo[n - 1]
+        if n > len(memo) + 1 or n > _MEMO_LIMIT:
+            return self._term_by_term(n)
+        total = QuadExt(0)
+        powers = self._powers
+        for i, term in enumerate(self._terms):
+            m = term.multiplicity
+            if n >= m:
+                # coefficient * root^(n-m): 0^0 = 1 at n = m, then stepped
+                powers[i] = (term.coefficient if n == m
+                             else powers[i] * term.root)
+                weight = comb(n - 1, m - 1)
+                total = total + (powers[i] if weight == 1
+                                 else powers[i] * weight)
+        memo.append(total)
+        return total
+
+    def _term_by_term(self, n: int) -> QuadExt:
         total = QuadExt(0)
         for term in self._terms:
             weight = comb(n - 1, term.multiplicity - 1)

@@ -12,6 +12,7 @@ import pytest
 import dlaplace
 from dlaplace import polys, solver
 from dlaplace.cli import main
+from dlaplace.exact import QuadExt
 from dlaplace.sequences import ClosedFormSequence
 
 FIB_TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
@@ -327,6 +328,49 @@ def test_json_solve_checks_the_closed_form_once(capsys, monkeypatch):
     assert main(["solve", FIB_TEXT, "--json"]) == 0
     capsys.readouterr()
     assert calls == {"verify_solution": 1, "closed_form": 64}
+
+
+def test_json_verify_steps_root_powers_instead_of_powering(capsys,
+                                                          monkeypatch):
+    # the self-check, the growth estimate and the series sums read the
+    # closed form's memoised values; no value is re-powered from its root
+    calls = {"pow": 0, "closed_form": 0}
+    real_pow = QuadExt.__pow__
+    real_call = ClosedFormSequence.__call__
+
+    def power(self, exponent):
+        calls["pow"] += 1
+        return real_pow(self, exponent)
+
+    def evaluate(self, n):
+        calls["closed_form"] += 1
+        return real_call(self, n)
+
+    monkeypatch.setattr(QuadExt, "__pow__", power)
+    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    assert main(["verify", FIB_TEXT, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"pow": 0, "closed_form": 193}
+
+
+@pytest.mark.parametrize("argv", [
+    # the series at s = 2 needs 564 terms; 7^365 is past the double range
+    ["verify", "a[n+2] = 13*a[n+1] - 42*a[n]; a[1] = 5; a[2] = 32"],
+    ["verify", "a[n+2] = 13*a[n+1] - 42*a[n]; a[1] = 5; a[2] = 32",
+     "--json"],
+    # the growth estimate reads 10^8^(n-1) up to n = 50
+    ["verify", "a[n+1] = 100000000*a[n]; a[1] = 1", "--s-grid", "30"],
+    ["verify", "a[n+1] = 100000000*a[n]; a[1] = 1", "--s-grid", "30",
+     "--json"],
+])
+def test_values_past_the_double_range_are_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "past the double range" in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_module_entry_point():

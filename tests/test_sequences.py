@@ -1,12 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from dlaplace.exact import PHI, PSI, QuadExt
-from dlaplace.sequences import (ClosedFormSequence, Term, convolve, delta,
-                                equal_prefix, fibonacci_normal,
-                                inverse_transform, partial_sums)
+from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
+                                convolve, delta, equal_prefix,
+                                fibonacci_normal, inverse_transform,
+                                partial_sums)
+from dlaplace.solver import RecurrenceSpec, RecursiveSequence
 from dlaplace.transforms import (TransformExpr, convolve as xf_convolve,
                                  geometric, n_power)
 
@@ -156,3 +160,73 @@ def test_str_rendering():
         "1 - 2^(n-1)"
     assert str(ClosedFormSequence([], {2: 3})) == "3*delta(n,2)"
     assert str(ClosedFormSequence()) == "0"
+
+
+def _random_closed_form(rng, d):
+    """Terms (c, r, m) and spikes over Q (d = 0) or Q(sqrt d)."""
+    def value(top, den):
+        rational = Fraction(rng.randint(-top, top), rng.randint(1, den))
+        radical = Fraction(rng.randint(-top, top), rng.randint(1, den))
+        return QuadExt(rational, radical if d else 0, d)
+
+    terms = [(value(5, 4) or QuadExt(1), value(2, 2), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 4))]
+    deltas = {rng.randint(1, 6): value(5, 4)
+              for _ in range(rng.randint(0, 2))}
+    return terms, deltas
+
+
+def _by_definition(terms, deltas, n):
+    total = QuadExt(0)
+    for c, r, m in terms:
+        if n >= m:
+            total = total + c * comb(n - 1, m - 1) * r ** (n - m)
+    return total + deltas.get(n, 0)
+
+
+def test_memoised_values_match_the_term_by_term_definition():
+    rng = random.Random(20260)
+    for d in (0, 0, 2, 3, 5, 7) * 2:
+        terms, deltas = _random_closed_form(rng, d)
+        expected = [_by_definition(terms, deltas, n) for n in range(1, 81)]
+        in_order = ClosedFormSequence(terms, deltas)
+        assert [in_order(n) for n in range(1, 81)] == expected
+        assert [in_order(n) for n in range(80, 0, -1)] == expected[::-1]
+        reverse = ClosedFormSequence(terms, deltas)
+        assert [reverse(n) for n in range(80, 0, -1)] == expected[::-1]
+        assert [reverse(n) for n in range(1, 81)] == expected
+        # the memo is a cache: a filled sequence equals a fresh one
+        fresh = ClosedFormSequence(terms, deltas)
+        assert in_order == fresh and hash(in_order) == hash(fresh)
+        assert repr(in_order) == repr(fresh)
+        other_terms, other_deltas = _random_closed_form(rng, d)
+        other = ClosedFormSequence(other_terms, other_deltas)
+        other(1), other(2)
+        factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        combined = in_order + other.scale(factor)
+        for n in range(1, 81):
+            assert combined(n) == expected[n - 1] + factor * \
+                _by_definition(other_terms, other_deltas, n)
+        scaled = in_order.scale(factor)
+        assert [scaled(n) for n in range(1, 81)] == \
+            [factor * v for v in expected]
+
+
+def test_a_lone_far_value_is_computed_without_the_memo():
+    fib = inverse_transform(TransformExpr.from_ratfunc((0, 1), (-1, -1, 1)))
+    expected = RecursiveSequence(RecurrenceSpec.fibonacci(1, 1))(20000)
+    tracemalloc.start()
+    try:
+        value = fib(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 5 * 2 ** 20
+
+
+def test_values_past_the_memo_limit_are_not_kept():
+    doubling = ClosedFormSequence([(1, 2, 1)])
+    for n in range(1, _MEMO_LIMIT + 5):
+        assert doubling(n) == 2 ** (n - 1)
+    assert len(doubling._memo) == _MEMO_LIMIT
