@@ -2,11 +2,11 @@
 
 Rationals are plain ``fractions.Fraction``.  ``QuadExt`` represents
 ``a + b*sqrt(d)`` with rational ``a``, ``b`` and an integer radicand
-``d >= 0`` kept squarefree by the constructor; pure rationals normalize to
-``d == 0`` so a single type flows through the whole package.  All field
-operations, exact comparison and an exact sign are available, plus a float
-conversion that brackets sqrt(d) tightly enough for the rounding error to
-sit within a couple of ulps.
+``d >= 0``, made squarefree by the constructor and trusted by arithmetic
+on normalised operands; pure rationals normalize to ``d == 0`` so one
+type flows through the whole package.  All field operations, exact
+comparison and an exact sign are available, plus a float conversion that
+brackets sqrt(d) tightly enough to land within a couple of ulps.
 
 Values from two different extensions (both radicands nonzero and unequal)
 cannot be combined; such an attempt raises ``RadicandMismatch`` instead of
@@ -42,26 +42,20 @@ class QuadExt:
 
     def __init__(self, rational: RationalLike = 0,
                  radical: RationalLike = 0, radicand: int = 0) -> None:
-        a = Fraction(rational)
-        b = Fraction(radical)
-        d = radicand
-        if d < 0:
+        if radicand < 0:
             raise ValueError("radicand must be nonnegative")
-        if d == 0:
-            b = Fraction(0)
-        elif d == 1:
-            a, b, d = a + b, Fraction(0), 0
-        elif b == 0:
-            d = 0
-        else:
-            m, d0 = _squarefree_split(d)
-            if d0 == 1:
-                a, b, d = a + b * m, Fraction(0), 0
-            else:
-                b, d = b * m, d0
-        self._a = a
-        self._b = b
-        self._d = d
+        a, b = Fraction(rational), Fraction(radical)
+        m, d = _squarefree_split(radicand) if b else (1, 0)
+        if d <= 1:      # sqrt(0) = 0 and sqrt(m*m) = m
+            a, b, d = a + b * m * d, Fraction(0), 0
+        self._a, self._b, self._d = a, b * m, d
+
+    @classmethod
+    def _normalised(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) for a squarefree d (or 0), without re-splitting."""
+        value = object.__new__(cls)
+        value._a, value._b, value._d = a, b, (d if b else 0)
+        return value
 
     @classmethod
     def of(cls, value: "QuadExt | RationalLike") -> "QuadExt":
@@ -94,7 +88,7 @@ class QuadExt:
 
     def conjugate(self) -> "QuadExt":
         """The image of the map sqrt(d) -> -sqrt(d)."""
-        return QuadExt(self._a, -self._b, self._d)
+        return QuadExt._normalised(self._a, -self._b, self._d)
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1, decided without floating point."""
@@ -112,7 +106,7 @@ class QuadExt:
         if not self:
             raise ZeroDivisionError("division by zero")
         norm = self._a * self._a - self._b * self._b * self._d
-        return QuadExt(self._a / norm, -self._b / norm, self._d)
+        return QuadExt._normalised(self._a / norm, -self._b / norm, self._d)
 
     def to_float(self) -> float:
         """Round to the nearest double within a couple of ulps.
@@ -161,7 +155,7 @@ class QuadExt:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadExt(self._a + o._a, self._b + o._b, d)
+        return QuadExt._normalised(self._a + o._a, self._b + o._b, d)
 
     __radd__ = __add__
 
@@ -170,7 +164,7 @@ class QuadExt:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadExt(self._a - o._a, self._b - o._b, d)
+        return QuadExt._normalised(self._a - o._a, self._b - o._b, d)
 
     def __rsub__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
@@ -183,8 +177,8 @@ class QuadExt:
         if o is None:
             return NotImplemented
         d = self._common_radicand(o)
-        return QuadExt(self._a * o._a + self._b * o._b * d,
-                       self._a * o._b + self._b * o._a, d)
+        return QuadExt._normalised(self._a * o._a + self._b * o._b * d,
+                                   self._a * o._b + self._b * o._a, d)
 
     __rmul__ = __mul__
 
@@ -216,7 +210,7 @@ class QuadExt:
         return result
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self._a, -self._b, self._d)
+        return QuadExt._normalised(-self._a, -self._b, self._d)
 
     def __abs__(self) -> "QuadExt":
         return -self if self.sign() < 0 else self

@@ -12,8 +12,8 @@ norm trick for denominators that themselves carry radical coefficients).
 Anything deeper raises ``UnsupportedFactorization``.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
-by solving one exact linear system, which avoids differentiating anything
-and keeps repeated roots on the same code path as simple ones.
+by local expansion at each root, which needs no linear system and keeps
+repeated roots on the same code path as simple ones.
 """
 
 from __future__ import annotations
@@ -429,6 +429,13 @@ class RatFunc:
         self._num = n
         self._den = d
 
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den already coprime with den monic: skips the gcd."""
+        quotient = object.__new__(cls)
+        quotient._num, quotient._den = num, den
+        return quotient
+
     @property
     def num(self) -> Poly:
         return self._num
@@ -559,52 +566,46 @@ class PFTerm:
                        Poly((-self.root, 1)) ** self.multiplicity)
 
 
-def _solve_linear(matrix: list[list[QuadExt]],
-                  rhs: list[QuadExt]) -> list[QuadExt]:
-    """Exact Gaussian elimination with partial (first-nonzero) pivoting."""
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular partial-fraction system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _taylor(p: Poly, r: QuadExt, count: int) -> list[QuadExt]:
+    """First count coefficients of p(r + u), by synthetic division."""
+    coeffs, out = list(p.coefficients), []
+    for _ in range(count):
+        acc, quotient = _ZERO, []
+        for c in reversed(coeffs):
+            acc = acc * r + c
+            quotient.append(acc)
+        out.append(quotient.pop() if quotient else _ZERO)
+        coeffs = quotient[::-1]
+    return out
 
 
 def partial_fractions(a: RatFunc) -> list[PFTerm]:
     """Expand a strictly proper quotient as sum c/(t - r)^j, exactly.
 
-    The coefficients solve the linear system obtained by multiplying
-    through by the denominator and matching coefficients of t; zero
-    coefficients are dropped from the result.
+    Local expansion at each root r of multiplicity m (Bronstein and Salvy,
+    ISSAC 1993): at t = r + u the first m terms of the series num/Q, where
+    Q = den/(t - r)^m, are the coefficients of 1/(t - r)^m .. 1/(t - r); a
+    rational quotient conjugates them for the conjugate root.  Zero
+    coefficients are dropped.
     """
     if a.is_zero:
         return []
     if not a.is_strictly_proper:
         raise ImproperRational(
             f"degree {a.num.degree} over degree {a.den.degree}")
-    roots = factor_roots(a.den)
-    layout: list[tuple[QuadExt, int]] = []
-    basis: list[Poly] = []
-    for root, mult in roots:
-        linear = Poly((-root, 1))
-        quotient = a.den
-        for j in range(1, mult + 1):
-            quotient, rem = divmod(quotient, linear)
-            assert rem.is_zero, "inexact division by a known factor"
-            layout.append((root, j))
-            basis.append(quotient)
-    size = a.den.degree
-    matrix = [[basis[c].coefficient(i) for c in range(size)]
-              for i in range(size)]
-    rhs = [a.num.coefficient(i) for i in range(size)]
-    solution = _solve_linear(matrix, rhs)
-    return [PFTerm(root=root, multiplicity=j, coefficient=c)
-            for (root, j), c in zip(layout, solution) if c]
+    rational = a.num.is_rational and a.den.is_rational
+    local: dict[QuadExt, list[QuadExt]] = {}    # root -> series
+    for root, mult in factor_roots(a.den):
+        if rational and root.conjugate() in local:
+            series = [c.conjugate() for c in local[root.conjugate()]]
+        else:
+            num = _taylor(a.num, root, mult)
+            den = _taylor(a.den, root, 2 * mult)
+            assert not any(den[:mult]), "root of lower multiplicity"
+            q, inv, series = den[mult:], den[mult].inverse(), []
+            for i in range(mult):
+                series.append(inv * (num[i] - sum(
+                    (q[j] * series[i - j] for j in range(1, i + 1)), _ZERO)))
+        local[root] = series
+    return [PFTerm(root, j, c) for root, series in local.items()
+            for j, c in enumerate(reversed(series), 1) if c]

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
-from .polys import Poly, RatFunc
-from .transforms import MAX_N_POWER, TransformExpr, geometric, n_power
+from .polys import Poly
+from .transforms import MAX_N_POWER, TransformExpr, n_power
 from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
                         inverse_transform)
 
@@ -175,22 +175,6 @@ def _initial_polynomial(spec: RecurrenceSpec) -> Poly:
     return total
 
 
-def _forcing_transform(spec: RecurrenceSpec) -> TransformExpr:
-    char = spec.characteristic()
-    total = TransformExpr()
-    for term in spec.forcing:
-        if isinstance(term, PowerTerm):
-            total = total + n_power(term.exponent) * term.coefficient
-        else:
-            if not char(term.base):
-                raise ResonantForcing(
-                    f"forcing base {term.base} is a characteristic root")
-            # b^n = b * b^(n-1)
-            total = total + geometric(term.base) * (
-                term.coefficient * term.base)
-    return total
-
-
 @dataclass
 class SolutionReport:
     """Everything a solve produces, ready for rendering or JSON."""
@@ -253,12 +237,27 @@ def _quadext_json(value: QuadExt) -> dict:
 
 
 def transform_of(spec: RecurrenceSpec) -> TransformExpr:
-    """The transform L of the IVP solution, as a rational function of t."""
-    char = RatFunc(spec.characteristic())
-    init = RatFunc(_initial_polynomial(spec))
-    forcing = _forcing_transform(spec).as_ratfunc()
-    quotient = (init + forcing) / char
-    return TransformExpr.from_ratfunc(quotient.num, quotient.den)
+    """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
+    fnum/fden is the forcing over one common denominator: one reduction."""
+    char = spec.characteristic()
+    pieces = []     # (numerator, pole b, order k) of each num/(t - b)^k
+    for term in spec.forcing:
+        if isinstance(term, PowerTerm):
+            power = n_power(term.exponent).rational
+            pieces.append((power.num * term.coefficient, 1,
+                           term.exponent + 1))
+        elif not char(term.base):
+            raise ResonantForcing(
+                f"forcing base {term.base} is a characteristic root")
+        else:   # b^n = b * b^(n-1)
+            pieces.append((Poly((term.coefficient * term.base,)),
+                           term.base, 1))
+    orders = {b: max(k for _, c, k in pieces if c == b) for _, b, _ in pieces}
+    fden = Poly.from_roots(*(b for b, k in orders.items() for _ in range(k)))
+    fnum = sum((num * (fden // Poly.from_roots(*[b] * k))
+                for num, b, k in pieces), Poly())
+    return TransformExpr.from_ratfunc(_initial_polynomial(spec) * fden + fnum,
+                                      char * fden)
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,

@@ -14,7 +14,7 @@ Rules, all exact in t:
     times_n       n f(n)             ->  -dF/ds  =  -t dF/dt
     convolve      sum_{k<n} f(k)g(n-k) -> F * G
     partial_sum   sum_{k<n} f(k)     ->  F/(t - 1)
-    n_power       n^k                ->  times_n iterated on 1/(t - 1)
+    n_power       n^k                ->  t A_k(t)/(t - 1)^(k+1), A_k Eulerian
 
 A rule that would produce a polynomial part raises ``ImproperResult``; that
 only happens when the supplied initial values contradict the series F
@@ -24,6 +24,7 @@ actually encodes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence, Union
 
 from .errors import DegreeLimitExceeded, ImproperResult
@@ -163,13 +164,17 @@ def partial_sum(expr: TransformExpr) -> TransformExpr:
 
 
 def n_power(k: int) -> TransformExpr:
-    """Transform of n^k, built by iterating times_n on 1/(t - 1)."""
+    """Transform of n^k: t*A_k(t)/(t - 1)^(k+1), with the Eulerian numbers
+    A(k, m) as the coefficients of A_k (Concrete Mathematics 6.2), and
+    1/(t - 1) at k = 0.  A_k(1) = k!, so the quotient is already reduced."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     if k > MAX_N_POWER:
         raise DegreeLimitExceeded(
             f"n^{k} exceeds the degree limit {MAX_N_POWER}")
-    expr = geometric(1)
-    for _ in range(k):
-        expr = times_n(expr)
-    return expr
+    num = [0] * (k + 1)
+    for m in range(max(k, 1)):   # t^k A_k(1/t), which is t A_k(t) for k > 0
+        num[k - m] = sum((-1) ** j * comb(k + 1, j) * (m + 1 - j) ** k
+                         for j in range(m + 1))
+    den = [(-1) ** (k + 1 - i) * comb(k + 1, i) for i in range(k + 2)]
+    return TransformExpr(RatFunc._reduced(Poly(num), Poly(den)))

@@ -373,6 +373,20 @@ def test_values_past_the_double_range_are_refused(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_large_radicand_solves_in_bounded_time():
+    # roots 1 +- sqrt(10^12 + 1): arithmetic must not re-split the radicand
+    src = str(Path(dlaplace.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "dlaplace", "solve", "--json",
+         "a[n+2] = 2*a[n+1] + 1000000000000*a[n]; a[1]=1; a[2]=1"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0
+    values = json.loads(result.stdout)["values"]
+    assert values[:4] == ["1", "1", "1000000000002", "3000000000004"]
+
+
 def test_module_entry_point():
     # the child imports the same source tree as this process
     src = str(Path(dlaplace.__file__).parents[1])

@@ -163,6 +163,25 @@ def test_field_properties_randomized():
         checked += 1
 
 
+def test_arithmetic_results_are_in_normal_form():
+    # results are built without re-splitting the radicand, so they must
+    # equal what the public constructor makes of the same parts
+    rng = random.Random(1729)
+    for _ in range(150):
+        d = rng.choice([0, 2, 5, 1000003])
+        x, y = _random_value(rng, d), _random_value(rng, d)
+        results = [x + y, x - y, x * y, -x, x.conjugate(), x * 3, x - 1]
+        if y:
+            results += [x / y, y.inverse()]
+        for r in results:
+            assert repr(r) == repr(
+                QuadExt(r.rational_part, r.radical_part, r.radicand))
+            assert (r.radicand == 0) == (r.radical_part == 0)
+    root2 = QuadExt(0, 1, 2)
+    assert repr(root2 * root2) == repr(QuadExt(2))
+    assert repr((1 + root2) - root2) == repr(QuadExt(1))
+
+
 def test_sign_agrees_with_float_randomized():
     rng = random.Random(99)
     for _ in range(200):

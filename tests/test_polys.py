@@ -210,6 +210,55 @@ def test_partial_fractions_recombination_randomized():
         checked += 1
 
 
+def test_partial_fractions_recombine_exactly_randomized():
+    # every denominator has a rational root of multiplicity up to 13 and
+    # often a zero root (spikes); kinds 1-3 add roots in Q(sqrt(2)),
+    # Q(sqrt(5)) or Q(sqrt(1000000007)): a conjugate pair under a rational
+    # numerator (the pair taken by conjugation), the same pair under a
+    # radical numerator, and a lone radical root (radical denominator).
+    # factor_roots trial-divides the integer constant term, so with the
+    # large radicand the rational root is +-1 and the radical roots
+    # a +- sqrt(d) are simple: that term then stays near d.
+    rng = random.Random(1993)
+    for case in range(24):    # each (kind, radicand) pair twice
+        kind, d = case % 4, (2, 5, 1000000007)[case % 3]
+        large = d > 5
+        rational = (rng.choice([1, -1]) if large else
+                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)))
+        roots = [(QuadExt(rational), rng.randint(1, 13))]
+        if rng.random() < 0.5:
+            roots.append((QuadExt(0), rng.randint(1, 3)))
+        r = QuadExt(rng.randint(-1, 1) if large else
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                    1 if large else Fraction(rng.randint(1, 3),
+                                             rng.randint(1, 2)), d)
+        mult = 1 if large else rng.randint(1, 2)
+        if kind in (1, 2):
+            roots += [(r, mult), (r.conjugate(), mult)]
+        elif kind == 3:
+            roots.append((r, mult))
+        den = Poly((1,))
+        for root, mult in roots:
+            den = den * Poly.from_roots(*[root] * mult)
+        scalars = [QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                           rng.randint(-2, 2) if kind == 2 else 0, d)
+                   for _ in range(den.degree)]
+        quotient = RatFunc(Poly(scalars), den)
+        if quotient.is_zero:
+            continue
+        terms = partial_fractions(quotient)
+        assert all(t.coefficient for t in terms)
+        assert len({(t.root, t.multiplicity) for t in terms}) == len(terms)
+        # sum of the terms over the common denominator: num/den exactly
+        back = Poly()
+        for term in terms:
+            part = term.as_ratfunc()
+            cofactor, rem = divmod(quotient.den, part.den)
+            assert rem.is_zero
+            back = back + part.num * cofactor
+        assert back == quotient.num
+
+
 def test_rendering():
     assert str(FIB_DEN) == "t^2 - t - 1"
     assert FIB_DEN.render("e^s") == "e^(2s) - e^s - 1"

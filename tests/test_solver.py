@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from dlaplace import polys
+from dlaplace.dsl import parse_program
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
@@ -10,6 +12,7 @@ from dlaplace.solver import (GeometricTerm, PowerTerm, RecurrenceSpec,
                              RecursiveSequence, integer_valued_prefix,
                              solve_affine, solve_ivp, transform_of,
                              verify_solution)
+from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (ResonantForcing, UnsupportedFactorization,
                              UnsupportedForcing, VerificationFailed)
 
@@ -184,6 +187,41 @@ def test_geometric_forcing():
     ref = RecursiveSequence(spec)
     for n in range(1, 40):
         assert report.closed_form(n) == ref(n)
+
+
+def test_forcing_over_one_denominator_matches_the_termwise_sum():
+    # pieces share poles: n^3, n^0 and 1^n at t = 1, two terms at t = 2
+    forcing = (PowerTerm(2, 3), PowerTerm(-1, 0), GeometricTerm(3, 1),
+               GeometricTerm(Fraction(1, 2), 2), GeometricTerm(5, 2),
+               GeometricTerm(Fraction(-7, 3), Fraction(1, 3)))
+    # characteristic roots 3 and 4
+    spec = RecurrenceSpec(2, (Fraction(-12), Fraction(7)), (1, 4), forcing)
+    total = RatFunc(Poly((4 - 7 * 1, 1)))    # a(2) - c_1 a(1) + a(1) t
+    for term in forcing:
+        if isinstance(term, PowerTerm):
+            total = total + n_power(term.exponent).rational * term.coefficient
+        else:
+            total = total + geometric(term.base).rational * (
+                term.coefficient * term.base)
+    expected = total / RatFunc(spec.characteristic())
+    assert transform_of(spec).rational == expected
+
+
+def test_forced_transform_is_reduced_once(monkeypatch):
+    # the forcing pieces and the initial polynomial share one denominator,
+    # so only the final quotient needs a gcd
+    calls = []
+    real_gcd = polys.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real_gcd(a, b)
+
+    spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12 + 5*3^n; "
+                         "a[1] = 1; a[2] = 1").to_spec()
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    transform_of(spec)
+    assert len(calls) <= 2
 
 
 def test_resonant_geometric_forcing_rejected():

@@ -103,6 +103,14 @@ def test_times_n_scales_deltas_by_position():
     assert times_n(expr) == expected
 
 
+def test_n_power_matches_the_times_n_iteration():
+    # the Eulerian closed form against the construction it replaced
+    expr = geometric(1)
+    for k in range(MAX_N_POWER + 1):
+        assert n_power(k) == expr
+        expr = times_n(expr)
+
+
 def test_n_power_denominator_structure():
     for k in range(0, 7):
         expr = n_power(k)
