@@ -25,8 +25,7 @@ from .sequences import (ClosedFormSequence, Term, convolve, delta,
                         partial_sums)
 from .solver import (ForcingTerm, GeometricTerm, PowerTerm, RecurrenceSpec,
                      RecursiveSequence, SolutionReport, VerificationReport,
-                     integer_valued_prefix, solve_affine, solve_ivp,
-                     transform_of, verify_solution)
+                     solve_affine, solve_ivp, transform_of, verify_solution)
 from .numeric import (DEFAULT_S_GRID, DEFAULT_TOLERANCE, CheckReport,
                       SeriesCheckConfig, check_closed_form_pair, check_pair,
                       growth_bound, harmonic_transform_check, ratio_limit,
@@ -51,8 +50,7 @@ __all__ = [
     "fibonacci_normal", "inverse_transform", "partial_sums",
     "ForcingTerm", "GeometricTerm", "PowerTerm", "RecurrenceSpec",
     "RecursiveSequence", "SolutionReport", "VerificationReport",
-    "integer_valued_prefix", "solve_affine", "solve_ivp", "transform_of",
-    "verify_solution",
+    "solve_affine", "solve_ivp", "transform_of", "verify_solution",
     "DEFAULT_S_GRID", "DEFAULT_TOLERANCE", "CheckReport",
     "SeriesCheckConfig", "check_closed_form_pair", "check_pair",
     "growth_bound", "harmonic_transform_check", "ratio_limit", "series_eval",

@@ -8,6 +8,10 @@ type flows through the whole package.  All field operations, exact
 comparison and an exact sign are available, plus a float conversion that
 brackets sqrt(d) tightly enough to land within a couple of ulps.
 
+In normal form ``d == 0`` exactly when ``b == 0``.  So arithmetic on two
+rational operands, and the inverse of one, is a single ``Fraction``
+operation, and ints and Fractions are wrapped without the constructor.
+
 Values from two different extensions (both radicands nonzero and unequal)
 cannot be combined; such an attempt raises ``RadicandMismatch`` instead of
 silently working in a larger field.
@@ -22,6 +26,7 @@ from typing import Union
 from .errors import RadicandMismatch
 
 RationalLike = Union[int, Fraction]
+_NO_RADICAL = Fraction(0)
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -54,7 +59,7 @@ class QuadExt:
     def _normalised(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
         """a + b*sqrt(d) for a squarefree d (or 0), without re-splitting."""
         value = object.__new__(cls)
-        value._a, value._b, value._d = a, b, (d if b else 0)
+        value._a, value._b, value._d = a, b, (d if d and b else 0)
         return value
 
     @classmethod
@@ -62,7 +67,7 @@ class QuadExt:
         if isinstance(value, QuadExt):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(value)
+            return cls._normalised(Fraction(value), _NO_RADICAL, 0)
         raise TypeError(f"cannot interpret {value!r} as an exact value")
 
     @property
@@ -105,6 +110,8 @@ class QuadExt:
     def inverse(self) -> "QuadExt":
         if not self:
             raise ZeroDivisionError("division by zero")
+        if not self._d:
+            return QuadExt._normalised(1 / self._a, _NO_RADICAL, 0)
         norm = self._a * self._a - self._b * self._b * self._d
         return QuadExt._normalised(self._a / norm, -self._b / norm, self._d)
 
@@ -137,7 +144,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
+            return QuadExt.of(other)
         return None
 
     def _common_radicand(self, other: "QuadExt") -> int:
@@ -154,6 +161,8 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self._d or o._d):
+            return QuadExt._normalised(self._a + o._a, _NO_RADICAL, 0)
         d = self._common_radicand(o)
         return QuadExt._normalised(self._a + o._a, self._b + o._b, d)
 
@@ -163,6 +172,8 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self._d or o._d):
+            return QuadExt._normalised(self._a - o._a, _NO_RADICAL, 0)
         d = self._common_radicand(o)
         return QuadExt._normalised(self._a - o._a, self._b - o._b, d)
 
@@ -176,6 +187,8 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self._d or o._d):
+            return QuadExt._normalised(self._a * o._a, _NO_RADICAL, 0)
         d = self._common_radicand(o)
         return QuadExt._normalised(self._a * o._a + self._b * o._b * d,
                                    self._a * o._b + self._b * o._a, d)

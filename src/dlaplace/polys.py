@@ -9,7 +9,11 @@ is plain coefficient comparison.
 when it splits over Q or a single real quadratic extension (rational root
 extraction plus the quadratic formula on the squarefree leftovers, with a
 norm trick for denominators that themselves carry radical coefficients).
-Anything deeper raises ``UnsupportedFactorization``.
+Anything deeper raises ``UnsupportedFactorization``.  Rational root
+candidates p/q come from the divisors of the primitive integer vector's
+end coefficients, enumerated from their prime powers, and each is tested
+in integers as sum c_i p^i q^(deg - i) == 0 (Cohen, *A Course in
+Computational Algebraic Number Theory*, 3.4).
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 by local expansion at each root, which needs no linear system and keeps
@@ -301,20 +305,27 @@ def _integer_coefficients(f: Poly) -> list[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    """Positive divisors of n, ascending, built from its prime powers.
+
+    Each prime is divided out as it is found, so trial division stops at
+    the square root of the remaining cofactor: 10^21 = 2^21 * 5^21 needs
+    trial divisors up to 5 only.  A cofactor with no small prime factor,
+    such as a prime near 10^18 or (10^9 + 7)^2, still costs its square
+    root."""
+    n, divs, p = abs(n), [1] if n else [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            divs = [d * p ** k for d in divs for k in range(e + 1)]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
-def _rational_root_candidates(f: Poly) -> list[Fraction]:
-    ints = _integer_coefficients(f)
+def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
     ps = _divisors(ints[0])
     qs = _divisors(ints[-1])
     seen: set[Fraction] = set()
@@ -323,6 +334,17 @@ def _rational_root_candidates(f: Poly) -> list[Fraction]:
             for sign in (1, -1):
                 seen.add(Fraction(sign * p, q))
     return sorted(seen)
+
+
+def _vanishes_at(ints: list[int], r: Fraction) -> bool:
+    """Whether r = p/q is a root of sum ints[i] t^i, tested in integers as
+    sum ints[i] p^i q^(deg - i) == 0 by homogeneous Horner."""
+    p, q = r.numerator, r.denominator
+    acc, q_power = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc == 0
 
 
 def _quadratic_roots(h: Poly) -> list[QuadExt]:
@@ -354,10 +376,12 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
         found[_ZERO] = zeros
         f = Poly(coeffs)
     if f.degree >= 1:
-        for r in _rational_root_candidates(f):
+        ints = _integer_coefficients(f)
+        for r in _rational_root_candidates(ints):
             m = 0
-            while f.degree >= 1 and not f(r):
+            while f.degree >= 1 and _vanishes_at(ints, r):
                 f = f // Poly((-r, 1))
+                ints = _integer_coefficients(f)
                 m += 1
             if m:
                 found[QuadExt(r)] = m

@@ -320,12 +320,3 @@ def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
             f"initial value a({n}) is {got}, expected {spec.initials[n - 1]}")
     return VerificationReport(False, upto, n,
                               f"recurrence fails producing a({n})")
-
-
-def integer_valued_prefix(seq: Callable[[int], object], upto: int) -> bool:
-    """True when the first values are all integers (exactly)."""
-    for n in range(1, upto + 1):
-        value = QuadExt.of(seq(n))  # type: ignore[arg-type]
-        if not value.is_rational or value.as_fraction().denominator != 1:
-            return False
-    return True

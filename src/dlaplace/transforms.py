@@ -61,12 +61,7 @@ class TransformExpr:
     def from_ratfunc(cls, num, den=1) -> "TransformExpr":
         """Wrap num/den as a transform; accepts Poly, scalar, or
         a coefficient sequence (lowest degree first)."""
-        quotient = RatFunc(_as_poly(num), _as_poly(den))
-        if not quotient.is_strictly_proper:
-            raise ImproperResult(
-                f"{quotient} has a polynomial part; "
-                "not the transform of any sequence")
-        return cls(quotient)
+        return _proper(RatFunc(_as_poly(num), _as_poly(den)))
 
     @property
     def rational(self) -> RatFunc:
@@ -122,6 +117,15 @@ class TransformExpr:
         return f"TransformExpr({self._rational!r})"
 
 
+def _proper(quotient: RatFunc) -> TransformExpr:
+    """Wrap an already reduced quotient, refusing a polynomial part."""
+    if not quotient.is_strictly_proper:
+        raise ImproperResult(
+            f"{quotient} has a polynomial part; "
+            "not the transform of any sequence")
+    return TransformExpr(quotient)
+
+
 def geometric(a: Scalar) -> TransformExpr:
     """Transform of a^(n-1); base 0 (0^0 = 1) gives 1/t, the spike at n=1."""
     return TransformExpr(RatFunc(Poly((1,)), Poly((-QuadExt.of(a), 1))))
@@ -135,15 +139,13 @@ def shift(expr: TransformExpr, k: int, initials: Sequence[Scalar],
     if len(initials) != k:
         raise ValueError(f"shift by {k} needs exactly {k} initial values")
     head = Poly((QuadExt.of(c) for c in reversed(initials)))
-    shifted = RatFunc(Poly.monomial(k)) * expr.rational - RatFunc(head)
-    return TransformExpr.from_ratfunc(shifted.num, shifted.den)
+    return _proper(RatFunc(Poly.monomial(k)) * expr.rational - RatFunc(head))
 
 
 def difference(expr: TransformExpr, first: Scalar) -> TransformExpr:
     """Transform of (Df)(n) = f(n+1) - f(n) given f(1)."""
-    moved = RatFunc(Poly((-1, 1))) * expr.rational - RatFunc(
-        Poly((QuadExt.of(first),)))
-    return TransformExpr.from_ratfunc(moved.num, moved.den)
+    return _proper(RatFunc(Poly((-1, 1))) * expr.rational - RatFunc(
+        Poly((QuadExt.of(first),))))
 
 
 def times_n(expr: TransformExpr) -> TransformExpr:
@@ -153,14 +155,12 @@ def times_n(expr: TransformExpr) -> TransformExpr:
 
 def convolve(left: TransformExpr, right: TransformExpr) -> TransformExpr:
     """Transform of the convolution sum_{k=1}^{n-1} f(k) g(n-k)."""
-    product = left.rational * right.rational
-    return TransformExpr.from_ratfunc(product.num, product.den)
+    return _proper(left.rational * right.rational)
 
 
 def partial_sum(expr: TransformExpr) -> TransformExpr:
     """Transform of n -> sum_{k=1}^{n-1} f(k); divides by (t - 1)."""
-    summed = expr.rational / RatFunc(Poly((-1, 1)))
-    return TransformExpr.from_ratfunc(summed.num, summed.den)
+    return _proper(expr.rational / RatFunc(Poly((-1, 1))))
 
 
 def n_power(k: int) -> TransformExpr:

@@ -373,18 +373,31 @@ def test_values_past_the_double_range_are_refused(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_large_radicand_solves_in_bounded_time():
-    # roots 1 +- sqrt(10^12 + 1): arithmetic must not re-split the radicand
+def _solve_json_in_child(text):
+    """Values of `solve --json` run in a child with a 20 s limit."""
     src = str(Path(dlaplace.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "dlaplace", "solve", "--json",
-         "a[n+2] = 2*a[n+1] + 1000000000000*a[n]; a[1]=1; a[2]=1"],
+        [sys.executable, "-m", "dlaplace", "solve", "--json", text],
         capture_output=True, text=True, timeout=20,
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
-    values = json.loads(result.stdout)["values"]
+    return json.loads(result.stdout)["values"]
+
+
+def test_large_radicand_solves_in_bounded_time():
+    # roots 1 +- sqrt(10^12 + 1): arithmetic must not re-split the radicand
+    values = _solve_json_in_child(
+        "a[n+2] = 2*a[n+1] + 1000000000000*a[n]; a[1]=1; a[2]=1")
     assert values[:4] == ["1", "1", "1000000000002", "3000000000004"]
+
+
+def test_large_constant_term_solves_in_bounded_time():
+    # the root candidates need the divisors of 10^21 = 2^21 * 5^21, which
+    # trial division up to sqrt(10^21) never finishes enumerating
+    values = _solve_json_in_child(
+        "a[n+1] = 2*a[n] + 3/1000000000000000000000^n; a[1] = 1")
+    assert values[:2] == ["1", "2000000000000000000003/1000000000000000000000"]
 
 
 def test_module_entry_point():

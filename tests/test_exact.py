@@ -180,6 +180,8 @@ def test_arithmetic_results_are_in_normal_form():
     root2 = QuadExt(0, 1, 2)
     assert repr(root2 * root2) == repr(QuadExt(2))
     assert repr((1 + root2) - root2) == repr(QuadExt(1))
+    for value in (0, 7, Fraction(-6, 4), True):
+        assert repr(QuadExt.of(value)) == repr(QuadExt(value))
 
 
 def test_sign_agrees_with_float_randomized():
@@ -195,3 +197,61 @@ def test_hash_consistent_with_eq():
     assert hash(QuadExt(1, 2, 12)) == hash(QuadExt(1, 4, 3))
     values = {PHI, PSI, PHI}
     assert len(values) == 2
+
+
+def _reference(x):
+    return (x.rational_part, x.radical_part, x.radicand)
+
+
+def _ref_normal(a, b, d):
+    return (a, b, d if b else 0)
+
+
+def _ref_add(x, y, sign=1):
+    (a, b, d), (c, e, f) = x, y
+    return _ref_normal(a + sign * c, b + sign * e, d or f)
+
+
+def _ref_mul(x, y):
+    (a, b, d), (c, e, f) = x, y
+    r = d or f
+    return _ref_normal(a * c + b * e * r, a * e + b * c, r)
+
+
+def _ref_inverse(x):
+    a, b, d = x
+    norm = a * a - b * b * d
+    return _ref_normal(a / norm, -b / norm, d)
+
+
+def test_arithmetic_matches_a_tuple_reference_randomized():
+    # rational operands take their own branch; every result must equal the
+    # full Q(sqrt d) formula on (a, b, d) tuples and be in normal form
+    rng = random.Random(4711)
+    for _ in range(300):
+        dx, dy = rng.choice([(0, 0), (0, 2), (2, 0), (5, 5), (0, 5)])
+        x, y = _random_value(rng, dx), _random_value(rng, dy)
+        if rng.random() < 0.25:
+            y = rng.choice([rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        rx, ry = _reference(x), _reference(QuadExt.of(y))
+        got = [x + y, x - y, x * y, y + x, y - x, y * x]
+        want = [_ref_add(rx, ry), _ref_add(rx, ry, -1), _ref_mul(rx, ry),
+                _ref_add(ry, rx), _ref_add(ry, rx, -1), _ref_mul(ry, rx)]
+        if y:
+            got += [x / y, QuadExt.of(y).inverse()]
+            want += [_ref_mul(rx, _ref_inverse(ry)), _ref_inverse(ry)]
+        if x:
+            got += [y / x, x.inverse()]
+            want += [_ref_mul(ry, _ref_inverse(rx)), _ref_inverse(rx)]
+        for g, w in zip(got, want):
+            assert _reference(g) == w
+            assert g.radical_part != 0 or g.radicand == 0
+    with pytest.raises(RadicandMismatch):
+        QuadExt(1, 1, 2) * QuadExt(1, 1, 5)
+    with pytest.raises(RadicandMismatch):
+        QuadExt(1, 1, 5) - QuadExt(0, 2, 2)
+    with pytest.raises(ZeroDivisionError):
+        QuadExt(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        QuadExt(3) / 0

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from dlaplace import polys
+from dlaplace.dsl import parse_program
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
                             partial_fractions, poly_gcd,
                             squarefree_decomposition)
 from dlaplace.errors import (ImproperRational, PoleEvaluation,
                              UnsupportedFactorization)
+from dlaplace.solver import transform_of
 
 FIB_DEN = Poly((-1, -1, 1))  # t^2 - t - 1
 
@@ -105,6 +109,52 @@ def test_factor_radical_coefficients_by_norm():
     assert factor_roots(den) == [(PHI, 1)]
     den2 = Poly.from_roots(PHI, PHI, 2)
     assert factor_roots(den2) == [(QuadExt(2), 1), (PHI, 2)]
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert polys._divisors(n) == [i for i in range(1, n + 1) if n % i == 0]
+    rng = random.Random(8128)
+    for _ in range(300):
+        n = rng.randint(1, 10 ** 8)
+        small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+        divisors = {*small, *(n // i for i in small)}
+        assert polys._divisors(-n) == sorted(divisors)
+
+
+def test_integer_root_test_agrees_with_evaluation_randomized():
+    rng = random.Random(6174)
+
+    def rational():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+
+    for _ in range(200):
+        roots = [rational() for _ in range(rng.randint(0, 3))]
+        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        f = Poly(cofactor + [rng.choice([-3, -1, 1, 2, 5])]) * \
+            Poly.from_roots(*roots)
+        if f.degree < 1:
+            continue
+        ints = polys._integer_coefficients(f)
+        for r in roots + [rational() for _ in range(4)]:
+            assert polys._vanishes_at(ints, r) == (not f(r))
+
+
+def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
+    spec = parse_program("a[n+2] = 5*a[n+1] - 6*a[n] + n^3 + 4^n; "
+                         "a[1] = 1; a[2] = 4").to_spec()
+    den = transform_of(spec).rational.den
+    calls = []
+    real_call = Poly.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return real_call(self, x)
+
+    monkeypatch.setattr(Poly, "__call__", counted)
+    assert factor_roots(den) == [
+        (QuadExt(1), 4), (QuadExt(2), 1), (QuadExt(3), 1), (QuadExt(4), 1)]
+    assert calls == []
 
 
 def test_factor_unsupported_cases():

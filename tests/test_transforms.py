@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dlaplace import polys
 from dlaplace.exact import PHI
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, inverse_transform
@@ -134,6 +135,27 @@ def test_partial_sum_divides_by_t_minus_one():
     # partial sums of the spike at 1: the step sequence 0, 1, 1, ...
     stepped = partial_sum(geometric(0))
     assert stepped.as_ratfunc() == rf([1], [0, -1, 1])
+
+
+def test_rules_reduce_their_quotient_once(monkeypatch):
+    # each rule's RatFunc arithmetic already reduces; wrapping the result
+    # must not run a further gcd
+    g = 3 * geometric(2)
+    calls = []
+    real_gcd = polys.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    for rule, expected in ((lambda: shift(g, 2, [3, 6]), 4),
+                           (lambda: difference(g, 3), 4),
+                           (lambda: partial_sum(g), 2),
+                           (lambda: convolve(g, geometric(5)), 2)):
+        calls.clear()
+        rule()
+        assert len(calls) == expected
 
 
 def test_linearity_and_scalar_ops():
