@@ -12,8 +12,11 @@ norm trick for denominators that themselves carry radical coefficients).
 Anything deeper raises ``UnsupportedFactorization``.  Rational root
 candidates p/q come from the divisors of the primitive integer vector's
 end coefficients, enumerated from their prime powers, and each is tested
-in integers as sum c_i p^i q^(deg - i) == 0 (Cohen, *A Course in
-Computational Algebraic Number Theory*, 3.4).
+in integers as sum c_i p^i q^(deg - i) == 0.  A root is divided out of
+the integer vector by synthetic division by (q t - p), which is exact
+and keeps the vector primitive by Gauss's lemma, so no polynomial
+division over ``QuadExt`` runs until the rational roots are gone (Cohen,
+*A Course in Computational Algebraic Number Theory*, 3.4).
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 by local expansion at each root, which needs no linear system and keeps
@@ -280,7 +283,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Split monic f into [(g_i, i)] with f = prod g_i^i and g_i squarefree."""
     out: list[tuple[Poly, int]] = []
-    g = poly_gcd(f, f.derivative()) if f.degree >= 1 else Poly((1,))
+    if f.degree < 1:
+        return out
+    g = poly_gcd(f, f.derivative())
     w = f // g
     i = 1
     while w.degree > 0:
@@ -325,26 +330,34 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
-    ps = _divisors(ints[0])
+def _rational_root_candidates(ints: list[int]) -> list[tuple[int, int]]:
+    """Every ±p/q in lowest terms with p | ints[0] and q | ints[-1], as
+    the coprime pair (±p, q)."""
     qs = _divisors(ints[-1])
-    seen: set[Fraction] = set()
-    for p in ps:
-        for q in qs:
-            for sign in (1, -1):
-                seen.add(Fraction(sign * p, q))
-    return sorted(seen)
+    return [(sign * p, q) for p in _divisors(ints[0]) for q in qs
+            if gcd(p, q) == 1 for sign in (1, -1)]
 
 
-def _vanishes_at(ints: list[int], r: Fraction) -> bool:
-    """Whether r = p/q is a root of sum ints[i] t^i, tested in integers as
+def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
+    """Whether p/q is a root of sum ints[i] t^i, tested in integers as
     sum ints[i] p^i q^(deg - i) == 0 by homogeneous Horner."""
-    p, q = r.numerator, r.denominator
     acc, q_power = 0, 1
     for c in reversed(ints):
         acc = acc * p + c * q_power
         q_power *= q
     return acc == 0
+
+
+def _deflate(ints: list[int], p: int, q: int) -> list[int]:
+    """The quotient of sum ints[i] t^i by (q t - p), for a root p/q in
+    lowest terms, by synthetic division from the top.  Every step is
+    exact and a primitive vector stays primitive (Gauss's lemma)."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + p * carry) // q
+        out[i - 1] = carry
+    return out
 
 
 def _quadratic_roots(h: Poly) -> list[QuadExt]:
@@ -367,25 +380,22 @@ def _quadratic_roots(h: Poly) -> list[QuadExt]:
 
 def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
     found: dict[QuadExt, int] = {}
-    coeffs = list(f.coefficients)
     zeros = 0
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
+    while not f.coefficient(zeros):
         zeros += 1
     if zeros:
         found[_ZERO] = zeros
-        f = Poly(coeffs)
-    if f.degree >= 1:
-        ints = _integer_coefficients(f)
-        for r in _rational_root_candidates(ints):
-            m = 0
-            while f.degree >= 1 and _vanishes_at(ints, r):
-                f = f // Poly((-r, 1))
-                ints = _integer_coefficients(f)
-                m += 1
-            if m:
-                found[QuadExt(r)] = m
-    for h, mult in squarefree_decomposition(f) if f.degree >= 1 else []:
+    ints = _integer_coefficients(f)[zeros:]
+    for p, q in _rational_root_candidates(ints):
+        m = 0
+        while len(ints) > 1 and _vanishes_at(ints, p, q):
+            ints = _deflate(ints, p, q)
+            m += 1
+        if m:
+            found[QuadExt.of(Fraction(p, q))] = m
+    # what has no rational root, monic again
+    rest = Poly(Fraction(c, ints[-1]) for c in ints)
+    for h, mult in squarefree_decomposition(rest):
         if h.degree == 1:
             root = -h.coefficient(0)
             found[root] = found.get(root, 0) + mult

@@ -13,16 +13,25 @@ powers of the root are ever formed and a zero root never meets a negative
 exponent (0^0 counts as 1).
 
 A closed form memoises its values a(1), a(2), ... as they are read in
-order, stepping each term's running power coefficient * root^(n-m) by one
-multiplication per n, so the self-check, the growth estimate and every
-series sum of one request share a single pass.
+order, so the self-check, the growth estimate and every series sum of one
+request share a single pass.  The pass runs in integers: with d the one
+radicand, Q the lcm of the root parts' denominators and C that of the
+coefficient parts', R = Q*root and K = C*Q^(m-1)*coefficient lie in
+Z[sqrt(d)] and
+
+    C*Q^(n-1) * a(n) = sum K * C(n-1, m-1) * R^(n-m),
+
+so each term's running power K*R^(n-m) is stepped by one integer pair
+product per n, and each value is divided once by the running denominator
+C*Q^(n-1) (Cohen, *A Course in Computational Algebraic Number Theory*,
+3.4: clear the denominators, then work in Z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import PHI, PSI, QuadExt, sort_key
@@ -50,7 +59,7 @@ class Term:
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_memo", "_powers")
+    __slots__ = ("_terms", "_memo", "_steps")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -76,7 +85,7 @@ class ClosedFormSequence:
         self._terms = tuple(kept)
         # a cache only: _terms alone defines the sequence
         self._memo: list[QuadExt] = []
-        self._powers: list[QuadExt | None] = [None] * len(kept)
+        self._steps: _IntegerSteps | None = None
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -101,19 +110,14 @@ class ClosedFormSequence:
             return memo[n - 1]
         if n > len(memo) + 1 or n > _MEMO_LIMIT:
             return self._term_by_term(n)
-        total = QuadExt(0)
-        powers = self._powers
-        for i, term in enumerate(self._terms):
-            m = term.multiplicity
-            if n >= m:
-                # coefficient * root^(n-m): 0^0 = 1 at n = m, then stepped
-                powers[i] = (term.coefficient if n == m
-                             else powers[i] * term.root)
-                weight = comb(n - 1, m - 1)
-                total = total + (powers[i] if weight == 1
-                                 else powers[i] * weight)
-        memo.append(total)
-        return total
+        if not memo:
+            self._steps = _IntegerSteps.of(self._terms)
+        steps = self._steps
+        # mixed radicands have no integer form; term by term raises the
+        # RadicandMismatch wherever the arithmetic meets them
+        value = steps.next() if steps is not None else self._term_by_term(n)
+        memo.append(value)
+        return value
 
     def _term_by_term(self, n: int) -> QuadExt:
         total = QuadExt(0)
@@ -165,6 +169,69 @@ class ClosedFormSequence:
 
     def __repr__(self) -> str:
         return f"ClosedFormSequence({list(self.terms)!r}, {self.deltas!r})"
+
+
+class _IntegerSteps:
+    """The values a(1), a(2), ... of a closed form, stepped in Z[sqrt(d)].
+
+    Each term is kept as (K, R, m) with K and R integer pairs (x, y)
+    standing for x + y*sqrt(d), and its running power K*R^(n-m) starts at
+    K when n = m (0^0 = 1 for a spike) and is then multiplied by R once
+    per n."""
+
+    __slots__ = ("_d", "_q", "_scaled", "_powers", "_n", "_den")
+
+    def __init__(self, terms: tuple[Term, ...], d: int) -> None:
+        q = lcm(*(x.denominator for t in terms
+                  for x in (t.root.rational_part, t.root.radical_part)))
+        c = lcm(*(x.denominator for t in terms
+                  for x in (t.coefficient.rational_part,
+                            t.coefficient.radical_part)))
+        self._scaled = []
+        for t in terms:
+            u, v = _integer_pair(t.root, q)
+            start = _integer_pair(t.coefficient, c * q ** (t.multiplicity - 1))
+            self._scaled.append((start, (u, v, v * d), t.multiplicity))
+        self._d, self._q = d, q
+        self._powers = [(0, 0)] * len(terms)
+        self._n, self._den = 0, c      # den = C*Q^(n-1) for the next n
+
+    @classmethod
+    def of(cls, terms: tuple[Term, ...]) -> "_IntegerSteps | None":
+        """Scale the terms once; None when they mix two radicands."""
+        radicands = {x.radicand for t in terms
+                     for x in (t.coefficient, t.root)} - {0}
+        if len(radicands) > 1:
+            return None
+        return cls(terms, radicands.pop() if radicands else 0)
+
+    def next(self) -> QuadExt:
+        n = self._n = self._n + 1
+        powers = self._powers
+        x_sum = y_sum = 0
+        for i, (start, (u, v, vd), m) in enumerate(self._scaled):
+            if n < m:
+                continue
+            if n == m:
+                x, y = start
+            else:
+                x, y = powers[i]
+                x, y = x * u + y * vd, x * v + y * u
+            powers[i] = (x, y)
+            weight = comb(n - 1, m - 1)
+            x_sum, y_sum = x_sum + weight * x, y_sum + weight * y
+        den = self._den
+        self._den = den * self._q
+        return QuadExt._normalised(Fraction(x_sum, den), Fraction(y_sum, den),
+                                   self._d)
+
+
+def _integer_pair(value: QuadExt, scale: int) -> tuple[int, int]:
+    """(x, y) with x + y*sqrt(d) == scale * value; scale clears both
+    denominators."""
+    a, b = value.rational_part, value.radical_part
+    return (a.numerator * (scale // a.denominator),
+            b.numerator * (scale // b.denominator))
 
 
 def _coeff_text(c: QuadExt) -> str:

@@ -137,7 +137,8 @@ def test_integer_root_test_agrees_with_evaluation_randomized():
             continue
         ints = polys._integer_coefficients(f)
         for r in roots + [rational() for _ in range(4)]:
-            assert polys._vanishes_at(ints, r) == (not f(r))
+            assert polys._vanishes_at(ints, r.numerator, r.denominator) == \
+                (not f(r))
 
 
 def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
@@ -155,6 +156,38 @@ def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
     assert factor_roots(den) == [
         (QuadExt(1), 4), (QuadExt(2), 1), (QuadExt(3), 1), (QuadExt(4), 1)]
     assert calls == []
+
+
+def test_rational_roots_are_deflated_in_integers(monkeypatch):
+    spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
+                         "a[1] = 1; a[2] = 2").to_spec()
+    den = transform_of(spec).rational.den
+    calls = []
+    real_divmod = Poly.__divmod__
+
+    def counted(self, other):
+        calls.append(other)
+        return real_divmod(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    assert factor_roots(den) == [(QuadExt(1), den.degree)]
+    assert calls == []
+
+
+def test_integer_deflation_matches_polynomial_division_randomized():
+    rng = random.Random(1729)
+    for _ in range(200):
+        roots = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                 for _ in range(rng.randint(1, 4))]
+        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        f = Poly(cofactor + [rng.choice([-3, -1, 1, 2, 5])]) * \
+            Poly.from_roots(*roots)
+        ints = polys._integer_coefficients(f)
+        for r in roots:
+            quotient = f // Poly((-r, 1))
+            ints = polys._deflate(ints, r.numerator, r.denominator)
+            assert ints == polys._integer_coefficients(quotient)
+            f = quotient
 
 
 def test_factor_unsupported_cases():

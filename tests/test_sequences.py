@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from dlaplace.cli import main
+from dlaplace.errors import RadicandMismatch
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
@@ -230,3 +232,94 @@ def test_values_past_the_memo_limit_are_not_kept():
     for n in range(1, _MEMO_LIMIT + 5):
         assert doubling(n) == 2 ** (n - 1)
     assert len(doubling._memo) == _MEMO_LIMIT
+
+
+def _wide_closed_form(rng, d):
+    """Terms and spikes whose parts have denominators up to 10^6 and whose
+    multiplicities reach 13, over Q (d = 0) or Q(sqrt d)."""
+    sqrt_d = QuadExt(0, 1, d) if d else QuadExt(0)
+
+    def part(top):
+        return Fraction(rng.randint(-top, top),
+                        rng.choice([1, 2, 3, rng.randint(1, 10 ** 6)]))
+
+    def value(top):
+        return part(top) + part(top) * sqrt_d
+
+    terms = [(value(9) or QuadExt(1), value(3), m)
+             for m in [1, 13] + rng.sample([1, 2, 5], rng.randint(0, 2))]
+    deltas = {rng.randint(1, 15): value(9) or QuadExt(1)
+              for _ in range(rng.randint(1, 2))}
+    return terms, deltas
+
+
+def test_integer_stepping_matches_the_definition_on_wide_denominators():
+    rng = random.Random(8128)
+    for d in (0, 0, 5, 1000000007):
+        terms, deltas = _wide_closed_form(rng, d)
+        expected = [_by_definition(terms, deltas, n) for n in range(1, 201)]
+        in_order = ClosedFormSequence(terms, deltas)
+        assert [in_order(n) for n in range(1, 201)] == expected
+        reverse = ClosedFormSequence(terms, deltas)
+        assert [reverse(n) for n in range(200, 0, -1)] == expected[::-1]
+        assert [reverse(n) for n in range(1, 201)] == expected
+        other_terms, other_deltas = _wide_closed_form(rng, d)
+        factor = Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** 6))
+        combined = ClosedFormSequence(terms, deltas) + \
+            ClosedFormSequence(other_terms, other_deltas).scale(factor)
+        assert [combined(n) for n in range(1, 201)] == [
+            expected[n - 1] + factor *
+            _by_definition(other_terms, other_deltas, n)
+            for n in range(1, 201)]
+
+
+def test_mixed_radicands_raise_where_the_arithmetic_meets_them():
+    sqrt2, sqrt3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    seq = ClosedFormSequence([(1, sqrt2, 1), (1, sqrt3, 1)])
+    assert seq(1) == 2
+    with pytest.raises(RadicandMismatch):
+        seq(2)
+    with pytest.raises(RadicandMismatch):
+        seq(2)
+    assert seq(3) == 5
+    # the two radicals never meet at one n: every value is defined
+    apart = ClosedFormSequence([(1, sqrt2, 1), (1, sqrt3, 2)])
+    assert [apart(n) for n in range(1, 7)] == [
+        _by_definition([(1, sqrt2, 1), (1, sqrt3, 2)], {}, n)
+        for n in range(1, 7)]
+    with pytest.raises(RadicandMismatch):
+        ClosedFormSequence([(sqrt2, sqrt3, 1)])(2)
+
+
+@pytest.mark.parametrize("text", [
+    "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1",
+    "a[n+2] = 2*a[n+1] - a[n] + n^12; a[1] = 1; a[2] = 2",
+])
+def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
+                                                      monkeypatch):
+    inside = [0]
+    counts = {"arithmetic": 0, "values": 0}
+    real_call = ClosedFormSequence.__call__
+
+    def evaluate(self, n):
+        inside[0] += 1
+        try:
+            counts["values"] += 1
+            return real_call(self, n)
+        finally:
+            inside[0] -= 1
+
+    def counted(name):
+        real = getattr(QuadExt, name)
+
+        def wrapper(self, other):
+            counts["arithmetic"] += inside[0] > 0
+            return real(self, other)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(QuadExt, name, counted(name))
+    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    assert main(["solve", text, "--json"]) == 0
+    capsys.readouterr()
+    assert counts["values"] >= 64 and counts["arithmetic"] == 0
