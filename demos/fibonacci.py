@@ -4,8 +4,7 @@
 import math
 
 from dlaplace import (RecursiveSequence, check_closed_form_pair, growth_bound,
-                      parse_program, partial_fractions, ratio_limit,
-                      solve_ivp)
+                      parse_program, partial_fractions, solve_ivp)
 
 TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
 
@@ -21,7 +20,7 @@ def main():
 
     print()
     print("partial fractions over Q(sqrt(5)):")
-    for part in partial_fractions(report.transform.as_ratfunc()):
+    for part in partial_fractions(report.transform.rational):
         print(f"  ({part.coefficient}) / (t - ({part.root}))")
 
     print()
@@ -49,7 +48,7 @@ def main():
     print(f"  (series truncated by the tail bound, growth rate s0 = {s0:.4f})")
 
     print()
-    ratio = ratio_limit(recursive, 40)
+    ratio = float(recursive(41)) / float(recursive(40))
     phi = (1 + math.sqrt(5)) / 2
     print(f"f(41)/f(40) = {ratio:.15f}")
     print(f"phi         = {phi:.15f}")

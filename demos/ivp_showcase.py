@@ -5,12 +5,13 @@ from fractions import Fraction
 
 from dlaplace import (GeometricTerm, PowerTerm, RecurrenceSpec,
                       ResonantForcing, UnsupportedFactorization, delta,
-                      partial_sums, solve_affine, solve_ivp)
+                      partial_sums, solve_ivp)
 
 
 def main():
     print("== second differences: (D^2 f)(n) = n, f(1) = 1, (Df)(1) = 2 ==")
-    spec = RecurrenceSpec.from_delta2([PowerTerm(1, 1)], 1, 2)
+    # D^2 f(n) = f(n+2) - 2f(n+1) + f(n), and f(2) = f(1) + (Df)(1) = 3
+    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (PowerTerm(1, 1),))
     report = solve_ivp(spec, verify_upto=100)
     print("closed form:", report.closed_form)
     print("values:     ", ", ".join(str(v) for v in report.values(8)))
@@ -22,7 +23,7 @@ def main():
     print()
     print("== the affine family a(n+1) = lam*a(n) + beta ==")
     for lam in (Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(1)):
-        report = solve_affine(lam, 1, 1)
+        report = solve_ivp(RecurrenceSpec(1, (lam,), (1,), (PowerTerm(1, 0),)))
         values = ", ".join(str(v) for v in report.values(6))
         print(f"lam = {str(lam):>4}: {str(report.closed_form):<34} {values}")
     print("(lam = 1 degenerates to an arithmetic progression, no pole)")

@@ -25,11 +25,10 @@ from .sequences import (ClosedFormSequence, Term, convolve, delta,
                         partial_sums)
 from .solver import (ForcingTerm, GeometricTerm, PowerTerm, RecurrenceSpec,
                      RecursiveSequence, SolutionReport, VerificationReport,
-                     solve_affine, solve_ivp, transform_of, verify_solution)
+                     solve_ivp, transform_of, verify_solution)
 from .numeric import (DEFAULT_S_GRID, DEFAULT_TOLERANCE, CheckReport,
-                      SeriesCheckConfig, check_closed_form_pair, check_pair,
-                      growth_bound, harmonic_transform_check, ratio_limit,
-                      series_eval, tail_bound, terms_needed)
+                      check_closed_form_pair, growth_bound, series_eval,
+                      tail_bound, terms_needed)
 from .dsl import DslProgram, parse_program
 
 __version__ = "0.1.0"
@@ -50,11 +49,10 @@ __all__ = [
     "fibonacci_normal", "inverse_transform", "partial_sums",
     "ForcingTerm", "GeometricTerm", "PowerTerm", "RecurrenceSpec",
     "RecursiveSequence", "SolutionReport", "VerificationReport",
-    "solve_affine", "solve_ivp", "transform_of", "verify_solution",
+    "solve_ivp", "transform_of", "verify_solution",
     "DEFAULT_S_GRID", "DEFAULT_TOLERANCE", "CheckReport",
-    "SeriesCheckConfig", "check_closed_form_pair", "check_pair",
-    "growth_bound", "harmonic_transform_check", "ratio_limit", "series_eval",
-    "tail_bound", "terms_needed",
+    "check_closed_form_pair", "growth_bound", "series_eval", "tail_bound",
+    "terms_needed",
     "DslProgram", "parse_program",
     "__version__",
 ]

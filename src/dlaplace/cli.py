@@ -12,14 +12,14 @@ recurrence text, 2 the problem is outside the engine's exact capabilities,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .dsl import parse_program
-from .errors import (CapabilityError, CheckFailed, DivergenceGuard,
-                     DlaplaceError, ParseError, SemanticError,
-                     SeriesCapExceeded, VerificationFailed)
+from .errors import (CheckFailed, DlaplaceError, ParseError, SemanticError,
+                     VerificationFailed)
 from .numeric import DEFAULT_TOLERANCE, check_closed_form_pair
 from .solver import solve_ivp
 from .transforms import geometric, n_power
@@ -154,7 +154,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing does not
+    change it."""
     parser = _Parser(
         prog="dlaplace",
         description="Exact transform calculus for linear recurrences.")
@@ -207,9 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapabilityError, DivergenceGuard, SeriesCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
     except (VerificationFailed, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -142,7 +142,7 @@ def _coeff_body_text(coeff: Fraction, body: str) -> str:
 @dataclass(frozen=True)
 class _RawTerm:
     coefficient: Fraction
-    kind: str          # "shift", "power", "geometric", "constant"
+    kind: str          # "shift", "power", "geometric"
     shift: int = 0
     power: int = 0
     base: Fraction = Fraction(0)
@@ -266,12 +266,12 @@ class _Parser:
                 self.advance()
                 self.expect_name("n")
                 return _RawTerm(coefficient, "geometric", base=value)
-            return _RawTerm(coefficient * value, "constant")
+            return _RawTerm(coefficient * value, "power")
         if required:
             raise ParseError(
                 f"expected a term, found {token.text or 'end of input'!r}",
                 token.line, token.column)
-        return _RawTerm(coefficient, "constant")
+        return _RawTerm(coefficient, "power")
 
     def expect_name(self, name: str) -> None:
         token = self.peek()
@@ -326,8 +326,6 @@ def _assemble(recurrences, initials) -> DslProgram:
         elif term.kind == "geometric":
             geometrics[term.base] = geometrics.get(term.base, Fraction(0)) \
                 + term.coefficient
-        else:
-            powers[0] = powers.get(0, Fraction(0)) + term.coefficient
     shifts = {j: c for j, c in shifts.items() if c}
     powers = {p: c for p, c in powers.items() if c}
     geometrics = {b: c for b, c in geometrics.items() if c}

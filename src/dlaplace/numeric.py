@@ -32,36 +32,8 @@ def _as_float(value: object) -> float:
     return float(value)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class SeriesCheckConfig:
-    """Sample points and growth data for a series/transform comparison."""
-
-    s_values: tuple[float, ...] = DEFAULT_S_GRID
-    tolerance: float = DEFAULT_TOLERANCE
-    growth_alpha: float = 1.0
-    growth_s0: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_values", tuple(self.s_values))
-        if not self.s_values:
-            raise ValueError("need at least one sample point")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.growth_alpha <= 0:
-            raise ValueError("growth_alpha must be positive")
-        bad = [s for s in self.s_values if s <= self.growth_s0]
-        if bad:
-            raise DivergenceGuard(
-                f"sample points {bad} do not exceed the growth rate "
-                f"s0 = {self.growth_s0}")
-
-
-def series_eval(f: Callable[[int], object], s: float, terms: int,
-                growth_s0: float | None = None) -> float:
+def series_eval(f: Callable[[int], object], s: float, terms: int) -> float:
     """Partial sum sum_{n=1}^{terms} f(n) e^{-sn} in double precision."""
-    if growth_s0 is not None and s <= growth_s0:
-        raise DivergenceGuard(
-            f"s = {s} is inside the divergence region (s0 = {growth_s0})")
     stage = f"series at s = {s}"
     return math.fsum(_float_term(f, n, stage, terms) * math.exp(-s * n)
                      for n in range(1, terms + 1))
@@ -157,65 +129,37 @@ class CheckReport:
         }
 
 
-def check_pair(f: Callable[[int], object], expr: TransformExpr,
-               config: SeriesCheckConfig) -> CheckReport:
-    """Compare the series of f against its claimed transform on a grid.
-
-    The truncation point comes from the tail bound at half the tolerance,
-    so a failure means the pair is wrong, not that the sum stopped early.
-    Raises CheckFailed on the first offending sample point.
-    """
-    report = CheckReport(config.tolerance)
-    for s in config.s_values:
-        terms = terms_needed(config.growth_alpha, config.growth_s0, s,
-                             config.tolerance / 2.0)
-        total = series_eval(f, s, terms, config.growth_s0)
-        reference = expr.eval_float(math.exp(s))
-        gap = abs(total - reference)
-        entry = CheckEntry(s, terms, total, reference, gap,
-                           tail_bound(config.growth_alpha, config.growth_s0,
-                                      s, terms),
-                           gap <= config.tolerance)
-        report.entries.append(entry)
-        if not entry.passed:
-            raise CheckFailed(
-                f"series and transform differ by {gap:.3e} at s = {s} "
-                f"({terms} terms, tolerance {config.tolerance:.1e})",
-                s=s, terms=terms, discrepancy=gap)
-    return report
-
-
 def check_closed_form_pair(seq: ClosedFormSequence, expr: TransformExpr,
                            s_values: Sequence[float] = DEFAULT_S_GRID,
                            tolerance: float = DEFAULT_TOLERANCE,
                            ) -> CheckReport:
-    """check_pair with growth data derived from the closed form itself."""
+    """Compare the series of seq against its claimed transform on a grid.
+
+    The growth data (alpha, s0) come from the closed form itself, and sample
+    points at or below s0 are skipped.  The truncation point comes from the
+    tail bound at half the tolerance, so a failure means the pair is wrong,
+    not that the sum stopped early.  Raises CheckFailed on the first
+    offending sample point.
+    """
     alpha, s0 = growth_bound(seq)
     usable = tuple(s for s in s_values if s > s0)
     if not usable:
         raise DivergenceGuard(
             f"no sample point exceeds the growth rate s0 = {s0:.3f}")
-    config = SeriesCheckConfig(usable, tolerance, alpha, s0)
-    return check_pair(seq, expr, config)
-
-
-def harmonic_transform_check(s: float, target: float = 1e-11) -> float:
-    """|sum e^{-sn}/n - (s - log(e^s - 1))| with tail-bound truncation.
-
-    The harmonic sequence is bounded by 1, so alpha = 1 and s0 = 0 give a
-    rigorous cutoff.  The reference value is computed in the numerically
-    stable form -log1p(-e^{-s}), equal to s - log(e^s - 1).
-    """
-    if s <= 0:
-        raise DivergenceGuard("the harmonic series transform needs s > 0")
-    terms = terms_needed(1.0, 0.0, s, target)
-    total = series_eval(lambda n: 1.0 / n, s, terms)
-    return abs(total - (-math.log1p(-math.exp(-s))))
-
-
-def ratio_limit(f: Callable[[int], object], n: int) -> float:
-    """f(n+1)/f(n) as a double; an exactly zero f(n) raises."""
-    denominator = f(n)
-    if denominator == 0:
-        raise ZeroDivisionError(f"f({n}) is exactly zero")
-    return _as_float(f(n + 1)) / _as_float(denominator)
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    report = CheckReport(tolerance)
+    for s in usable:
+        terms = terms_needed(alpha, s0, s, tolerance / 2.0)
+        total = series_eval(seq, s, terms)
+        reference = expr.eval_float(math.exp(s))
+        gap = abs(total - reference)
+        entry = CheckEntry(s, terms, total, reference, gap,
+                           tail_bound(alpha, s0, s, terms), gap <= tolerance)
+        report.entries.append(entry)
+        if not entry.passed:
+            raise CheckFailed(
+                f"series and transform differ by {gap:.3e} at s = {s} "
+                f"({terms} terms, tolerance {tolerance:.1e})",
+                s=s, terms=terms, discrepancy=gap)
+    return report

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
@@ -115,28 +115,6 @@ class RecurrenceSpec:
         return cls(2, (Fraction(1), Fraction(1)),
                    (Fraction(a1), Fraction(a2)))
 
-    @classmethod
-    def affine(cls, lam: RationalLike, beta: RationalLike,
-               a1: RationalLike) -> "RecurrenceSpec":
-        """a(n+1) = lam*a(n) + beta."""
-        forcing = (PowerTerm(Fraction(beta), 0),) if beta else ()
-        return cls(1, (Fraction(lam),), (Fraction(a1),), forcing)
-
-    @classmethod
-    def from_delta(cls, forcing: Sequence[ForcingTerm],
-                   first: RationalLike) -> "RecurrenceSpec":
-        """(Df)(n) = forcing(n) with f(1) given, as f(n+1) = f(n) + forcing."""
-        return cls(1, (Fraction(1),), (Fraction(first),), tuple(forcing))
-
-    @classmethod
-    def from_delta2(cls, forcing: Sequence[ForcingTerm],
-                    first: RationalLike, first_difference: RationalLike,
-                    ) -> "RecurrenceSpec":
-        """(D^2 f)(n) = forcing(n) given f(1) and (Df)(1)."""
-        f1 = Fraction(first)
-        f2 = f1 + Fraction(first_difference)
-        return cls(2, (Fraction(-1), Fraction(2)), (f1, f2), tuple(forcing))
-
 
 class RecursiveSequence:
     """Direct iteration of a RecurrenceSpec, memoized; the ground truth."""
@@ -206,7 +184,7 @@ class SolutionReport:
         return pretty if pretty is not None else str(self.closed_form)
 
     def to_json_dict(self, count: int = 10) -> dict:
-        folded = self.transform.as_ratfunc()
+        folded = self.transform.rational
         return {
             "closed_form": {
                 "text": self.closed_form_text(),
@@ -270,29 +248,6 @@ def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
         raise VerificationFailed(
             f"closed form disagrees with recursion: {check.detail}")
     return SolutionReport(spec, expr, closed, verify_upto)
-
-
-def solve_affine(lam: RationalLike, beta: RationalLike, a1: RationalLike,
-                 verify_upto: int = 64) -> SolutionReport:
-    """Solve a(n+1) = lam*a(n) + beta and cross-check the textbook form.
-
-    For lam != 1 the answer is (a1 + beta/(lam-1)) lam^(n-1) + beta/(1-lam);
-    for lam = 1 it is the arithmetic progression a1 + beta (n-1).
-    """
-    lam, beta, a1 = Fraction(lam), Fraction(beta), Fraction(a1)
-    report = solve_ivp(RecurrenceSpec.affine(lam, beta, a1), verify_upto)
-    if lam == 1:
-        expected = ClosedFormSequence([(a1, 1, 1), (beta, 1, 2)])
-    else:
-        expected = ClosedFormSequence([
-            (a1 + beta / (lam - 1), lam, 1),
-            (beta / (1 - lam), 1, 1),
-        ])
-    if report.closed_form != expected:
-        raise VerificationFailed(
-            "affine solve disagrees with the closed formula: "
-            f"{report.closed_form} vs {expected}")
-    return report
 
 
 @dataclass

@@ -71,9 +71,6 @@ class TransformExpr:
     def is_zero(self) -> bool:
         return self._rational.is_zero
 
-    def as_ratfunc(self) -> RatFunc:
-        return self._rational
-
     def __add__(self, other: object) -> "TransformExpr":
         if not isinstance(other, TransformExpr):
             return NotImplemented

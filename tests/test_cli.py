@@ -11,7 +11,7 @@ import pytest
 
 import dlaplace
 from dlaplace import polys, solver
-from dlaplace.cli import main
+from dlaplace.cli import build_parser, main
 from dlaplace.exact import QuadExt
 from dlaplace.sequences import ClosedFormSequence
 
@@ -410,3 +410,8 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "values:      1, 1, 2" in result.stdout
+
+
+def test_parser_is_built_once_per_process():
+    # parse_args does not change the parser, so main reuses one
+    assert build_parser() is build_parser()

@@ -1,12 +1,9 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from dlaplace.errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
-from dlaplace.numeric import (SeriesCheckConfig, check_closed_form_pair,
-                              check_pair, growth_bound,
-                              harmonic_transform_check, ratio_limit,
+from dlaplace.numeric import (check_closed_form_pair, growth_bound,
                               series_eval, tail_bound, terms_needed)
 from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import RecurrenceSpec, RecursiveSequence, solve_ivp
@@ -17,26 +14,19 @@ FIB = RecursiveSequence(RecurrenceSpec.fibonacci())
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 
-def test_config_validation():
+def test_check_closed_form_pair_validation():
+    seq, expr = FIB_REPORT.closed_form, FIB_REPORT.transform
     with pytest.raises(ValueError):
-        SeriesCheckConfig(s_values=())
-    with pytest.raises(ValueError):
-        SeriesCheckConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SeriesCheckConfig(growth_alpha=-1.0)
-    # sample points below the growth rate are rejected up front
+        check_closed_form_pair(seq, expr, tolerance=0.0)
+    # a grid wholly at or below s0 is refused before the tolerance is read
     with pytest.raises(DivergenceGuard):
-        SeriesCheckConfig(s_values=(0.5, 2.0), growth_s0=1.0)
-    cfg = SeriesCheckConfig(s_values=[2.0], growth_s0=1.0)
-    assert cfg.s_values == (2.0,)
+        check_closed_form_pair(seq, expr, s_values=(0.2,), tolerance=0.0)
 
 
 def test_series_eval_geometric():
     # sum_{n>=1} e^(-sn) = 1/(e^s - 1); 40 terms leave a ~1e-18 tail
     total = series_eval(lambda n: 1.0, 1.0, 40)
     assert total == pytest.approx(1 / (math.e - 1), abs=1e-15)
-    with pytest.raises(DivergenceGuard):
-        series_eval(lambda n: 1.0, 0.5, 10, growth_s0=0.5)
 
 
 def test_tail_bound_oracle():
@@ -86,9 +76,8 @@ def test_growth_bound_on_fibonacci():
 
 
 def test_check_pair_fibonacci():
-    alpha, s0 = growth_bound(FIB_REPORT.closed_form)
-    config = SeriesCheckConfig((1.2, 2.0), 1e-9, alpha, s0)
-    report = check_pair(FIB, FIB_REPORT.transform, config)
+    report = check_closed_form_pair(FIB_REPORT.closed_form,
+                                    FIB_REPORT.transform, (1.2, 2.0), 1e-9)
     assert report.passed
     for entry in report.entries:
         assert entry.discrepancy < 1e-9
@@ -97,10 +86,8 @@ def test_check_pair_fibonacci():
 
 
 def test_check_pair_detects_wrong_transform():
-    alpha, s0 = growth_bound(FIB_REPORT.closed_form)
-    config = SeriesCheckConfig((1.2,), 1e-9, alpha, s0)
     with pytest.raises(CheckFailed) as info:
-        check_pair(FIB, geometric(2), config)
+        check_closed_form_pair(FIB_REPORT.closed_form, geometric(2), (1.2,))
     assert info.value.s == 1.2
     assert info.value.discrepancy > 1e-9
 
@@ -114,29 +101,37 @@ def test_check_closed_form_pair_filters_grid():
     # a fully divergent grid is refused rather than silently emptied
     with pytest.raises(DivergenceGuard):
         check_closed_form_pair(seq, seq.transform(), s_values=(1.0,))
+    # Fibonacci grows at s0 = ln(phi) + 0.01, about 0.49
+    fib, fib_expr = FIB_REPORT.closed_form, FIB_REPORT.transform
+    report = check_closed_form_pair(fib, fib_expr, s_values=(0.2, 2.0))
+    assert [e.s for e in report.entries] == [2.0]
+    with pytest.raises(DivergenceGuard):
+        check_closed_form_pair(fib, fib_expr, s_values=(0.2,))
 
 
 def test_harmonic_transform():
+    # 1/n is bounded by 1, so alpha = 1 and s0 = 0 give a rigorous cutoff;
+    # the transform s - log(e^s - 1) is evaluated as -log1p(-e^-s)
     for s in (0.5, 1.0, 2.0, 5.0, 10.0):
-        assert harmonic_transform_check(s) < 1e-10
+        total = series_eval(lambda n: 1 / n, s,
+                            terms_needed(1.0, 0.0, s, 1e-11))
+        assert abs(total + math.log1p(-math.exp(-s))) < 1e-10
     # frozen reference at s = 1
     assert -math.log1p(-math.exp(-1.0)) == pytest.approx(
         0.45867514538708193, abs=1e-16)
     with pytest.raises(DivergenceGuard):
-        harmonic_transform_check(0.0)
+        terms_needed(1.0, 0.0, 0.0, 1e-11)
 
 
 def test_ratio_limit_golden_ratio():
     phi = (1 + math.sqrt(5)) / 2
-    assert abs(ratio_limit(FIB, 40) - phi) < 1e-12
-    with pytest.raises(ZeroDivisionError):
-        ratio_limit(lambda n: Fraction(0), 5)
+    assert abs(float(FIB(41)) / float(FIB(40)) - phi) < 1e-12
 
 
 def test_check_report_json():
-    alpha, s0 = growth_bound(FIB_REPORT.closed_form)
-    config = SeriesCheckConfig((1.2,), 1e-9, alpha, s0)
-    payload = check_pair(FIB, FIB_REPORT.transform, config).to_json_dict()
+    payload = check_closed_form_pair(FIB_REPORT.closed_form,
+                                     FIB_REPORT.transform,
+                                     (1.2,)).to_json_dict()
     assert payload["passed"] is True
     assert payload["tolerance"] == 1e-9
     (entry,) = payload["checks"]

@@ -9,13 +9,29 @@ from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
 from dlaplace.solver import (GeometricTerm, PowerTerm, RecurrenceSpec,
-                             RecursiveSequence, solve_affine, solve_ivp,
-                             transform_of, verify_solution)
+                             RecursiveSequence, solve_ivp, transform_of,
+                             verify_solution)
 from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (ResonantForcing, UnsupportedFactorization,
                              UnsupportedForcing, VerificationFailed)
 
 FIB = RecurrenceSpec.fibonacci()
+
+
+def _solve_affine(lam, beta, a1, verify_upto=64):
+    """Solve a(n+1) = lam*a(n) + beta and compare with the textbook form:
+    (a1 + beta/(lam-1)) lam^(n-1) + beta/(1-lam), or a1 + beta (n-1) at
+    lam = 1."""
+    lam, beta, a1 = Fraction(lam), Fraction(beta), Fraction(a1)
+    report = solve_ivp(RecurrenceSpec(1, (lam,), (a1,), (PowerTerm(beta, 0),)),
+                       verify_upto)
+    if lam == 1:
+        expected = ClosedFormSequence([(a1, 1, 1), (beta, 1, 2)])
+    else:
+        expected = ClosedFormSequence([(a1 + beta / (lam - 1), lam, 1),
+                                       (beta / (1 - lam), 1, 1)])
+    assert report.closed_form == expected
+    return report
 
 
 def test_spec_validation():
@@ -52,10 +68,10 @@ def test_recursive_sequence_ground_truth():
 
 def test_fibonacci_transform_shape():
     # (a1 t + a2 - a1)/(t^2 - t - 1) with a1 = a2 = 1
-    assert transform_of(FIB).as_ratfunc() == \
+    assert transform_of(FIB).rational == \
         RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
     general = transform_of(RecurrenceSpec.fibonacci(2, 7))
-    assert general.as_ratfunc() == RatFunc(Poly((5, 2)), Poly((-1, -1, 1)))
+    assert general.rational == RatFunc(Poly((5, 2)), Poly((-1, -1, 1)))
 
 
 def test_solve_fibonacci_binet():
@@ -119,23 +135,23 @@ def test_exponent_normalizations_agree():
 def test_affine_family_closed_forms():
     # lam != 1: (a1 + beta/(lam-1)) lam^(n-1) + beta/(1-lam)
     for lam in (2, 3, Fraction(1, 2), -1):
-        report = solve_affine(lam, Fraction(3, 2), -2, verify_upto=50)
+        report = _solve_affine(lam, Fraction(3, 2), -2, verify_upto=50)
         ref = RecursiveSequence(report.spec)
         for n in range(1, 51):
             assert report.closed_form(n) == ref(n)
-    report = solve_affine(3, 1, 1)
+    report = _solve_affine(3, 1, 1)
     assert report.values(4) == [1, 4, 13, 40]
 
 
 def test_affine_lambda_one_is_arithmetic():
-    report = solve_affine(1, 3, 2, verify_upto=50)
+    report = _solve_affine(1, 3, 2, verify_upto=50)
     assert report.closed_form == ClosedFormSequence([(2, 1, 1), (3, 1, 2)])
     for n in range(1, 51):
         assert report.closed_form(n) == 2 + 3 * (n - 1)
 
 
 def test_affine_lambda_zero_collapses_to_spike():
-    report = solve_affine(0, 5, 7)
+    report = _solve_affine(0, 5, 7)
     assert report.closed_form.deltas == {1: QuadExt(2)}   # a1 - beta
     assert report.values(4) == [7, 5, 5, 5]
 
@@ -147,7 +163,7 @@ def test_affine_near_one_consistency():
     drift = {}
     for eps in (Fraction(1, 10), Fraction(1, 100)):
         lam = 1 + eps
-        report = solve_affine(lam, beta, a1, verify_upto=30)
+        report = _solve_affine(lam, beta, a1, verify_upto=30)
         ref = RecursiveSequence(report.spec)
         worst = 0.0
         for n in range(1, 6):
@@ -162,18 +178,20 @@ def test_affine_near_one_consistency():
 
 
 def test_second_difference_ivp():
-    spec = RecurrenceSpec.from_delta2([PowerTerm(1, 1)], 1, 2)
+    # D^2 f(n) = f(n+2) - 2f(n+1) + f(n) = n, f(1) = 1, (Df)(1) = 2
+    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (PowerTerm(1, 1),))
     report = solve_ivp(spec, verify_upto=100)
     for n in range(1, 101):
         expected = Fraction(2 * n - 1) + Fraction(n * (n - 1) * (n - 2), 6)
         assert report.closed_form(n) == expected
     # transform assembled with the double-shift initial data
-    assert report.transform.as_ratfunc() == \
+    assert report.transform.rational == \
         RatFunc(Poly((1, 0, -1, 1)), Poly.from_roots(1, 1, 1, 1))
 
 
 def test_first_difference_ivp():
-    spec = RecurrenceSpec.from_delta([PowerTerm(1, 0)], 1)
+    # Df(n) = f(n+1) - f(n) = 1, f(1) = 1
+    spec = RecurrenceSpec(1, (1,), (1,), (PowerTerm(1, 0),))
     report = solve_ivp(spec)
     for n in range(1, 30):
         assert report.closed_form(n) == n
@@ -229,7 +247,8 @@ def test_resonant_geometric_forcing_rejected():
     with pytest.raises(ResonantForcing):
         solve_ivp(spec)
     # power forcing on a resonant unit root stays supported
-    resonant_power = RecurrenceSpec.from_delta2([PowerTerm(1, 1)], 0, 0)
+    # D^2 f(n) = n: the forcing's pole t = 1 is the double characteristic root
+    resonant_power = RecurrenceSpec(2, (-1, 2), (0, 0), (PowerTerm(1, 1),))
     solve_ivp(resonant_power)
 
 

@@ -123,18 +123,18 @@ def test_n_power_denominator_structure():
 
 
 def test_convolution_is_the_product():
-    assert convolve(N, ONE).as_ratfunc() == \
-        N.as_ratfunc() * ONE.as_ratfunc()
+    assert convolve(N, ONE).rational == \
+        N.rational * ONE.rational
     assert convolve(N, ONE) == convolve(ONE, N)
     a, b, c = geometric(2), geometric(3), ONE
     assert convolve(a, convolve(b, c)) == convolve(convolve(a, b), c)
 
 
 def test_partial_sum_divides_by_t_minus_one():
-    assert partial_sum(N).as_ratfunc() == rf([0, 1], [-1, 3, -3, 1])
+    assert partial_sum(N).rational == rf([0, 1], [-1, 3, -3, 1])
     # partial sums of the spike at 1: the step sequence 0, 1, 1, ...
     stepped = partial_sum(geometric(0))
-    assert stepped.as_ratfunc() == rf([1], [0, -1, 1])
+    assert stepped.rational == rf([1], [0, -1, 1])
 
 
 def test_rules_reduce_their_quotient_once(monkeypatch):
@@ -160,8 +160,8 @@ def test_rules_reduce_their_quotient_once(monkeypatch):
 
 def test_linearity_and_scalar_ops():
     expr = 3 * ONE - N * Fraction(1, 2)
-    assert expr.as_ratfunc() == \
-        3 * ONE.as_ratfunc() - Fraction(1, 2) * N.as_ratfunc()
+    assert expr.rational == \
+        3 * ONE.rational - Fraction(1, 2) * N.rational
     assert (ONE * 0).is_zero
     assert (-ONE) + ONE == TransformExpr()
 
