@@ -3,15 +3,14 @@
 
 from fractions import Fraction
 
-from dlaplace import (GeometricTerm, PowerTerm, RecurrenceSpec,
-                      ResonantForcing, UnsupportedFactorization, delta,
-                      partial_sums, solve_ivp)
+from dlaplace import (ForcingTerm, RecurrenceSpec, UnsupportedFactorization,
+                      delta, partial_sums, solve_ivp)
 
 
 def main():
     print("== second differences: (D^2 f)(n) = n, f(1) = 1, (Df)(1) = 2 ==")
     # D^2 f(n) = f(n+2) - 2f(n+1) + f(n), and f(2) = f(1) + (Df)(1) = 3
-    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (PowerTerm(1, 1),))
+    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (ForcingTerm(1, 1),))
     report = solve_ivp(spec, verify_upto=100)
     print("closed form:", report.closed_form)
     print("values:     ", ", ".join(str(v) for v in report.values(8)))
@@ -23,7 +22,7 @@ def main():
     print()
     print("== the affine family a(n+1) = lam*a(n) + beta ==")
     for lam in (Fraction(3), Fraction(1, 2), Fraction(-1), Fraction(1)):
-        report = solve_ivp(RecurrenceSpec(1, (lam,), (1,), (PowerTerm(1, 0),)))
+        report = solve_ivp(RecurrenceSpec(1, (lam,), (1,), (ForcingTerm(1),)))
         values = ", ".join(str(v) for v in report.values(6))
         print(f"lam = {str(lam):>4}: {str(report.closed_form):<34} {values}")
     print("(lam = 1 degenerates to an arithmetic progression, no pole)")
@@ -31,18 +30,21 @@ def main():
     print()
     print("== geometric forcing ==")
     spec = RecurrenceSpec(1, (Fraction(2),), (Fraction(1),),
-                          (GeometricTerm(1, 3),))
+                          (ForcingTerm(1, 0, 3),))
     report = solve_ivp(spec)
     print("a(n+1) = 2a(n) + 3^n:", report.closed_form)
     print("values:", ", ".join(str(v) for v in report.values(6)))
 
     print()
+    print("== resonant forcing: the base 2 is a characteristic root ==")
+    spec = RecurrenceSpec(1, (Fraction(2),), (Fraction(1),),
+                          (ForcingTerm(1, 0, 2),))
+    report = solve_ivp(spec)
+    print("a(n+1) = 2a(n) + 2^n:", report.closed_form)
+    print("values:", ", ".join(str(v) for v in report.values(6)))
+
+    print()
     print("== refusals ==")
-    try:
-        solve_ivp(RecurrenceSpec(1, (Fraction(2),), (Fraction(1),),
-                                 (GeometricTerm(1, 2),)))
-    except ResonantForcing as exc:
-        print("resonant forcing:", exc)
     try:
         solve_ivp(RecurrenceSpec(3, (Fraction(1), Fraction(1), Fraction(0)),
                                  (1, 1, 1)))

@@ -10,9 +10,9 @@ and cross-checks transforms numerically against their defining series.
 from .errors import (CapabilityError, CheckFailed, DegreeLimitExceeded,
                      DivergenceGuard, DlaplaceError, ImproperRational,
                      ImproperResult, ParseError, PoleEvaluation,
-                     RadicandMismatch, ResonantForcing, SemanticError,
-                     SeriesCapExceeded, UnsupportedFactorization,
-                     UnsupportedForcing, VerificationFailed)
+                     RadicandMismatch, SemanticError, SeriesCapExceeded,
+                     UnsupportedFactorization, UnsupportedForcing,
+                     VerificationFailed)
 from .exact import PHI, PSI, QuadExt, SQRT5
 from .polys import (PFTerm, Poly, RatFunc, T, factor_roots, partial_fractions,
                     poly_gcd, squarefree_decomposition)
@@ -23,9 +23,9 @@ from .transforms import (MAX_N_POWER, TransformExpr, convolve as
 from .sequences import (ClosedFormSequence, Term, convolve, delta,
                         equal_prefix, fibonacci_normal, inverse_transform,
                         partial_sums)
-from .solver import (ForcingTerm, GeometricTerm, PowerTerm, RecurrenceSpec,
-                     RecursiveSequence, SolutionReport, VerificationReport,
-                     solve_ivp, transform_of, verify_solution)
+from .solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
+                     SolutionReport, VerificationReport, solve_ivp,
+                     transform_of, verify_solution)
 from .numeric import (DEFAULT_S_GRID, DEFAULT_TOLERANCE, CheckReport,
                       check_closed_form_pair, growth_bound, series_eval,
                       tail_bound, terms_needed)
@@ -36,9 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError", "CheckFailed", "DegreeLimitExceeded",
     "DivergenceGuard", "DlaplaceError", "ImproperRational", "ImproperResult",
-    "ParseError", "PoleEvaluation", "RadicandMismatch", "ResonantForcing",
-    "SemanticError", "SeriesCapExceeded", "UnsupportedFactorization",
-    "UnsupportedForcing", "VerificationFailed",
+    "ParseError", "PoleEvaluation", "RadicandMismatch", "SemanticError",
+    "SeriesCapExceeded", "UnsupportedFactorization", "UnsupportedForcing",
+    "VerificationFailed",
     "PHI", "PSI", "QuadExt", "SQRT5",
     "PFTerm", "Poly", "RatFunc", "T", "factor_roots", "partial_fractions",
     "poly_gcd", "squarefree_decomposition",
@@ -47,9 +47,8 @@ __all__ = [
     "times_n",
     "ClosedFormSequence", "Term", "convolve", "delta", "equal_prefix",
     "fibonacci_normal", "inverse_transform", "partial_sums",
-    "ForcingTerm", "GeometricTerm", "PowerTerm", "RecurrenceSpec",
-    "RecursiveSequence", "SolutionReport", "VerificationReport",
-    "solve_ivp", "transform_of", "verify_solution",
+    "ForcingTerm", "RecurrenceSpec", "RecursiveSequence", "SolutionReport",
+    "VerificationReport", "solve_ivp", "transform_of", "verify_solution",
     "DEFAULT_S_GRID", "DEFAULT_TOLERANCE", "CheckReport",
     "check_closed_form_pair", "growth_bound", "series_eval", "tail_bound",
     "terms_needed",

@@ -8,8 +8,9 @@ Grammar (whitespace insensitive):
     initial    := "a[" INT "]" "=" signed
     expr       := signed_term (("+" | "-") term)*
     term       := RATIONAL ("*"? atom)? | atom
-    atom       := "a[n+" INT "]" | "a[n]" | "n" ("^" INT)?
-                | RATIONAL "^n" | RATIONAL
+    atom       := "a[n+" INT "]" | "a[n]" | "n" ("^" INT)? ("*" base "^n")?
+                | base "^n" | RATIONAL
+    base       := RATIONAL | "(" signed ")"
     RATIONAL   := INT ("/" INT)?
 
 A leading "-" is accepted on the first term of an expression and on
@@ -30,11 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SemanticError
-from .solver import ForcingTerm, GeometricTerm, PowerTerm, RecurrenceSpec
+from .solver import ForcingTerm, RecurrenceSpec
 
 _SYMBOLS = {
     "[": "LBRACK", "]": "RBRACK", "+": "PLUS", "-": "MINUS", "*": "STAR",
-    "/": "SLASH", "^": "CARET", "=": "EQUALS", ";": "SEMI",
+    "/": "SLASH", "^": "CARET", "=": "EQUALS", ";": "SEMI", "(": "LPAREN",
+    ")": "RPAREN",
 }
 
 
@@ -89,35 +91,26 @@ class DslProgram:
 
     order: int
     shifts: dict[int, Fraction]      # j -> coefficient of a[n+j]
-    powers: dict[int, Fraction]      # p -> coefficient of n^p (0 = constant)
-    geometrics: dict[Fraction, Fraction]  # base -> coefficient of base^n
+    forcing: dict[tuple[int, Fraction], Fraction]  # (p, b) -> n^p b^n coeff
     initials: dict[int, Fraction]
 
     def to_spec(self) -> RecurrenceSpec:
         coefficients = tuple(self.shifts.get(j, Fraction(0))
                              for j in range(self.order))
-        forcing: list[ForcingTerm] = []
-        for p in sorted(self.powers):
-            forcing.append(PowerTerm(self.powers[p], p))
-        for base in sorted(self.geometrics):
-            forcing.append(GeometricTerm(self.geometrics[base], base))
+        forcing = tuple(ForcingTerm(self.forcing[key], *key)
+                        for key in sorted(self.forcing))
         initials = tuple(self.initials[i] for i in range(1, self.order + 1))
-        return RecurrenceSpec(self.order, coefficients, initials,
-                              tuple(forcing))
+        return RecurrenceSpec(self.order, coefficients, initials, forcing)
 
     def render(self) -> str:
         """Canonical text that parses back to an equal program."""
         terms: list[tuple[Fraction, str]] = []
         for j in sorted(self.shifts, reverse=True):
             terms.append((self.shifts[j], f"a[n+{j}]" if j else "a[n]"))
-        for p in sorted(self.powers, reverse=True):
-            if p == 0:
-                continue
-            terms.append((self.powers[p], "n" if p == 1 else f"n^{p}"))
-        for base in sorted(self.geometrics):
-            terms.append((self.geometrics[base], f"{base}^n"))
-        if Fraction(0) != self.powers.get(0, Fraction(0)):
-            terms.append((self.powers[0], ""))
+        # falling powers of n, then rising bases, the constant last
+        for p, b in sorted(self.forcing,
+                           key=lambda key: (key == (0, 1), -key[0], key[1])):
+            terms.append((self.forcing[p, b], _forcing_text(p, b)))
         rhs = ""
         for coeff, body in terms:
             text = _coeff_body_text(abs(coeff), body)
@@ -131,6 +124,13 @@ class DslProgram:
         return "; ".join(pieces)
 
 
+def _forcing_text(p: int, b: Fraction) -> str:
+    parts = [] if p == 0 else ["n" if p == 1 else f"n^{p}"]
+    if b != 1:
+        parts.append(f"{b}^n" if b > 0 else f"({b})^n")
+    return "*".join(parts)
+
+
 def _coeff_body_text(coeff: Fraction, body: str) -> str:
     if not body:
         return str(coeff)
@@ -142,10 +142,10 @@ def _coeff_body_text(coeff: Fraction, body: str) -> str:
 @dataclass(frozen=True)
 class _RawTerm:
     coefficient: Fraction
-    kind: str          # "shift", "power", "geometric"
+    kind: str          # "shift" or "forcing" (n^power * base^n)
     shift: int = 0
     power: int = 0
-    base: Fraction = Fraction(0)
+    base: Fraction = Fraction(1)
 
 
 class _Parser:
@@ -232,9 +232,7 @@ class _Parser:
             value = self.parse_rational()
             if self.peek().kind == "CARET":
                 # RATIONAL^n, a geometric atom with coefficient 1
-                self.advance()
-                self.expect_name("n")
-                return _RawTerm(Fraction(sign), "geometric", base=value)
+                return self.parse_base_power(Fraction(sign), 0, value)
             if self.peek().kind == "STAR":
                 self.advance()
                 return self.parse_atom(sign * value, required=True)
@@ -259,19 +257,35 @@ class _Parser:
             if self.peek().kind == "CARET":
                 self.advance()
                 power = int(self.expect("INT", "an exponent").text)
-            return _RawTerm(coefficient, "power", power=power)
-        if token.kind == "INT":
-            value = self.parse_rational()
-            if self.peek().kind == "CARET":
-                self.advance()
-                self.expect_name("n")
-                return _RawTerm(coefficient, "geometric", base=value)
-            return _RawTerm(coefficient * value, "power")
+            if self.peek().kind != "STAR":
+                return _RawTerm(coefficient, "forcing", power=power)
+            self.advance()
+            return self.parse_base_power(coefficient, power, self.parse_base())
+        if token.kind in ("INT", "LPAREN"):
+            base = self.parse_base()
+            if token.kind == "INT" and self.peek().kind != "CARET":
+                return _RawTerm(coefficient * base, "forcing")
+            return self.parse_base_power(coefficient, 0, base)
         if required:
             raise ParseError(
                 f"expected a term, found {token.text or 'end of input'!r}",
                 token.line, token.column)
-        return _RawTerm(coefficient, "power")
+        return _RawTerm(coefficient, "forcing")
+
+    def parse_base(self) -> Fraction:
+        if self.peek().kind != "LPAREN":
+            return self.parse_rational()
+        self.advance()
+        value = self.parse_signed_rational()
+        self.expect("RPAREN", "')'")
+        return value
+
+    def parse_base_power(self, coefficient: Fraction, power: int,
+                         base: Fraction) -> _RawTerm:
+        """The "^n" after a base: coefficient * n^power * base^n."""
+        self.expect("CARET", "'^'")
+        self.expect_name("n")
+        return _RawTerm(coefficient, "forcing", power=power, base=base)
 
     def expect_name(self, name: str) -> None:
         token = self.peek()
@@ -310,8 +324,7 @@ def _assemble(recurrences, initials) -> DslProgram:
     if order < 1:
         raise SemanticError("the left side must be a[n+k] with k >= 1")
     shifts: dict[int, Fraction] = {}
-    powers: dict[int, Fraction] = {}
-    geometrics: dict[Fraction, Fraction] = {}
+    forcing: dict[tuple[int, Fraction], Fraction] = {}
     for term in raw_terms:
         if term.kind == "shift":
             if term.shift >= order:
@@ -320,15 +333,11 @@ def _assemble(recurrences, initials) -> DslProgram:
                     f"the left-hand a[n+{order}]")
             shifts[term.shift] = shifts.get(term.shift, Fraction(0)) \
                 + term.coefficient
-        elif term.kind == "power":
-            powers[term.power] = powers.get(term.power, Fraction(0)) \
-                + term.coefficient
-        elif term.kind == "geometric":
-            geometrics[term.base] = geometrics.get(term.base, Fraction(0)) \
-                + term.coefficient
+        else:
+            key = (term.power, term.base)
+            forcing[key] = forcing.get(key, Fraction(0)) + term.coefficient
     shifts = {j: c for j, c in shifts.items() if c}
-    powers = {p: c for p, c in powers.items() if c}
-    geometrics = {b: c for b, c in geometrics.items() if c}
+    forcing = {key: c for key, c in forcing.items() if c}
     seen: dict[int, Fraction] = {}
     for index, value, token in initials:
         if index in seen:
@@ -341,7 +350,7 @@ def _assemble(recurrences, initials) -> DslProgram:
     if missing:
         wanted = ", ".join(f"a[{i}]" for i in missing)
         raise SemanticError(f"missing initial values: {wanted}")
-    return DslProgram(order, shifts, powers, geometrics, seen)
+    return DslProgram(order, shifts, forcing, seen)
 
 
 def parse_program(source: str) -> DslProgram:

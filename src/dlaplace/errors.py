@@ -26,12 +26,8 @@ class UnsupportedFactorization(CapabilityError):
     """A denominator does not split into linear factors over Q(sqrt(d))."""
 
 
-class ResonantForcing(CapabilityError):
-    """A geometric forcing base coincides with a characteristic root."""
-
-
 class UnsupportedForcing(CapabilityError):
-    """A forcing term outside the supported polynomial/geometric family."""
+    """A forcing term outside the supported family c n^p b^n."""
 
 
 class DegreeLimitExceeded(CapabilityError):

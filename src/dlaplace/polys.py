@@ -402,9 +402,13 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
         elif h.degree == 2:
             for root in _quadratic_roots(h):
                 found[root] = found.get(root, 0) + mult
+        elif h.degree == 3:     # no rational root, so irreducible over Q
+            raise UnsupportedFactorization(
+                f"irreducible factor of degree 3: {h}")
         else:
             raise UnsupportedFactorization(
-                f"irreducible factor of degree {h.degree}: {h}")
+                f"no rational root, and factors of degree {h.degree} "
+                f"are not split: {h}")
     return sorted(found.items(), key=lambda item: sort_key(item[0]))
 
 

@@ -35,8 +35,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import PHI, PSI, QuadExt, sort_key
-from .polys import partial_fractions
-from . import transforms
+from .polys import PFTerm, partial_fractions
 from .transforms import TransformExpr
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -148,13 +147,12 @@ class ClosedFormSequence:
         return hash(self._terms)
 
     def transform(self) -> TransformExpr:
-        """Forward transform, assembled term by term from the rules."""
+        """Forward transform: each term is c/(t - r)^m, the partial
+        fraction that inverse_transform turns back into it."""
         total = TransformExpr()
         for term in self._terms:
-            piece = transforms.geometric(term.root)
-            for _ in range(term.multiplicity - 1):
-                piece = transforms.convolve(piece, transforms.geometric(term.root))
-            total = total + piece * term.coefficient
+            total = total + TransformExpr(PFTerm(
+                term.root, term.multiplicity, term.coefficient).as_ratfunc())
         return total
 
     def __str__(self) -> str:

@@ -5,9 +5,10 @@ A problem is
     a(n+k) = c_{k-1} a(n+k-1) + ... + c_0 a(n) + forcing(n),   n >= 1,
 
 with rational coefficients, rational initial values a(1)..a(k) and forcing
-built from rational multiples of n^p (p bounded) and b^n (b a positive
-rational that must not hit a characteristic root).  Transforming both
-sides with the shift rule and solving for the unknown transform L gives
+built from terms c n^p b^n (p bounded, b a nonzero rational).  Each term's
+transform is one quotient with the single pole b, which may coincide with
+a characteristic root.  Transforming both sides with the shift rule and
+solving for the unknown transform L gives
 
     L = (initial polynomial + forcing transform) / characteristic polynomial
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-from .errors import ResonantForcing, UnsupportedForcing, VerificationFailed
+from .errors import UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from .polys import Poly
 from .transforms import MAX_N_POWER, TransformExpr, n_power
@@ -34,37 +35,23 @@ RationalLike = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
-class PowerTerm:
-    """coefficient * n^exponent as a forcing summand."""
+class ForcingTerm:
+    """coefficient * n^exponent * base^n as a forcing summand."""
 
     coefficient: Fraction
-    exponent: int
+    exponent: int = 0
+    base: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        object.__setattr__(self, "base", Fraction(self.base))
         if self.exponent < 0:
             raise UnsupportedForcing("negative powers of n are not supported")
         if self.exponent > MAX_N_POWER:
             raise UnsupportedForcing(
                 f"n^{self.exponent} exceeds the degree limit {MAX_N_POWER}")
-
-
-@dataclass(frozen=True)
-class GeometricTerm:
-    """coefficient * base^n as a forcing summand."""
-
-    coefficient: Fraction
-    base: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(self, "base", Fraction(self.base))
-        if self.base <= 0:
-            raise UnsupportedForcing(
-                f"geometric forcing needs a positive base, got {self.base}")
-
-
-ForcingTerm = Union[PowerTerm, GeometricTerm]
+        if not self.base:
+            raise UnsupportedForcing("a forcing base must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -102,10 +89,11 @@ class RecurrenceSpec:
     def forcing_value(self, n: int) -> Fraction:
         total = Fraction(0)
         for term in self.forcing:
-            if isinstance(term, PowerTerm):
-                total += term.coefficient * n ** term.exponent
-            else:
-                total += term.coefficient * term.base ** n
+            base = term.base
+            value = n ** term.exponent * base.numerator ** n
+            if base.denominator > 1:
+                value = Fraction(value, base.denominator ** n)
+            total += term.coefficient * value
         return total
 
     @classmethod
@@ -218,18 +206,11 @@ def transform_of(spec: RecurrenceSpec) -> TransformExpr:
     """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
     fnum/fden is the forcing over one common denominator: one reduction."""
     char = spec.characteristic()
-    pieces = []     # (numerator, pole b, order k) of each num/(t - b)^k
-    for term in spec.forcing:
-        if isinstance(term, PowerTerm):
-            power = n_power(term.exponent).rational
-            pieces.append((power.num * term.coefficient, 1,
-                           term.exponent + 1))
-        elif not char(term.base):
-            raise ResonantForcing(
-                f"forcing base {term.base} is a characteristic root")
-        else:   # b^n = b * b^(n-1)
-            pieces.append((Poly((term.coefficient * term.base,)),
-                           term.base, 1))
+    # (numerator, pole b, order k) of each num/(t - b)^k; a pole shared
+    # with char only raises that root's multiplicity
+    pieces = [(n_power(term.exponent, term.base).rational.num
+               * term.coefficient, term.base, term.exponent + 1)
+              for term in spec.forcing]
     orders = {b: max(k for _, c, k in pieces if c == b) for _, b, _ in pieces}
     fden = Poly.from_roots(*(b for b, k in orders.items() for _ in range(k)))
     fnum = sum((num * (fden // Poly.from_roots(*[b] * k))

@@ -14,7 +14,7 @@ Rules, all exact in t:
     times_n       n f(n)             ->  -dF/ds  =  -t dF/dt
     convolve      sum_{k<n} f(k)g(n-k) -> F * G
     partial_sum   sum_{k<n} f(k)     ->  F/(t - 1)
-    n_power       n^k                ->  t A_k(t)/(t - 1)^(k+1), A_k Eulerian
+    n_power       n^k b^n            ->  b t^k A_k(b/t)/(t - b)^(k+1)
 
 A rule that would produce a polynomial part raises ``ImproperResult``; that
 only happens when the supplied initial values contradict the series F
@@ -33,7 +33,7 @@ from .polys import Poly, RatFunc, T
 
 Scalar = Union[int, Fraction, QuadExt]
 
-# Highest power of n accepted by n_power and by polynomial forcing terms.
+# Highest power of n accepted by n_power and by forcing terms.
 MAX_N_POWER = 12
 
 _ZERO_RF = RatFunc()
@@ -160,18 +160,24 @@ def partial_sum(expr: TransformExpr) -> TransformExpr:
     return _proper(expr.rational / RatFunc(Poly((-1, 1))))
 
 
-def n_power(k: int) -> TransformExpr:
-    """Transform of n^k: t*A_k(t)/(t - 1)^(k+1), with the Eulerian numbers
-    A(k, m) as the coefficients of A_k (Concrete Mathematics 6.2), and
-    1/(t - 1) at k = 0.  A_k(1) = k!, so the quotient is already reduced."""
+def n_power(k: int, base: Union[int, Fraction] = 1) -> TransformExpr:
+    """Transform of n^k b^n: b t^k A_k(b/t)/(t - b)^(k+1), with the
+    Eulerian numbers A(k, m) as the coefficients of A_k (Concrete
+    Mathematics 6.2), and b/(t - b) at k = 0.  The numerator is
+    b^(k+1) k! at t = b, so the quotient is already reduced."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     if k > MAX_N_POWER:
         raise DegreeLimitExceeded(
             f"n^{k} exceeds the degree limit {MAX_N_POWER}")
+    if not base:
+        raise ValueError("base must be nonzero")
+    b = Fraction(base)
+    b = b.numerator if b.denominator == 1 else b    # ints stay ints
     num = [0] * (k + 1)
-    for m in range(max(k, 1)):   # t^k A_k(1/t), which is t A_k(t) for k > 0
-        num[k - m] = sum((-1) ** j * comb(k + 1, j) * (m + 1 - j) ** k
-                         for j in range(m + 1))
-    den = [(-1) ** (k + 1 - i) * comb(k + 1, i) for i in range(k + 2)]
+    for m in range(max(k, 1)):   # coefficient A(k, m) b^(m+1) of t^(k-m)
+        num[k - m] = b ** (m + 1) * sum(
+            (-1) ** j * comb(k + 1, j) * (m + 1 - j) ** k
+            for j in range(m + 1))
+    den = [comb(k + 1, i) * (-b) ** (k + 1 - i) for i in range(k + 2)]
     return TransformExpr(RatFunc._reduced(Poly(num), Poly(den)))

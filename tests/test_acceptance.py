@@ -21,7 +21,7 @@ from dlaplace.numeric import check_closed_form_pair, series_eval, terms_needed
 from dlaplace.polys import PFTerm, Poly, RatFunc, partial_fractions
 from dlaplace.sequences import (ClosedFormSequence, convolve, delta,
                                 inverse_transform, partial_sums)
-from dlaplace.solver import (PowerTerm, RecurrenceSpec, RecursiveSequence,
+from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
                              solve_ivp)
 from dlaplace.transforms import TransformExpr, geometric, n_power, partial_sum, shift
 
@@ -92,7 +92,7 @@ def test_criterion_03_affine_family():
                  (Fraction(-1), Fraction(5, 3), Fraction(0))]
         for lam, beta, a1 in cases:
             report = solve_ivp(RecurrenceSpec(1, (lam,), (a1,),
-                                              (PowerTerm(beta, 0),)),
+                                              (ForcingTerm(beta, 0),)),
                                verify_upto=50)
             # the textbook form (a1 + beta/(lam-1)) lam^(n-1) + beta/(1-lam)
             head = a1 + beta / (lam - 1)
@@ -103,7 +103,7 @@ def test_criterion_03_affine_family():
                 value = report.closed_form(n)
                 assert value == reference(n)
                 assert value == head * lam ** (n - 1) - beta / (lam - 1)
-        report = solve_ivp(RecurrenceSpec(1, (1,), (2,), (PowerTerm(3, 0),)),
+        report = solve_ivp(RecurrenceSpec(1, (1,), (2,), (ForcingTerm(3, 0),)),
                            verify_upto=50)
         assert report.closed_form == ClosedFormSequence([(2, 1, 1),
                                                          (3, 1, 2)])
@@ -114,7 +114,7 @@ def test_criterion_03_affine_family():
 def test_criterion_04_second_difference_ivp():
     with criterion(4, "second-difference IVP closed form"):
         # D^2 f(n) = f(n+2) - 2f(n+1) + f(n) = n, f(1) = 1, (Df)(1) = 2
-        spec = RecurrenceSpec(2, (-1, 2), (1, 3), (PowerTerm(1, 1),))
+        spec = RecurrenceSpec(2, (-1, 2), (1, 3), (ForcingTerm(1, 1),))
         report = solve_ivp(spec, verify_upto=100)
         assert report.values(6) == [1, 3, 6, 11, 19, 31]
         for n in range(1, 101):

@@ -209,12 +209,44 @@ def test_exit_code_capability(capsys):
                  "a[n+3] = a[n+1] + a[n]; a[1] = 1; a[2] = 1; a[3] = 1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    # resonant geometric forcing
-    assert main(["solve", "a[n+1] = 2*a[n] + 2^n; a[1] = 1"]) == 2
-    capsys.readouterr()
+    # resonant geometric forcing is solved, not refused
+    assert main(["solve", "a[n+1] = 2*a[n] + 2^n; a[1] = 1"]) == 0
+    assert "values:      1, 4, 12, 32, 80, 192, 448, 1024, 2304, 5120\n" \
+        in capsys.readouterr().out
     # every grid point sits inside the divergence region
     assert main(["verify", "a[n+1] = 5*a[n]; a[1] = 1",
                  "--s-grid", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    # (t^2 - 2)(t^2 - 3)
+    "a[n+4] = 5*a[n+2] - 6*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+    # (t^2 - t - 1)(t^2 - 3t + 1)
+    "a[n+4] = 4*a[n+3] - 3*a[n+2] - 2*a[n+1] + a[n]; "
+    "a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+    # (t^2 + 1)(t^2 + 2)
+    "a[n+4] = -3*a[n+2] - 2*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+])
+def test_unsplit_quartics_are_not_called_irreducible(text, capsys):
+    # each quartic is a product of two quadratics; the engine does not
+    # look for that split, so it must refuse without claiming there is none
+    assert main(["solve", text]) == 2
+    err = capsys.readouterr().err
+    assert "irreducible" not in err
+    assert "no rational root, and factors of degree 4 are not split" in err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@pytest.mark.parametrize("argv", [
+    ["verify", "a[n+1] = a[n] + n^12; a[1] = 1"],
+    ["verify", "a[n+2] = 2*a[n+1] - a[n] + n^6; a[1]=1; a[2]=2",
+     "--s-grid", "0.2,0.3"],
+    ["verify", "a[n+1] = 2*a[n] + n^2*2^n; a[1] = 1"],
+])
+def test_correct_closed_forms_pass_the_numeric_check(argv, capsys):
+    # each closed form passes its exact self-check; the numeric check
+    # still reports a gap above the tolerance (exit 3)
+    assert main(argv) == 0
 
 
 def test_exit_code_check_failed(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from dlaplace.dsl import DslProgram, parse_program
 from dlaplace.errors import ParseError, SemanticError
-from dlaplace.solver import GeometricTerm, PowerTerm, RecurrenceSpec
+from dlaplace.solver import ForcingTerm, RecurrenceSpec
 
 FIB_TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
 
@@ -14,7 +14,7 @@ def test_fibonacci_program():
     program = parse_program(FIB_TEXT)
     assert program.order == 2
     assert program.shifts == {1: Fraction(1), 0: Fraction(1)}
-    assert program.powers == {} and program.geometrics == {}
+    assert program.forcing == {}
     assert program.initials == {1: Fraction(1), 2: Fraction(1)}
     assert program.to_spec() == RecurrenceSpec.fibonacci()
 
@@ -23,18 +23,35 @@ def test_forcing_terms_collected():
     program = parse_program(
         "a[n+1] = 2*a[n] + n^2 + 3*2^n + 1/2; a[1] = 0")
     assert program.shifts == {0: Fraction(2)}
-    assert program.powers == {2: Fraction(1), 0: Fraction(1, 2)}
-    assert program.geometrics == {Fraction(2): Fraction(3)}
+    assert program.forcing == {(2, 1): Fraction(1), (0, 1): Fraction(1, 2),
+                               (0, 2): Fraction(3)}
     spec = program.to_spec()
-    assert spec.forcing == (PowerTerm(Fraction(1, 2), 0),
-                            PowerTerm(Fraction(1), 2),
-                            GeometricTerm(Fraction(3), Fraction(2)))
+    assert spec.forcing == (ForcingTerm(Fraction(1, 2), 0),
+                            ForcingTerm(Fraction(3), 0, Fraction(2)),
+                            ForcingTerm(Fraction(1), 2))
+
+
+def test_products_and_signed_bases():
+    program = parse_program("a[n+1] = 2*a[n] + n*2^n - 3*n^2*(-1/2)^n "
+                            "+ (-2)^n + 1/2(3)^n; a[1] = 1")
+    assert program.forcing == {(1, 2): Fraction(1),
+                               (2, Fraction(-1, 2)): Fraction(-3),
+                               (0, -2): Fraction(1), (0, 3): Fraction(1, 2)}
+    assert program.to_spec().forcing == (
+        ForcingTerm(1, 0, -2), ForcingTerm(Fraction(1, 2), 0, 3),
+        ForcingTerm(1, 1, 2), ForcingTerm(-3, 2, Fraction(-1, 2)))
+    assert program.render() == ("a[n+1] = 2*a[n] - 3*n^2*(-1/2)^n + n*2^n "
+                                "+ (-2)^n + 1/2*3^n; a[1] = 1")
+    with pytest.raises(ParseError, match=r"expected '\^', found ';'"):
+        parse_program("a[n+1] = n*2; a[1] = 1")
+    with pytest.raises(ParseError, match=r"expected '\)', found '\^'"):
+        parse_program("a[n+1] = (-2^n; a[1] = 1")
 
 
 def test_sign_handling():
     program = parse_program("a[n+1] = -a[n] + n - 3; a[1] = -3/2")
     assert program.shifts == {0: Fraction(-1)}
-    assert program.powers == {1: Fraction(1), 0: Fraction(-3)}
+    assert program.forcing == {(1, 1): Fraction(1), (0, 1): Fraction(-3)}
     assert program.initials == {1: Fraction(-3, 2)}
 
 
@@ -49,7 +66,7 @@ def test_juxtaposed_coefficient_and_whitespace():
 def test_like_terms_combine_and_cancel():
     program = parse_program("a[n+1] = a[n] + a[n] + n - n + 2 + 3; a[1] = 0")
     assert program.shifts == {0: Fraction(2)}
-    assert program.powers == {0: Fraction(5)}
+    assert program.forcing == {(0, 1): Fraction(5)}
 
 
 def test_render_round_trips():
@@ -122,14 +139,14 @@ def _random_program(rng: random.Random) -> DslProgram:
     shifts = {j: Fraction(rng.choice([-3, -1, 1, 2, 5]),
                           rng.choice([1, 2]))
               for j in range(order) if rng.random() < 0.7}
-    powers = {p: Fraction(rng.randint(1, 4))
-              for p in range(4) if rng.random() < 0.3}
-    geometrics = {base: Fraction(rng.randint(1, 3))
-                  for base in (Fraction(2), Fraction(1, 2), Fraction(5, 3))
-                  if rng.random() < 0.25}
+    bases = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(5, 3),
+             Fraction(-2), Fraction(-1, 3))
+    forcing = {(p, base): Fraction(rng.choice([-3, -1, 1, 2, 4]),
+                                   rng.choice([1, 2]))
+               for p in range(4) for base in bases if rng.random() < 0.1}
     initials = {i: Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
                 for i in range(1, order + 1)}
-    return DslProgram(order, shifts, powers, geometrics, initials)
+    return DslProgram(order, shifts, forcing, initials)
 
 
 def test_random_render_parse_round_trip():

@@ -8,12 +8,11 @@ from dlaplace.dsl import parse_program
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
-from dlaplace.solver import (GeometricTerm, PowerTerm, RecurrenceSpec,
-                             RecursiveSequence, solve_ivp, transform_of,
-                             verify_solution)
+from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
+                             solve_ivp, transform_of, verify_solution)
 from dlaplace.transforms import geometric, n_power
-from dlaplace.errors import (ResonantForcing, UnsupportedFactorization,
-                             UnsupportedForcing, VerificationFailed)
+from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
+                             VerificationFailed)
 
 FIB = RecurrenceSpec.fibonacci()
 
@@ -23,7 +22,7 @@ def _solve_affine(lam, beta, a1, verify_upto=64):
     (a1 + beta/(lam-1)) lam^(n-1) + beta/(1-lam), or a1 + beta (n-1) at
     lam = 1."""
     lam, beta, a1 = Fraction(lam), Fraction(beta), Fraction(a1)
-    report = solve_ivp(RecurrenceSpec(1, (lam,), (a1,), (PowerTerm(beta, 0),)),
+    report = solve_ivp(RecurrenceSpec(1, (lam,), (a1,), (ForcingTerm(beta),)),
                        verify_upto)
     if lam == 1:
         expected = ClosedFormSequence([(a1, 1, 1), (beta, 1, 2)])
@@ -42,11 +41,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec(2, (Fraction(1), Fraction(1)), (1,))
     with pytest.raises(UnsupportedForcing):
-        PowerTerm(1, 13)
+        ForcingTerm(1, 13)
     with pytest.raises(UnsupportedForcing):
-        PowerTerm(1, -1)
+        ForcingTerm(1, -1)
     with pytest.raises(UnsupportedForcing):
-        GeometricTerm(1, 0)
+        ForcingTerm(1, 0, 0)
 
 
 def test_characteristic_polynomial():
@@ -60,7 +59,7 @@ def test_recursive_sequence_ground_truth():
     ref = RecursiveSequence(FIB)
     assert [ref(n) for n in range(1, 10)] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
     forced = RecursiveSequence(RecurrenceSpec(
-        1, (Fraction(2),), (1,), (PowerTerm(1, 0),)))
+        1, (Fraction(2),), (1,), (ForcingTerm(1, 0),)))
     assert [forced(n) for n in range(1, 5)] == [1, 3, 7, 15]
     with pytest.raises(ValueError):
         ref(0)
@@ -179,7 +178,7 @@ def test_affine_near_one_consistency():
 
 def test_second_difference_ivp():
     # D^2 f(n) = f(n+2) - 2f(n+1) + f(n) = n, f(1) = 1, (Df)(1) = 2
-    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (PowerTerm(1, 1),))
+    spec = RecurrenceSpec(2, (-1, 2), (1, 3), (ForcingTerm(1, 1),))
     report = solve_ivp(spec, verify_upto=100)
     for n in range(1, 101):
         expected = Fraction(2 * n - 1) + Fraction(n * (n - 1) * (n - 2), 6)
@@ -191,7 +190,7 @@ def test_second_difference_ivp():
 
 def test_first_difference_ivp():
     # Df(n) = f(n+1) - f(n) = 1, f(1) = 1
-    spec = RecurrenceSpec(1, (1,), (1,), (PowerTerm(1, 0),))
+    spec = RecurrenceSpec(1, (1,), (1,), (ForcingTerm(1, 0),))
     report = solve_ivp(spec)
     for n in range(1, 30):
         assert report.closed_form(n) == n
@@ -199,7 +198,7 @@ def test_first_difference_ivp():
 
 def test_geometric_forcing():
     spec = RecurrenceSpec(1, (Fraction(2),), (1,),
-                          (GeometricTerm(1, 3),))
+                          (ForcingTerm(1, 0, 3),))
     report = solve_ivp(spec)
     ref = RecursiveSequence(spec)
     for n in range(1, 40):
@@ -208,14 +207,14 @@ def test_geometric_forcing():
 
 def test_forcing_over_one_denominator_matches_the_termwise_sum():
     # pieces share poles: n^3, n^0 and 1^n at t = 1, two terms at t = 2
-    forcing = (PowerTerm(2, 3), PowerTerm(-1, 0), GeometricTerm(3, 1),
-               GeometricTerm(Fraction(1, 2), 2), GeometricTerm(5, 2),
-               GeometricTerm(Fraction(-7, 3), Fraction(1, 3)))
+    forcing = (ForcingTerm(2, 3), ForcingTerm(-1, 0), ForcingTerm(3, 0, 1),
+               ForcingTerm(Fraction(1, 2), 0, 2), ForcingTerm(5, 0, 2),
+               ForcingTerm(Fraction(-7, 3), 0, Fraction(1, 3)))
     # characteristic roots 3 and 4
     spec = RecurrenceSpec(2, (Fraction(-12), Fraction(7)), (1, 4), forcing)
     total = RatFunc(Poly((4 - 7 * 1, 1)))    # a(2) - c_1 a(1) + a(1) t
     for term in forcing:
-        if isinstance(term, PowerTerm):
+        if term.exponent:   # every n^p here has base 1
             total = total + n_power(term.exponent).rational * term.coefficient
         else:
             total = total + geometric(term.base).rational * (
@@ -241,15 +240,46 @@ def test_forced_transform_is_reduced_once(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_resonant_geometric_forcing_rejected():
-    spec = RecurrenceSpec(1, (Fraction(2),), (1,),
-                          (GeometricTerm(1, 2),))
-    with pytest.raises(ResonantForcing):
-        solve_ivp(spec)
-    # power forcing on a resonant unit root stays supported
+def test_resonant_geometric_forcing_is_solved():
+    # a(n+1) = 2a(n) + 2^n: the forcing's pole t = 2 is the characteristic
+    # root, so the solution has a double pole there: a(n) = n 2^(n-1)
+    spec = RecurrenceSpec(1, (Fraction(2),), (1,), (ForcingTerm(1, 0, 2),))
+    report = solve_ivp(spec)
+    assert report.closed_form == ClosedFormSequence([(1, 2, 1), (2, 2, 2)])
+    for n in range(1, 65):
+        assert report.closed_form(n) == n * 2 ** (n - 1)
     # D^2 f(n) = n: the forcing's pole t = 1 is the double characteristic root
-    resonant_power = RecurrenceSpec(2, (-1, 2), (0, 0), (PowerTerm(1, 1),))
+    resonant_power = RecurrenceSpec(2, (-1, 2), (0, 0), (ForcingTerm(1, 1),))
     solve_ivp(resonant_power)
+
+
+def test_forcing_bases_planted_on_characteristic_roots():
+    # each case plants its characteristic roots and puts every forcing base
+    # on one of them, so each n^p b^n term raises that root's multiplicity
+    # by p + 1; the closed form must still match the recursion far past
+    # the self-check's 64 terms
+    rng = random.Random(13)
+    pool = [Fraction(1), Fraction(2), Fraction(-1), Fraction(-2),
+            Fraction(1, 2), Fraction(-2, 3)]
+    on_double = on_negative = 0
+    for case in range(24):
+        roots = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+        if case % 2 == 0:
+            roots.append(roots[0])
+        char = Poly.from_roots(*roots)
+        forcing = tuple(ForcingTerm(rng.choice([-2, 1, 3]), rng.randint(0, 2),
+                                    rng.choice(roots))
+                        for _ in range(rng.randint(1, 2)))
+        on_double += any(roots.count(t.base) > 1 for t in forcing)
+        on_negative += any(t.base < 0 for t in forcing)
+        spec = RecurrenceSpec(
+            len(roots), tuple(-c.as_fraction() for c in char.coefficients[:-1]),
+            tuple(Fraction(rng.randint(-3, 3)) for _ in roots), forcing)
+        closed = solve_ivp(spec).closed_form
+        ref = RecursiveSequence(spec)
+        for n in range(1, 201):
+            assert closed(n) == ref(n), (spec, n)
+    assert on_double and on_negative
 
 
 def test_unsupported_characteristic_polynomials():
@@ -278,7 +308,7 @@ def test_random_constructed_recurrences():
         c1, c0 = r1 + r2, -r1 * r2            # t^2 - c1 t - c0
         forcing = ()
         if rng.random() < 0.4:
-            forcing = (PowerTerm(Fraction(rng.randint(1, 3)),
+            forcing = (ForcingTerm(Fraction(rng.randint(1, 3)),
                                  rng.randint(0, 2)),)
         spec = RecurrenceSpec(2, (c0, c1),
                               (Fraction(rng.randint(-5, 5)),

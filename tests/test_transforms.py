@@ -105,11 +105,13 @@ def test_times_n_scales_deltas_by_position():
 
 
 def test_n_power_matches_the_times_n_iteration():
-    # the Eulerian closed form against the construction it replaced
-    expr = geometric(1)
-    for k in range(MAX_N_POWER + 1):
-        assert n_power(k) == expr
-        expr = times_n(expr)
+    # the Eulerian closed form of n^k b^n against k applications of the
+    # times_n rule to b^n = b * b^(n-1)
+    for base in (1, 3, Fraction(1, 2), -2, Fraction(-2, 3)):
+        expr = geometric(base) * base
+        for k in range(MAX_N_POWER + 1):
+            assert n_power(k, base) == expr
+            expr = times_n(expr)
 
 
 def test_n_power_denominator_structure():
@@ -120,6 +122,8 @@ def test_n_power_denominator_structure():
         n_power(MAX_N_POWER + 1)
     with pytest.raises(ValueError):
         n_power(-1)
+    with pytest.raises(ValueError):
+        n_power(2, 0)
 
 
 def test_convolution_is_the_product():
