@@ -18,9 +18,10 @@ import math
 import sys
 
 from .dsl import parse_program
-from .errors import (CheckFailed, DlaplaceError, ParseError, SemanticError,
-                     VerificationFailed)
+from .errors import (CapabilityError, CheckFailed, DlaplaceError, ParseError,
+                     SemanticError, VerificationFailed)
 from .numeric import DEFAULT_TOLERANCE, check_closed_form_pair
+from .sequences import _MEMO_LIMIT
 from .solver import solve_ivp
 from .transforms import geometric, n_power
 
@@ -28,6 +29,10 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CAPABILITY = 2
 EXIT_VERIFY = 3
+
+# Largest --terms, --verify-upto and --upto: closed-form values past it are
+# no longer memoised, so each one would cost a full evaluation.
+MAX_HORIZON = _MEMO_LIMIT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,11 +77,19 @@ _grid = _flag_value(lambda text: tuple(float(x) for x in text.split(",")),
                     "comma-separated finite numbers")
 
 
+def _check_horizon(flag: str, value: int) -> None:
+    if value > MAX_HORIZON:
+        raise CapabilityError(
+            f"{flag} {value} exceeds the horizon limit {MAX_HORIZON}")
+
+
 def _display_var(display: str) -> str:
     return "e^s" if display == "exps" else "t"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_horizon("--terms", args.terms)
+    _check_horizon("--verify-upto", args.verify_upto)
     program = parse_program(_read_program(args))
     report = solve_ivp(program.to_spec(), verify_upto=args.verify_upto)
     if args.json:
@@ -85,7 +98,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # built before anything is printed, so a basis refusal prints nothing
     basis = report.coefficient_decomposition
     var = _display_var(args.display)
-    values = ", ".join(str(v) for v in report.values(args.terms))
+    values = ", ".join(report.value_texts(args.terms))
     print(f"closed form: {report.closed_form_text()}")
     print(f"transform:   {report.transform.render(var)}")
     print(f"values:      {values}")
@@ -98,6 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_horizon("--upto", args.upto)
     program = parse_program(_read_program(args))
     # The solve's self-check, verify_solution, proves the initial values
     # and the recurrence for n + order <= upto.

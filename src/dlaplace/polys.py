@@ -5,6 +5,13 @@ polynomial is the empty tuple and reports degree -1.  ``RatFunc`` keeps a
 quotient normalized: gcd cancelled and the denominator monic, so equality
 is plain coefficient comparison.
 
+``poly_gcd`` of two rational polynomials scales each to a primitive
+integer vector and runs a primitive remainder sequence in Z[t]: each
+pseudo-remainder is divided by its content, so no ``Fraction`` or
+``QuadExt`` arithmetic runs until the monic gcd is built (Cohen, *A
+Course in Computational Algebraic Number Theory*, 3.3).  Euclid over
+``QuadExt`` is kept for radical coefficients only.
+
 ``factor_roots`` finds the complete root multiset of a monic denominator
 when it splits over Q or a single real quadratic extension (rational root
 extraction plus the quadratic formula on the squarefree leftovers, with a
@@ -49,10 +56,6 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Poly":
@@ -272,12 +275,47 @@ T = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(p, 0) is monic(p)."""
+    """Monic gcd; gcd(p, 0) is monic(p).  Rational operands run a primitive
+    remainder sequence in integers, radical ones Euclid over QuadExt."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if not (a.is_rational and b.is_rational):
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+    f, g = _integer_coefficients(a), _integer_coefficients(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    if g:       # a nonzero constant remainder: coprime
+        return Poly((1,))
+    return Poly(Fraction(c, f[-1]) for c in f)
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content (the gcd of the entries)."""
+    content = gcd(*ints)
+    return [v // content for v in ints] if content > 1 else ints
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """A nonzero integer multiple of f mod g, trailing zeros dropped.  Each
+    step scales the running remainder only by lc(g)/gcd(lc(g), lc(r)), so
+    its entries grow no more than the division needs."""
+    r, lead = list(f), g[-1]
+    while len(r) >= len(g):
+        shift = len(r) - len(g)
+        top = r.pop()
+        common = gcd(lead, top)
+        scale, top = lead // common, top // common
+        if scale != 1:
+            r = [v * scale for v in r]
+        for i, c in enumerate(g[:-1], shift):
+            r[i] -= top * c
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -301,12 +339,9 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def _integer_coefficients(f: Poly) -> list[int]:
     """Scale a rational-coefficient polynomial to primitive integers."""
     fracs = [c.as_fraction() for c in f.coefficients]
-    scale = lcm(*(fr.denominator for fr in fracs)) if fracs else 1
-    ints = [int(fr * scale) for fr in fracs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    return [v // content for v in ints] if content > 1 else ints
+    scale = lcm(*(fr.denominator for fr in fracs))
+    return _primitive([fr.numerator * (scale // fr.denominator)
+                       for fr in fracs])
 
 
 def _divisors(n: int) -> list[int]:

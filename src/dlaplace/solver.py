@@ -12,19 +12,27 @@ solving for the unknown transform L gives
 
     L = (initial polynomial + forcing transform) / characteristic polynomial
 
-which the sequence engine then inverts into a closed form.  Every solve
-re-checks its own answer against direct recursion before returning; a
-mismatch raises ``VerificationFailed`` and means a bug, never bad input.
+which the sequence engine then inverts into a closed form.  Numerator and
+denominator are assembled as integer vectors, each pole (v t - u)^k of a
+base u/v built from binomials, and reduced once.
+
+Every solve re-checks its own answer against direct recursion before
+returning; a mismatch raises ``VerificationFailed`` and means a bug, never
+bad input.  The recursion steps in integers: it keeps a(n) times one
+common denominator M S^n, advances each b^n by one multiplication, and
+makes one ``Fraction`` per value read.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from math import comb, lcm
 from typing import Callable, Optional, Union
 
-from .errors import UnsupportedForcing, VerificationFailed
+from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from .polys import Poly
 from .transforms import MAX_N_POWER, TransformExpr, n_power
@@ -86,16 +94,6 @@ class RecurrenceSpec:
         """t^k - c_{k-1} t^(k-1) - ... - c_0."""
         return Poly(tuple(-c for c in self.coefficients) + (1,))
 
-    def forcing_value(self, n: int) -> Fraction:
-        total = Fraction(0)
-        for term in self.forcing:
-            base = term.base
-            value = n ** term.exponent * base.numerator ** n
-            if base.denominator > 1:
-                value = Fraction(value, base.denominator ** n)
-            total += term.coefficient * value
-        return total
-
     @classmethod
     def fibonacci(cls, a1: RationalLike = 1, a2: RationalLike = 1,
                   ) -> "RecurrenceSpec":
@@ -104,40 +102,65 @@ class RecurrenceSpec:
                    (Fraction(a1), Fraction(a2)))
 
 
+def _scaled(x: Fraction, multiple: int) -> int:
+    """x * multiple, for a multiple of x's denominator, in integers."""
+    return x.numerator * (multiple // x.denominator)
+
+
 class RecursiveSequence:
-    """Direct iteration of a RecurrenceSpec, memoized; the ground truth."""
+    """Direct iteration of a RecurrenceSpec, memoized; the ground truth.
+
+    With S the lcm of the coefficient and base denominators and M that of
+    the initial and forcing-coefficient denominators, A(n) = a(n) M S^n
+    obeys A(m+k) = sum_j c_j S^(k-j) A(m+j) + sum_i M S^k c_i m^p_i (S b_i)^m
+    in integers.  Each (S b_i)^m advances by one multiplication, and a read
+    divides by M S^n once.
+    """
 
     def __init__(self, spec: RecurrenceSpec) -> None:
-        self.spec = spec
-        self._values: list[Fraction] = list(spec.initials)
+        k, forcing = spec.order, spec.forcing
+        s = lcm(*(c.denominator for c in spec.coefficients),
+                *(term.base.denominator for term in forcing))
+        m = lcm(*(v.denominator for v in spec.initials),
+                *(term.coefficient.denominator for term in forcing))
+        self.spec, self._scale, self._clear = spec, s, m
+        self._steps = [(j, _scaled(c, s) * s ** (k - 1 - j))
+                       for j, c in enumerate(spec.coefficients) if c]
+        self._forcing = [(_scaled(term.coefficient, m) * s ** k,
+                          term.exponent, _scaled(term.base, s))
+                         for term in forcing]
+        # (S b_i)^m for the next step's m, which starts at 1
+        self._powers = [sb for _, _, sb in self._forcing]
+        self._values = [_scaled(v, m) * s ** i
+                        for i, v in enumerate(spec.initials, 1)]
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("sequences start at n = 1")
-        spec = self.spec
-        while len(self._values) < n:
-            m = len(self._values) - spec.order + 1
-            nxt = spec.forcing_value(m)
-            for j, c in enumerate(spec.coefficients):
-                if c:
-                    nxt += c * self._values[m - 1 + j]
-            self._values.append(nxt)
-        return self._values[n - 1]
+        values, powers = self._values, self._powers
+        while len(values) < n:
+            m = len(values) - self.spec.order + 1
+            nxt = sum(c * values[m - 1 + j] for j, c in self._steps)
+            for i, (c, p, sb) in enumerate(self._forcing):
+                nxt += c * m ** p * powers[i]
+                powers[i] *= sb
+            values.append(nxt)
+        return Fraction(values[n - 1], self._clear * self._scale ** n)
 
 
-def _initial_polynomial(spec: RecurrenceSpec) -> Poly:
-    """Initial data contributed by shifting both sides of the recurrence.
+def _initial_polynomial(spec: RecurrenceSpec) -> list[Fraction]:
+    """Initial data contributed by shifting both sides of the recurrence,
+    lowest degree first.
 
     Shifting a by k contributes sum_i a(i) t^(k-i); each right-hand shift
     by j contributes -c_j * sum_{i<=j} a(i) t^(j-i).
     """
-    k = spec.order
-    total = Poly(tuple(reversed(spec.initials)))
-    for j in range(1, k):
-        c = spec.coefficients[j]
+    a = spec.initials
+    total = list(reversed(a))
+    for j, c in enumerate(spec.coefficients):
         if c:
-            piece = Poly(tuple(reversed(spec.initials[:j])))
-            total = total - Poly.constant(c) * piece
+            for i in range(1, j + 1):
+                total[j - i] -= c * a[i - 1]
     return total
 
 
@@ -167,6 +190,19 @@ class SolutionReport:
         reference = RecursiveSequence(self.spec)
         return [reference(n) for n in range(1, count + 1)]
 
+    def value_texts(self, count: int = 10) -> list[str]:
+        """The values as text; one with more digits than the interpreter
+        converts to a string is refused."""
+        texts = []
+        for n, value in enumerate(self.values(count), 1):
+            try:
+                texts.append(str(value))
+            except ValueError:
+                raise CapabilityError(
+                    f"a({n}) is too large to print: it has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
+        return texts
+
     def closed_form_text(self) -> str:
         pretty = fibonacci_normal(self.closed_form)
         return pretty if pretty is not None else str(self.closed_form)
@@ -189,7 +225,7 @@ class SolutionReport:
                 "num": [_quadext_json(c) for c in folded.num.coefficients],
                 "den": [_quadext_json(c) for c in folded.den.coefficients],
             },
-            "values": [str(v) for v in self.values(count)],
+            "values": self.value_texts(count),
             "verified_upto": self.verified_upto,
         }
 
@@ -202,21 +238,66 @@ def _quadext_json(value: QuadExt) -> dict:
     }
 
 
+def _int_mul(p: list[int], q: list[int]) -> list[int]:
+    """The product of two integer vectors, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q, i):
+                out[j] += x * y
+    return out
+
+
+def _pole(base: Fraction, k: int) -> list[int]:
+    """(v t - u)^k for base u/v, from binomials."""
+    u, v = base.numerator, base.denominator
+    return [comb(k, i) * v ** i * (-u) ** (k - i) for i in range(k + 1)]
+
+
+def _integer_vector(fracs: list[Fraction]) -> tuple[list[int], int]:
+    """(fracs * L, L) for L the lcm of the denominators."""
+    scale = lcm(*(x.denominator for x in fracs))
+    return [_scaled(x, scale) for x in fracs], scale
+
+
 def transform_of(spec: RecurrenceSpec) -> TransformExpr:
     """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
-    fnum/fden is the forcing over one common denominator: one reduction."""
-    char = spec.characteristic()
-    # (numerator, pole b, order k) of each num/(t - b)^k; a pole shared
-    # with char only raises that root's multiplicity
-    pieces = [(n_power(term.exponent, term.base).rational.num
-               * term.coefficient, term.base, term.exponent + 1)
+    fnum/fden is the forcing over one common denominator: the product of
+    (v t - u)^k over the bases u/v, each k the highest pole order there.
+
+    Both sides are assembled as integer vectors and reduced once."""
+    # (numerator, coefficient, base, order) of each c*num/(t - b)^k; a
+    # pole shared with char only raises that root's multiplicity
+    pieces = [(n_power(term.exponent, term.base).rational.num,
+               term.coefficient, term.base, term.exponent + 1)
               for term in spec.forcing]
-    orders = {b: max(k for _, c, k in pieces if c == b) for _, b, _ in pieces}
-    fden = Poly.from_roots(*(b for b, k in orders.items() for _ in range(k)))
-    fnum = sum((num * (fden // Poly.from_roots(*[b] * k))
-                for num, b, k in pieces), Poly())
-    return TransformExpr.from_ratfunc(_initial_polynomial(spec) * fden + fnum,
-                                      char * fden)
+    orders: dict[Fraction, int] = {}
+    for _, _, b, k in pieces:
+        orders[b] = max(orders.get(b, 0), k)
+    poles = {b: _pole(b, k) for b, k in orders.items()}
+    fden = reduce(_int_mul, poles.values(), [1])
+    # fnum * coeff_scale in integers, the lcm of the forcing coefficients'
+    # denominators; num/(t - b)^k = v^k num/(v t - u)^k, v^k num integral
+    coeff_scale = lcm(*(c.denominator for _, c, _, _ in pieces))
+    fnum = [0] * len(fden)
+    for num, c, b, k in pieces:
+        vk = b.denominator ** k
+        top = [_scaled(x.as_fraction(), vk) * _scaled(c, coeff_scale)
+               for x in num.coefficients]
+        cofactor = reduce(_int_mul, (p for other, p in poles.items()
+                                     if other != b),
+                          _pole(b, orders[b] - k))
+        for i, x in enumerate(_int_mul(top, cofactor)):
+            fnum[i] += x
+    init, init_scale = _integer_vector(_initial_polynomial(spec))
+    char, char_scale = _integer_vector(
+        [-c for c in spec.coefficients] + [Fraction(1)])
+    # both sides times init_scale * coeff_scale * char_scale
+    num = [x * char_scale * coeff_scale for x in _int_mul(init, fden)]
+    for i, x in enumerate(fnum):
+        num[i] += x * char_scale * init_scale
+    den = [x * init_scale * coeff_scale for x in _int_mul(char, fden)]
+    return TransformExpr.from_ratfunc(num, den)
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,

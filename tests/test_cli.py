@@ -13,7 +13,7 @@ import dlaplace
 from dlaplace import polys, solver
 from dlaplace.cli import build_parser, main
 from dlaplace.exact import QuadExt
-from dlaplace.sequences import ClosedFormSequence
+from dlaplace.sequences import _MEMO_LIMIT, ClosedFormSequence
 
 FIB_TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
 
@@ -403,6 +403,54 @@ def test_values_past_the_double_range_are_refused(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "past the double range" in lines[0]
     assert "Traceback" not in captured.err
+
+
+FORCED_N12 = "a[n+1] = 3*a[n] + n^12; a[1] = 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", FIB_TEXT, "--terms"],
+    ["solve", FIB_TEXT, "--json", "--terms"],
+    ["solve", FORCED_N12, "--verify-upto"],
+    ["solve", FORCED_N12, "--json", "--verify-upto"],
+    ["verify", FORCED_N12, "--upto"],
+    ["verify", FIB_TEXT, "--json", "--upto"],
+])
+@pytest.mark.parametrize("past", [1, 100000])
+def test_horizons_past_the_memo_limit_are_refused(argv, past, capsys):
+    # past the memo limit each closed-form value is evaluated term by
+    # term: --verify-upto 20000 on the n^12 problem used to take 29 s
+    value = _MEMO_LIMIT + past
+    assert main(argv + [str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {argv[-1]} {value} exceeds the horizon "
+                            f"limit {_MEMO_LIMIT}\n")
+
+
+def test_horizon_at_the_memo_limit_is_solved(capsys):
+    assert main(["solve", FORCED_N12, "--terms", str(_MEMO_LIMIT),
+                 "--verify-upto", str(_MEMO_LIMIT)]) == 0
+    out = capsys.readouterr().out
+    assert f"verified:    n <= {_MEMO_LIMIT} (exact)" in out
+    assert out.count(", ") == _MEMO_LIMIT - 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_values_past_the_digit_limit_are_refused(extra, capsys):
+    # a(n) = 10^(8(n-1)) has 8n - 7 digits, more than the interpreter's
+    # limit for converting an int to a string from the n named here on
+    first = (sys.get_int_max_str_digits() + 7) // 8 + 1
+    argv = ["solve", "a[n+1] = 100000000*a[n]; a[1] = 1", "--terms", "600"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: a({first}) is too large to print")
+    # one value short of it still prints
+    assert main(argv[:-1] + [str(first - 1)] + extra) == 0
+    assert str(10 ** (8 * (first - 2))) in capsys.readouterr().out
 
 
 def _solve_json_in_child(text):

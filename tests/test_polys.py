@@ -62,7 +62,37 @@ def test_division_by_zero_poly():
         divmod(Poly((1,)), Poly())
 
 
-def test_gcd():
+def _fraction_gcd(a, b):
+    """Monic gcd of two Fraction vectors (lowest degree first) by Euclid."""
+    def strip(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+    a, b = strip(list(a)), strip(list(b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b, shift):
+                r[i] -= f * c
+            strip(r)
+        a, b = b, r
+    return [c / a[-1] for c in a]
+
+
+def _fraction_product(*factors):
+    """The product of Fraction vectors, lowest degree first."""
+    out = [Fraction(1)]
+    for q in factors:
+        prod = [Fraction(0)] * (len(out) + len(q) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(q, i):
+                prod[j] += x * y
+        out = prod
+    return out
+
+
+def test_gcd(monkeypatch):
     a = Poly.from_roots(1, 1, 2)
     b = Poly.from_roots(1, 3)
     assert poly_gcd(a, b) == Poly.from_roots(1)
@@ -70,6 +100,54 @@ def test_gcd():
     assert poly_gcd(Poly((2,)), a) == Poly((1,))
     with pytest.raises(ValueError):
         poly_gcd(Poly(), Poly())
+
+    # rational operands never divide over QuadExt
+    def no_mod(self, other):
+        raise AssertionError("rational gcd reached Poly.__mod__")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "__mod__", no_mod)
+        assert poly_gcd(a * Fraction(3, 4), Poly()) == a.monic()
+        rng = random.Random(41)
+        roots = [Fraction(1), Fraction(-1), Fraction(3), Fraction(2, 3),
+                 Fraction(-5, 7), Fraction(1, 2), Fraction(0)]
+
+        def linear(r):
+            return [-r, Fraction(1)]
+
+        planted = {
+            "trivial": [],
+            "repeated": [linear(Fraction(1))] * 3,
+            "fractional": [linear(Fraction(2, 3))] * 2
+            + [linear(Fraction(-5, 7))],
+            "t^2 - 2": [[Fraction(-2), Fraction(0), Fraction(1)]],
+            "mixed": [[Fraction(-2), Fraction(0), Fraction(1)],
+                      linear(Fraction(1, 2)), linear(Fraction(1, 2))],
+        }
+        drawn = set()
+        for _ in range(200):
+            name = rng.choice(sorted(planted))
+            sides = [_fraction_product(
+                *planted[name],
+                *(linear(rng.choice(roots)) for _ in range(rng.randint(0, 4))),
+                [Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                          rng.randint(1, 9))]) for _ in range(2)]
+            expected = _fraction_gcd(*sides)
+            got = poly_gcd(Poly(sides[0]), Poly(sides[1]))
+            assert got == Poly(expected), (name, sides)
+            assert got.degree >= len(_fraction_product(*planted[name])) - 1
+            drawn.add(name)
+        assert drawn == set(planted)
+
+    # a radical coefficient takes Euclid over QuadExt
+    def no_integers(f, g):
+        raise AssertionError("radical gcd reached the integer sequence")
+
+    monkeypatch.setattr(polys, "_pseudo_remainder", no_integers)
+    sqrt2 = QuadExt(0, 1, 2)
+    left = Poly.from_roots(sqrt2, 1, 1) * 3
+    right = Poly.from_roots(sqrt2, 1, Fraction(-2, 5))
+    assert poly_gcd(left, right) == Poly.from_roots(sqrt2, 1)
 
 
 def test_squarefree_decomposition():

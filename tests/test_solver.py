@@ -55,6 +55,58 @@ def test_characteristic_polynomial():
     assert third.characteristic() == Poly((-2, 0, 1, 1))
 
 
+def _fraction_iteration(spec, count):
+    """a(1)..a(count) by stepping the recurrence in Fractions, each forcing
+    term evaluated at n from scratch."""
+    values = list(spec.initials)
+    while len(values) < count:
+        m = len(values) - spec.order + 1
+        nxt = Fraction(0)
+        for term in spec.forcing:
+            base = term.base
+            value = m ** term.exponent * base.numerator ** m
+            if base.denominator > 1:
+                value = Fraction(value, base.denominator ** m)
+            nxt += term.coefficient * value
+        for j, c in enumerate(spec.coefficients):
+            if c:
+                nxt += c * values[m - 1 + j]
+        values.append(nxt)
+    return values[:count]
+
+
+def _seeded_specs(rng, count):
+    """Orders 1-4 with up to three forcing terms (exponents 0, 1, 5 and
+    12; integer, fractional and negative bases), some homogeneous.  Every
+    third spec plants its characteristic roots and adds a term whose base
+    is one of them; the others draw coefficients with denominators 1, 2,
+    3 and 7, and c_0 = 0 in every fifth."""
+    bases = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+             Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7)]
+    for case in range(count):
+        order = case % 4 + 1
+        forcing = [ForcingTerm(Fraction(rng.randint(-9, 9) or 1,
+                                        rng.choice((1, 2, 3, 7))),
+                               rng.choice((0, 1, 5, 12)), rng.choice(bases))
+                   for _ in range(rng.randint(1, 3) if case % 7 != 1 else 0)]
+        if case % 3 == 0:
+            roots = [rng.choice(bases) for _ in range(order)]
+            char = Poly.from_roots(*roots)
+            coefficients = [-c.as_fraction() for c in char.coefficients[:-1]]
+            forcing.append(ForcingTerm(Fraction(5, 2), rng.choice((0, 12)),
+                                       roots[0]))
+        else:
+            coefficients = [Fraction(rng.randint(-6, 6),
+                                     rng.choice((1, 2, 3, 7)))
+                            for _ in range(order)]
+            if case % 5 == 0:
+                coefficients[0] = Fraction(0)
+        initials = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+                    for _ in range(order)]
+        yield RecurrenceSpec(order, tuple(coefficients), tuple(initials),
+                             tuple(forcing))
+
+
 def test_recursive_sequence_ground_truth():
     ref = RecursiveSequence(FIB)
     assert [ref(n) for n in range(1, 10)] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -63,6 +115,30 @@ def test_recursive_sequence_ground_truth():
     assert [forced(n) for n in range(1, 5)] == [1, 3, 7, 15]
     with pytest.raises(ValueError):
         ref(0)
+    # the integer stepping against the Fraction iteration, read in order
+    # and starting from n = 50
+    seen = {"orders": set(), "denominators": set(), "c0 = 0": False,
+            "homogeneous": False, "n^12": False, "fractional base": False,
+            "negative base": False, "base on a root": False}
+    for spec in _seeded_specs(random.Random(2718), 24):
+        expected = _fraction_iteration(spec, 200)
+        in_order = RecursiveSequence(spec)
+        assert [in_order(n) for n in range(1, 201)] == expected, spec
+        from_50 = RecursiveSequence(spec)
+        assert [from_50(n) for n in range(50, 201)] == expected[49:], spec
+        assert [from_50(n) for n in range(1, 50)] == expected[:49], spec
+        seen["orders"].add(spec.order)
+        seen["denominators"] |= {c.denominator for c in spec.coefficients}
+        seen["c0 = 0"] |= spec.coefficients[0] == 0
+        seen["homogeneous"] |= spec.is_homogeneous
+        for term in spec.forcing:
+            seen["n^12"] |= term.exponent == 12
+            seen["fractional base"] |= term.base.denominator > 1
+            seen["negative base"] |= term.base < 0
+            seen["base on a root"] |= not spec.characteristic()(term.base)
+    assert seen.pop("orders") == {1, 2, 3, 4}
+    assert seen.pop("denominators") >= {2, 3, 7}
+    assert all(seen.values()), seen
 
 
 def test_fibonacci_transform_shape():
@@ -206,21 +282,36 @@ def test_geometric_forcing():
 
 
 def test_forcing_over_one_denominator_matches_the_termwise_sum():
-    # pieces share poles: n^3, n^0 and 1^n at t = 1, two terms at t = 2
-    forcing = (ForcingTerm(2, 3), ForcingTerm(-1, 0), ForcingTerm(3, 0, 1),
-               ForcingTerm(Fraction(1, 2), 0, 2), ForcingTerm(5, 0, 2),
-               ForcingTerm(Fraction(-7, 3), 0, Fraction(1, 3)))
-    # characteristic roots 3 and 4
-    spec = RecurrenceSpec(2, (Fraction(-12), Fraction(7)), (1, 4), forcing)
-    total = RatFunc(Poly((4 - 7 * 1, 1)))    # a(2) - c_1 a(1) + a(1) t
-    for term in forcing:
-        if term.exponent:   # every n^p here has base 1
-            total = total + n_power(term.exponent).rational * term.coefficient
-        else:
-            total = total + geometric(term.base).rational * (
-                term.coefficient * term.base)
-    expected = total / RatFunc(spec.characteristic())
-    assert transform_of(spec).rational == expected
+    cases = [
+        # pieces share poles: n^3, n^0 and 1^n at t = 1, two terms at t = 2
+        (ForcingTerm(2, 3), ForcingTerm(-1, 0), ForcingTerm(3, 0, 1),
+         ForcingTerm(Fraction(1, 2), 0, 2), ForcingTerm(5, 0, 2),
+         ForcingTerm(Fraction(-7, 3), 0, Fraction(1, 3))),
+        # negative bases, one of them raised to n^p
+        (ForcingTerm(3, 2, -2), ForcingTerm(-1, 0, -2),
+         ForcingTerm(Fraction(1, 5), 1, -1)),
+        # bases with a denominator raised to n^p, sharing a pole
+        (ForcingTerm(Fraction(5, 3), 4, Fraction(2, 3)),
+         ForcingTerm(-2, 0, Fraction(2, 3)),
+         ForcingTerm(1, 12, Fraction(-1, 2))),
+        # poles shared with the characteristic roots 3 and 4
+        (ForcingTerm(2, 1, 3), ForcingTerm(1, 0, 4),
+         ForcingTerm(Fraction(-1, 7), 12, 3)),
+    ]
+    for forcing in cases:
+        # characteristic roots 3 and 4
+        spec = RecurrenceSpec(2, (Fraction(-12), Fraction(7)), (1, 4),
+                              forcing)
+        total = RatFunc(Poly((4 - 7 * 1, 1)))    # a(2) - c_1 a(1) + a(1) t
+        for term in forcing:
+            if term.exponent:
+                total = total + n_power(term.exponent, term.base).rational \
+                    * term.coefficient
+            else:
+                total = total + geometric(term.base).rational * (
+                    term.coefficient * term.base)
+        expected = total / RatFunc(spec.characteristic())
+        assert transform_of(spec).rational == expected
 
 
 def test_forced_transform_is_reduced_once(monkeypatch):
