@@ -11,6 +11,12 @@ brackets sqrt(d) tightly enough to land within a couple of ulps.
 In normal form ``d == 0`` exactly when ``b == 0``.  So arithmetic on two
 rational operands, and the inverse of one, is a single ``Fraction``
 operation, and ints and Fractions are wrapped without the constructor.
+The constructor with a zero radical part makes one ``Fraction`` and
+never splits the radicand.  Equality and order between a rational value
+and an int, a ``Fraction`` or another rational value compare the
+``Fraction`` directly, without wrapping the other side, and a rational
+value hashes as its ``Fraction``, so equal values find each other in a
+dict or set whichever type they have.
 
 Values from two different extensions (both radicands nonzero and unequal)
 cannot be combined; such an attempt raises ``RadicandMismatch`` instead of
@@ -49,10 +55,13 @@ class QuadExt:
                  radical: RationalLike = 0, radicand: int = 0) -> None:
         if radicand < 0:
             raise ValueError("radicand must be nonnegative")
+        if not radical:
+            self._a, self._b, self._d = Fraction(rational), _NO_RADICAL, 0
+            return
         a, b = Fraction(rational), Fraction(radical)
-        m, d = _squarefree_split(radicand) if b else (1, 0)
+        m, d = _squarefree_split(radicand)
         if d <= 1:      # sqrt(0) = 0 and sqrt(m*m) = m
-            a, b, d = a + b * m * d, Fraction(0), 0
+            a, b, d = a + b * m * d, _NO_RADICAL, 0
         self._a, self._b, self._d = a, b * m, d
 
     @classmethod
@@ -66,8 +75,10 @@ class QuadExt:
     def of(cls, value: "QuadExt | RationalLike") -> "QuadExt":
         if isinstance(value, QuadExt):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
             return cls._normalised(Fraction(value), _NO_RADICAL, 0)
+        if isinstance(value, Fraction):
+            return cls._normalised(value, _NO_RADICAL, 0)
         raise TypeError(f"cannot interpret {value!r} as an exact value")
 
     @property
@@ -84,10 +95,10 @@ class QuadExt:
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return not self._d
 
     def as_fraction(self) -> Fraction:
-        if self._b != 0:
+        if self._d:
             raise ValueError(f"{self} has a nonzero radical part")
         return self._a
 
@@ -232,37 +243,53 @@ class QuadExt:
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, QuadExt):
+            if self._d or other._d:
+                return self._a == other._a and self._b == other._b and \
+                    self._d == other._d
+            other = other._a
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
+        # both normalised: equal rationals have equal terms
+        a = self._a
+        return not self._d and a.numerator == other.numerator and \
+            a.denominator == other.denominator
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        # a rational value hashes as its Fraction, which it equals
+        return hash((self._a, self._b, self._d)) if self._d else \
+            hash(self._a)
+
+    def _compare(self, other: object) -> int | None:
+        """The sign of self - other; None when other is not exact."""
+        if isinstance(other, QuadExt):
+            if self._d or other._d:
+                return (self - other).sign()
+            other = other._a
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        elif self._d:
+            return (self - other).sign()
+        a = self._a
+        diff = a.numerator * other.denominator - \
+            other.numerator * a.denominator
+        return (diff > 0) - (diff < 0)
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c >= 0
 
     def __float__(self) -> float:
         return self.to_float()
@@ -284,6 +311,14 @@ class QuadExt:
 
     def __repr__(self) -> str:
         return f"QuadExt({self._a!r}, {self._b!r}, {self._d})"
+
+
+def _integer_pair(value: QuadExt, scale: int) -> tuple[int, int]:
+    """(x, y) with x + y*sqrt(d) == scale * value; scale clears both
+    denominators."""
+    a, b = value.rational_part, value.radical_part
+    return (a.numerator * (scale // a.denominator),
+            b.numerator * (scale // b.denominator))
 
 
 SQRT5 = QuadExt(0, 1, 5)

@@ -10,7 +10,10 @@ integer vector and runs a primitive remainder sequence in Z[t]: each
 pseudo-remainder is divided by its content, so no ``Fraction`` or
 ``QuadExt`` arithmetic runs until the monic gcd is built (Cohen, *A
 Course in Computational Algebraic Number Theory*, 3.3).  Euclid over
-``QuadExt`` is kept for radical coefficients only.
+``QuadExt`` is kept for radical coefficients only.  ``RatFunc`` reduces
+a rational quotient the same way: the gcd, the exact division by it and
+the monic scaling run on the primitive integer vectors of its two sides,
+and the ``Poly``s are built once, from the reduced vectors.
 
 ``factor_roots`` finds the complete root multiset of a monic denominator
 when it splits over Q or a single real quadratic extension (rational root
@@ -27,7 +30,11 @@ division over ``QuadExt`` runs until the rational roots are gone (Cohen,
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 by local expansion at each root, which needs no linear system and keeps
-repeated roots on the same code path as simple ones.
+repeated roots on the same code path as simple ones.  The Taylor shift to
+a root is one synthetic division on integer pairs (x, y), standing for
+x + y*sqrt(d), over one common denominator, with d the root's radicand
+(0 for a rational root); so a rational quotient at a rational root is
+expanded in integers and ``Fraction``s, without ``QuadExt`` arithmetic.
 """
 
 from __future__ import annotations
@@ -39,11 +46,13 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (ImproperRational, PoleEvaluation, RadicandMismatch,
                      UnsupportedFactorization)
-from .exact import QuadExt, _squarefree_split, sort_key
+from .exact import (QuadExt, RationalLike, _integer_pair,
+                    _squarefree_split, sort_key)
 
 Scalar = Union[int, Fraction, QuadExt]
 _ZERO = QuadExt(0)
 _ONE = QuadExt(1)
+_MINUS_ONE = QuadExt(-1)
 
 
 class Poly:
@@ -263,7 +272,7 @@ def _term_text(c: QuadExt, k: int, var: str) -> str:
     text = _power_text(k, var)
     if c == _ONE:
         return text
-    if c == QuadExt(-1):
+    if c == _MINUS_ONE:
         return f"-{text}"
     if c.is_rational:
         return f"{c}*{text}"
@@ -272,25 +281,43 @@ def _term_text(c: QuadExt, k: int, var: str) -> str:
 
 # the formal variable, importable as a building block
 T = Poly((0, 1))
+_ONE_POLY = Poly((1,))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(p, 0) is monic(p).  Rational operands run a primitive
-    remainder sequence in integers, radical ones Euclid over QuadExt."""
-    if a.is_zero and b.is_zero:
+def poly_gcd(a: Poly | list[int], b: Poly | list[int]) -> Poly:
+    """Monic gcd; gcd(p, 0) is monic(p).  The operands are both Polys or
+    both integer vectors, lowest degree first.  Rational operands run a
+    primitive remainder sequence in integers, radical ones Euclid over
+    QuadExt."""
+    if isinstance(a, Poly):
+        if a.is_zero and b.is_zero:
+            raise ValueError("gcd(0, 0) is undefined")
+        if not (a.is_rational and b.is_rational):
+            while not b.is_zero:
+                a, b = b, a % b
+            return a.monic()
+        a, b = _integer_coefficients(a), _integer_coefficients(b)
+    elif not (a or b):
         raise ValueError("gcd(0, 0) is undefined")
-    if not (a.is_rational and b.is_rational):
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-    f, g = _integer_coefficients(a), _integer_coefficients(b)
-    if len(f) < len(g):
-        f, g = g, f
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
     while len(g) > 1:
         f, g = g, _primitive(_pseudo_remainder(f, g))
     if g:       # a nonzero constant remainder: coprime
-        return Poly((1,))
+        return _ONE_POLY
     return Poly(Fraction(c, f[-1]) for c in f)
+
+
+def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
+    """f/h for an integer vector h that divides f in Z[t], by long
+    division from the top; every step divides exactly."""
+    r, lead = list(f), h[-1]
+    out = [0] * (len(f) - len(h) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = r[k + len(h) - 1] // lead
+        if c:
+            for i, x in enumerate(h, k):
+                r[i] -= c * x
+    return out
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -338,10 +365,32 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 def _integer_coefficients(f: Poly) -> list[int]:
     """Scale a rational-coefficient polynomial to primitive integers."""
-    fracs = [c.as_fraction() for c in f.coefficients]
-    scale = lcm(*(fr.denominator for fr in fracs))
-    return _primitive([fr.numerator * (scale // fr.denominator)
-                       for fr in fracs])
+    return _primitive_part([c.as_fraction() for c in f.coefficients])[0]
+
+
+def _primitive_part(values: list[RationalLike]) -> tuple[list[int], Fraction]:
+    """(f, c) with values == c * f and f a primitive integer vector."""
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    content = gcd(*ints) or 1
+    return [v // content for v in ints], Fraction(content, scale)
+
+
+def _rational_values(values: Iterable[Scalar]) -> list[RationalLike] | None:
+    """The values as ints and Fractions, trailing zeros dropped; None when
+    one of them is radical."""
+    out: list[RationalLike] = []
+    for c in values:
+        if isinstance(c, QuadExt):
+            if c.radicand:
+                return None
+            c = c.rational_part
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as an exact value")
+        out.append(c)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -480,27 +529,64 @@ def factor_roots(den: Poly) -> list[tuple[QuadExt, int]]:
     return sorted(found, key=lambda item: sort_key(item[0]))
 
 
+def _reduce_radical(n: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """n/d with the gcd cancelled and d monic, over QuadExt."""
+    if d.is_zero:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if n.is_zero:
+        return Poly(), _ONE_POLY
+    g = poly_gcd(n, d)
+    if g.degree > 0:
+        n, d = n // g, d // g
+    lead = d.leading
+    if lead != _ONE:
+        n, d = n / lead, d / lead
+    return n, d
+
+
+def _coefficient_list(value: "Poly | Scalar | Sequence[Scalar]",
+                      ) -> Sequence[Scalar]:
+    if isinstance(value, Poly):
+        return value.coefficients
+    if isinstance(value, (tuple, list)):
+        return value
+    return (value,)
+
+
 class RatFunc:
-    """A normalized quotient of polynomials in t."""
+    """A normalized quotient of polynomials in t.
+
+    Numerator and denominator are each a ``Poly``, a scalar or a
+    coefficient sequence, lowest degree first.  When both are rational the
+    gcd, the exact division by it and the monic scaling run on their
+    primitive integer vectors; radical ones reduce by Euclid over
+    ``QuadExt``."""
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: Poly | Scalar = 0, den: Poly | Scalar = 1) -> None:
-        n = num if isinstance(num, Poly) else Poly((num,))
-        d = den if isinstance(den, Poly) else Poly((den,))
-        if d.is_zero:
+    def __init__(self, num: Poly | Scalar | Sequence[Scalar] = 0,
+                 den: Poly | Scalar | Sequence[Scalar] = 1) -> None:
+        num, den = _coefficient_list(num), _coefficient_list(den)
+        top, bottom = _rational_values(num), _rational_values(den)
+        if top is None or bottom is None:
+            self._num, self._den = _reduce_radical(Poly(num), Poly(den))
+            return
+        if not bottom:
             raise ZeroDivisionError("rational function with zero denominator")
-        if n.is_zero:
-            n, d = Poly(), Poly((1,))
-        else:
-            g = poly_gcd(n, d)
-            if g.degree > 0:
-                n, d = n // g, d // g
-            lead = d.leading
-            if lead != _ONE:
-                n, d = n / lead, d / lead
-        self._num = n
-        self._den = d
+        if not top:
+            self._num, self._den = Poly(), _ONE_POLY
+            return
+        (f, f_content), (g, g_content) = \
+            _primitive_part(top), _primitive_part(bottom)
+        common = poly_gcd(f, g)
+        if common.degree > 0:
+            h = _integer_coefficients(common)
+            f, g = _exact_quotient(f, h), _exact_quotient(g, h)
+        lead = g[-1]
+        scale = f_content / (g_content * lead)
+        top, bottom = scale.numerator, scale.denominator
+        self._num = Poly(Fraction(x * top, bottom) for x in f)
+        self._den = Poly(Fraction(x, lead) for x in g)
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -609,7 +695,7 @@ class RatFunc:
         if self.is_zero:
             return "0"
         num_text = self._num.render(var)
-        if self._den == Poly((1,)):
+        if self._den == _ONE_POLY:
             return num_text
         if sum(1 for c in self._num.coefficients if c) > 1:
             num_text = f"({num_text})"
@@ -639,17 +725,48 @@ class PFTerm:
                        Poly((-self.root, 1)) ** self.multiplicity)
 
 
-def _taylor(p: Poly, r: QuadExt, count: int) -> list[QuadExt]:
-    """First count coefficients of p(r + u), by synthetic division."""
-    coeffs, out = list(p.coefficients), []
-    for _ in range(count):
-        acc, quotient = _ZERO, []
-        for c in reversed(coeffs):
-            acc = acc * r + c
-            quotient.append(acc)
-        out.append(quotient.pop() if quotient else _ZERO)
-        coeffs = quotient[::-1]
-    return out
+def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
+    """First count coefficients of p(r + u): Fractions when p and r are
+    rational, QuadExt otherwise.
+
+    With d the one radicand, r = R/Q and p = P/L for R and the P_i in
+    Z[sqrt(d)], p(r + u) = H(R + Q u)/(L Q^deg) for H_i = P_i Q^(deg - i).
+    Synthetic division by (z - R) on integer pairs (x, y), standing for
+    x + y sqrt(d), gives the Taylor coefficients h_k of H at R, and the
+    coefficient of u^k is h_k/(L Q^(deg - k))."""
+    coeffs = p.coefficients
+    radicands = {c.radicand for c in coeffs} | {r.radicand}
+    radicands.discard(0)
+    if len(radicands) > 1:
+        first, second = sorted(radicands)[:2]
+        raise RadicandMismatch(
+            f"cannot combine sqrt({first}) with sqrt({second})")
+    d = radicands.pop() if radicands else 0
+    q = lcm(r.rational_part.denominator, r.radical_part.denominator)
+    u, v = _integer_pair(r, q)
+    vd = v * d
+    scale = lcm(*(x.denominator for c in coeffs
+                  for x in (c.rational_part, c.radical_part)))
+    xs, ys, q_power = [], [], 1     # H, highest degree first
+    for c in reversed(coeffs):
+        x, y = _integer_pair(c, scale)
+        xs.append(x * q_power)
+        ys.append(y * q_power)
+        q_power *= q
+    den, out = scale * q_power // q, []
+    for _ in range(min(count, len(xs))):
+        acc_x = acc_y = 0
+        quo_x, quo_y = [], []
+        for cx, cy in zip(xs, ys):
+            acc_x, acc_y = (acc_x * u + acc_y * vd + cx,
+                            acc_x * v + acc_y * u + cy)
+            quo_x.append(acc_x)
+            quo_y.append(acc_y)
+        hx, hy = quo_x.pop(), quo_y.pop()
+        out.append(QuadExt._normalised(Fraction(hx, den), Fraction(hy, den),
+                                       d) if d else Fraction(hx, den))
+        xs, ys, den = quo_x, quo_y, den // q
+    return out + [_ZERO if d else Fraction(0)] * (count - len(out))
 
 
 def partial_fractions(a: RatFunc) -> list[PFTerm]:
@@ -659,7 +776,9 @@ def partial_fractions(a: RatFunc) -> list[PFTerm]:
     ISSAC 1993): at t = r + u the first m terms of the series num/Q, where
     Q = den/(t - r)^m, are the coefficients of 1/(t - r)^m .. 1/(t - r); a
     rational quotient conjugates them for the conjugate root.  Zero
-    coefficients are dropped.
+    coefficients are dropped.  The Taylor shifts run in integers, and at a
+    rational root of a rational quotient the series quotient runs in
+    Fractions.
     """
     if a.is_zero:
         return []
@@ -675,10 +794,11 @@ def partial_fractions(a: RatFunc) -> list[PFTerm]:
             num = _taylor(a.num, root, mult)
             den = _taylor(a.den, root, 2 * mult)
             assert not any(den[:mult]), "root of lower multiplicity"
-            q, inv, series = den[mult:], den[mult].inverse(), []
+            q, inv, series = den[mult:], 1 / den[mult], []
             for i in range(mult):
                 series.append(inv * (num[i] - sum(
-                    (q[j] * series[i - j] for j in range(1, i + 1)), _ZERO)))
+                    q[j] * series[i - j] for j in range(1, i + 1))))
+            series = [QuadExt.of(c) for c in series]
         local[root] = series
     return [PFTerm(root, j, c) for root, series in local.items()
             for j, c in enumerate(reversed(series), 1) if c]

@@ -34,7 +34,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
-from .exact import PHI, PSI, QuadExt, sort_key
+from .exact import (PHI, PSI, QuadExt, _NO_RADICAL, _integer_pair,
+                    sort_key)
 from .polys import PFTerm, partial_fractions
 from .transforms import TransformExpr
 
@@ -44,6 +45,10 @@ Sequence1 = Callable[[int], Scalar]
 # Values past this index are computed term by term and not kept, so the
 # memo's memory stays bounded however far a caller reads.
 _MEMO_LIMIT = 4096
+
+_ONE = QuadExt(1)
+_MINUS_ONE = QuadExt(-1)
+_EXACT = (int, Fraction, QuadExt)
 
 
 @dataclass(frozen=True)
@@ -220,16 +225,10 @@ class _IntegerSteps:
             x_sum, y_sum = x_sum + weight * x, y_sum + weight * y
         den = self._den
         self._den = den * self._q
+        if not y_sum:
+            return QuadExt._normalised(Fraction(x_sum, den), _NO_RADICAL, 0)
         return QuadExt._normalised(Fraction(x_sum, den), Fraction(y_sum, den),
                                    self._d)
-
-
-def _integer_pair(value: QuadExt, scale: int) -> tuple[int, int]:
-    """(x, y) with x + y*sqrt(d) == scale * value; scale clears both
-    denominators."""
-    a, b = value.rational_part, value.radical_part
-    return (a.numerator * (scale // a.denominator),
-            b.numerator * (scale // b.denominator))
 
 
 def _coeff_text(c: QuadExt) -> str:
@@ -252,19 +251,19 @@ def _term_text(term: Term) -> str:
         factors.append("(n-1)")
     elif m > 2:
         factors.append(f"C(n-1,{m - 1})")
-    if r != QuadExt(1):
+    if r != _ONE:
         factors.append(_root_power_text(r, m))
     if not factors:
         return str(c) if c.is_rational else f"({c})"
-    if c == QuadExt(1):
+    if c == _ONE:
         return "*".join(factors)
-    if c == QuadExt(-1):
+    if c == _MINUS_ONE:
         return "-" + "*".join(factors)
     return "*".join([_coeff_text(c)] + factors)
 
 
 def _spike_text(j: int, c: QuadExt) -> str:
-    if c == QuadExt(1):
+    if c == _ONE:
         return f"delta(n,{j})"
     return f"{_coeff_text(c)}*delta(n,{j})"
 
@@ -301,9 +300,15 @@ def partial_sums(f: Sequence1) -> Sequence1:
 
 def equal_prefix(f: Sequence1, g: Sequence1, upto: int,
                  ) -> tuple[bool, int | None]:
-    """Compare two sequences for n = 1..upto; report the first mismatch."""
+    """Compare two sequences for n = 1..upto; report the first mismatch.
+    Values may be ints, Fractions or QuadExt, compared as they come."""
     for n in range(1, upto + 1):
-        if QuadExt.of(f(n)) != QuadExt.of(g(n)):
+        left, right = f(n), g(n)
+        for value in (left, right):
+            if not isinstance(value, _EXACT):
+                raise TypeError(
+                    f"cannot interpret {value!r} as an exact value")
+        if left != right:
             return False, n
     return True, None
 
@@ -332,8 +337,8 @@ def fibonacci_normal(seq: ClosedFormSequence) -> str | None:
 
 
 def _numerator_text(c: QuadExt, body: str) -> str:
-    if c == QuadExt(1):
+    if c == _ONE:
         return body
-    if c == QuadExt(-1):
+    if c == _MINUS_ONE:
         return f"-{body}"
     return f"{_coeff_text(c)}*{body}"

@@ -39,14 +39,6 @@ MAX_N_POWER = 12
 _ZERO_RF = RatFunc()
 
 
-def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (tuple, list)):
-        return Poly(value)
-    return Poly((value,))
-
-
 class TransformExpr:
     """A transform value: a strictly proper rational function of t."""
 
@@ -61,7 +53,7 @@ class TransformExpr:
     def from_ratfunc(cls, num, den=1) -> "TransformExpr":
         """Wrap num/den as a transform; accepts Poly, scalar, or
         a coefficient sequence (lowest degree first)."""
-        return _proper(RatFunc(_as_poly(num), _as_poly(den)))
+        return _proper(RatFunc(num, den))
 
     @property
     def rational(self) -> RatFunc:

@@ -77,6 +77,19 @@ def test_comparisons_are_exact():
     assert abs(PSI) == PHI - 1
     assert sorted([PHI, PSI, QuadExt(0)], key=sort_key) == \
         [QuadExt(0), PSI, PHI]
+    # a rational value against an int, a Fraction or a rational QuadExt
+    half = QuadExt(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != 0 and half != QuadExt(Fraction(1, 3))
+    assert QuadExt(3) == 3 and 3 == QuadExt(3)
+    assert half < 1 and half <= Fraction(1, 2) and half > 0
+    assert half >= QuadExt(Fraction(-7, 3)) and not half > Fraction(1, 2)
+    assert 1 > half and Fraction(1, 3) < half and -1 <= half
+    # a radical value never equals a rational one
+    assert QuadExt(Fraction(1, 2), 1, 5) != Fraction(1, 2)
+    assert (half == "1/2") is False and half != 0.5
+    with pytest.raises(TypeError):
+        half < 0.5
 
 
 def test_to_float_golden_values():
@@ -197,6 +210,22 @@ def test_hash_consistent_with_eq():
     assert hash(QuadExt(1, 2, 12)) == hash(QuadExt(1, 4, 3))
     values = {PHI, PSI, PHI}
     assert len(values) == 2
+
+
+def test_equal_values_hash_equal_across_types():
+    half = Fraction(1, 2)
+    assert QuadExt(half) == half and hash(QuadExt(half)) == hash(half)
+    assert {QuadExt(half): 5}.get(half) == 5
+    assert {half: 5}.get(QuadExt(half)) == 5
+    assert {QuadExt(3): "x"}.get(3) == "x" and {3: "x"}.get(QuadExt(3)) == "x"
+    assert QuadExt(-2) in {Fraction(-2)} and Fraction(-2) in {QuadExt(-2)}
+    assert 7 in {QuadExt(7)} and QuadExt(7) in {7}
+    assert len({QuadExt(half), half, Fraction(2, 4)}) == 1
+    assert len({QuadExt(2), 2, Fraction(2), QuadExt(Fraction(4, 2))}) == 1
+    # a radical value keeps its hash and matches no rational key
+    assert hash(PHI) == hash((half, half, 5))
+    assert {half: 1}.get(QuadExt(half, 1, 5)) is None
+    assert QuadExt(half, 1, 5) not in {half, QuadExt(half)}
 
 
 def _reference(x):

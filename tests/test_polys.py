@@ -11,7 +11,8 @@ from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
                             partial_fractions, poly_gcd,
                             squarefree_decomposition)
 from dlaplace.errors import (ImproperRational, PoleEvaluation,
-                             UnsupportedFactorization)
+                             RadicandMismatch, UnsupportedFactorization)
+from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import transform_of
 
 FIB_DEN = Poly((-1, -1, 1))  # t^2 - t - 1
@@ -431,3 +432,135 @@ def test_rendering():
     assert str(RatFunc()) == "0"
     assert str(Poly((0, Fraction(-1, 2)))) == "-1/2*t"
     assert str(Poly.from_roots(PHI)) == "t + (-1/2 - 1/2*sqrt(5))"
+
+
+def _taylor_reference(p, r, count):
+    """The QuadExt synthetic division that the integer-pair shift
+    replaced: the first count coefficients of p(r + u)."""
+    coeffs, out = list(p.coefficients), []
+    for _ in range(count):
+        acc, quotient = QuadExt(0), []
+        for c in reversed(coeffs):
+            acc = acc * r + c
+            quotient.append(acc)
+        out.append(quotient.pop() if quotient else QuadExt(0))
+        coeffs = quotient[::-1]
+    return out
+
+
+def _assert_taylor_matches(p, r, count):
+    got = polys._taylor(p, r, count)
+    assert got == _taylor_reference(p, r, count), (p, r, count)
+    # a rational polynomial at a rational root stays in Fractions
+    rational = p.is_rational and r.is_rational
+    assert all(isinstance(c, Fraction) == rational for c in got)
+
+
+def test_taylor_shift_matches_quadext_reference_randomized():
+    rng = random.Random(1993)
+
+    def rational(bound=9, den=6):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+    def radical_pair():
+        # a squarefree radicand up to 10^6, and its conjugate pair
+        while True:
+            d = rng.randint(2, 10 ** 6)
+            if polys._squarefree_split(d)[0] == 1:
+                break
+        r = QuadExt(rational(), rational() or 1, d)
+        return r, r.conjugate()
+
+    def cofactor():
+        return Poly([rational() for _ in range(rng.randint(0, 3))]
+                    + [rational() or 1])
+
+    for _ in range(30):
+        # a rational root p/q of multiplicity up to 14, as n^12 forcing
+        # makes at t = 1, and a second rational root
+        r = QuadExt(rational(5, 4))
+        m = rng.randint(1, 14)
+        other = QuadExt(rational(5, 4))
+        den = Poly.from_roots(*[r] * m) * Poly.from_roots(other) * cofactor()
+        num = Poly([rational() for _ in range(den.degree)])
+        for root in (r, other):
+            _assert_taylor_matches(den, root, 2 * m)
+            _assert_taylor_matches(num, root, m)
+        # more coefficients than the degree: the tail is zero
+        _assert_taylor_matches(num, r, num.degree + 3)
+    for _ in range(20):
+        # a radical pair in Q(sqrt d), alone and beside a rational root
+        r, s = radical_pair()
+        q = QuadExt(rational(5, 4))
+        pair = Poly.from_roots(r, s) ** rng.randint(1, 2)
+        for den in (pair, pair * Poly.from_roots(*[q] * rng.randint(1, 4))):
+            num = Poly([rational() for _ in range(den.degree)])
+            for root in (r, s, q):
+                _assert_taylor_matches(den, root, 4)
+                _assert_taylor_matches(num, root, 3)
+    for _ in range(20):
+        # numerators with radical coefficients: the transform of a closed
+        # form with radical coefficients over one field
+        r, s = radical_pair()
+        q = QuadExt(rational(5, 4))
+        seq = ClosedFormSequence([
+            (QuadExt(rational(), rational(), r.radicand), r, 1),
+            (QuadExt(rational(), rational(), r.radicand), s, 1),
+            (rational() or 1, q, rng.randint(1, 3)),
+            (rational() or 1, 0, rng.randint(1, 2))])
+        quotient = seq.transform().rational
+        assert not quotient.num.is_rational
+        for root, mult in factor_roots(quotient.den):
+            _assert_taylor_matches(quotient.num, root, mult)
+            _assert_taylor_matches(quotient.den, root, 2 * mult)
+    # two radicands cannot meet, in the new shift as in the reference
+    mixed = Poly.from_roots(QuadExt(0, 1, 2), 1)
+    for shift in (polys._taylor, _taylor_reference):
+        with pytest.raises(RadicandMismatch):
+            shift(mixed, QuadExt(1, 1, 3), 2)
+
+
+def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
+    spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
+                         "a[1] = 1; a[2] = 2").to_spec()
+    quotient = transform_of(spec).rational
+    expected = partial_fractions(quotient)
+    assert max(t.multiplicity for t in expected) == 15
+
+    def fail(*args):
+        raise AssertionError("QuadExt arithmetic on a rational path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "inverse"):
+        monkeypatch.setattr(QuadExt, name, fail)
+    assert partial_fractions(quotient) == expected
+
+
+def test_rational_ratfunc_reduces_in_integers(monkeypatch):
+    # the radical path, Euclid over QuadExt, is the reference
+    rng = random.Random(3141)
+    cases = []
+    for _ in range(60):
+        common = Poly.from_roots(*[Fraction(rng.randint(-4, 4),
+                                            rng.randint(1, 3))
+                                   for _ in range(rng.randint(0, 3))])
+        num = common * Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 4))])
+        den = common * Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 3))]
+                            + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        cases.append((num, den, polys._reduce_radical(num, den)))
+
+    def fail(*args):
+        raise AssertionError("Poly division on a rational reduction")
+
+    monkeypatch.setattr(Poly, "__divmod__", fail)
+    monkeypatch.setattr(Poly, "__truediv__", fail)
+    for num, den, (ref_num, ref_den) in cases:
+        for top, bottom in ((num, den),
+                            ([c.as_fraction() for c in num.coefficients],
+                             [c.as_fraction() for c in den.coefficients])):
+            quotient = RatFunc(top, bottom)
+            assert (quotient.num, quotient.den) == (ref_num, ref_den)
+    with pytest.raises(TypeError):
+        RatFunc([0.5], [1])

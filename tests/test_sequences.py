@@ -12,7 +12,8 @@ from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
                                 fibonacci_normal, inverse_transform,
                                 partial_sums)
-from dlaplace.solver import RecurrenceSpec, RecursiveSequence
+from dlaplace.solver import (RecurrenceSpec, RecursiveSequence,
+                             verify_solution)
 from dlaplace.transforms import (TransformExpr, convolve as xf_convolve,
                                  geometric, n_power)
 
@@ -84,6 +85,53 @@ def test_equal_prefix_reports_first_mismatch():
     b = ClosedFormSequence([(1, 1, 1)], deltas={4: 1})
     assert equal_prefix(a, b, 3) == (True, None)
     assert equal_prefix(a, b, 10) == (False, 4)
+
+
+def test_equal_prefix_on_mixed_value_types():
+    # the same values as ints, Fractions, rational and radical QuadExt
+    def values(n):
+        return Fraction(n * n, 2)
+
+    kinds = [lambda n: Fraction(n * n, 2),
+             lambda n: QuadExt(Fraction(n * n, 2)),
+             lambda n: QuadExt(Fraction(n * n, 2) - 1, 1, 5)
+             - QuadExt(-1, 1, 5),
+             lambda n: n * n // 2 if n % 2 == 0 else Fraction(n * n, 2)]
+    for f in kinds:
+        for g in kinds:
+            assert equal_prefix(f, g, 20) == (True, None)
+    # the first mismatch, whatever type each side has there
+    def broken(n):
+        return QuadExt(values(n)) if n < 6 else values(n) + 1
+
+    assert equal_prefix(broken, values, 20) == (False, 6)
+    assert equal_prefix(values, broken, 20) == (False, 6)
+    # a radical value is never equal to a rational one that looks the same
+    def radical(n):
+        return QuadExt(values(n), 1, 5) if n == 3 else values(n)
+
+    assert radical(3).rational_part == values(3)
+    assert equal_prefix(radical, values, 20) == (False, 3)
+    assert equal_prefix(values, radical, 20) == (False, 3)
+    with pytest.raises(TypeError):
+        equal_prefix(lambda n: n * n / 2, values, 5)
+    with pytest.raises(TypeError):
+        equal_prefix(values, lambda n: float(values(n)), 5)
+
+
+def test_verify_solution_details_are_unchanged():
+    fib = RecurrenceSpec.fibonacci()
+    bad_start = verify_solution(fib, lambda n: QuadExt(n, 1, 5), upto=20)
+    assert (bad_start.first_failure, bad_start.detail) == (
+        1, "initial value a(1) is 1 + sqrt(5), expected 1")
+    second = verify_solution(fib, lambda n: Fraction(n * n), upto=20)
+    assert (second.first_failure, second.detail) == (
+        2, "initial value a(2) is 4, expected 1")
+    ref = RecursiveSequence(fib)
+    late = verify_solution(
+        fib, lambda n: ref(n) if n < 4 else int(ref(n)) + 1, upto=20)
+    assert (late.first_failure, late.detail) == (
+        4, "recurrence fails producing a(4)")
 
 
 def test_inverse_transform_fibonacci():
