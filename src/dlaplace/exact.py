@@ -4,7 +4,8 @@ Rationals are plain ``fractions.Fraction``.  ``QuadExt`` represents
 ``a + b*sqrt(d)`` with rational ``a``, ``b`` and an integer radicand
 ``d >= 0``, made squarefree by the constructor and trusted by arithmetic
 on normalised operands; pure rationals normalize to ``d == 0`` so one
-type flows through the whole package.  All field operations, exact
+type flows through the whole package.  A radicand whose square part
+bounded trial division cannot settle is refused with ``CapabilityError``.  All field operations, exact
 comparison and an exact sign are available, plus a float conversion that
 brackets sqrt(d) tightly enough to land within a couple of ulps.
 
@@ -29,21 +30,53 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import RadicandMismatch
+from .errors import CapabilityError, RadicandMismatch
 
 RationalLike = Union[int, Fraction]
 _NO_RADICAL = Fraction(0)
 
 
+# Radicands are split by trial division by 2 and the odd numbers up to
+# this bound; see _squarefree_split.
+_SPLIT_BOUND = 1 << 16
+
+
+def _exact_sqrt(n: int) -> int | None:
+    """The square root of n when n is the square of an integer, else None."""
+    if n < 0:
+        return None
+    root = isqrt(n)
+    return root if root * root == n else None
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (m, d0) with d == m*m*d0 and d0 squarefree."""
-    m, d0, p = 1, d, 2
-    while p * p <= d0:
-        while d0 % (p * p) == 0:
-            d0 //= p * p
-            m *= p
-        p += 1
-    return m, d0
+    """Return (m, d0) with d == m*m*d0 and d0 squarefree.
+
+    Each trial divisor p up to ``_SPLIT_BOUND`` is divided out of the
+    cofactor c completely, so the loop also stops once p*p > c, when c
+    is 1 or a prime.  A cofactor left with every prime factor at least p
+    and c < p^3 is p1, p1^2 or p1*p2, and a perfect-square test tells
+    them apart; a larger one is refused with ``CapabilityError`` rather
+    than factored."""
+    m, d0, c, p = 1, 1, d, 2
+    while p <= _SPLIT_BOUND:
+        if p * p > c:
+            return m, d0 * c
+        if c % p == 0:
+            e = 0
+            while c % p == 0:
+                c, e = c // p, e + 1
+            m *= p ** (e // 2)
+            if e % 2:
+                d0 *= p
+        p += 1 if p == 2 else 2
+    if c >= p ** 3:
+        part = "it" if c == d else f"its factor {c}"
+        raise CapabilityError(
+            f"cannot split the radicand {d}: {part} has no prime factor "
+            f"below {p} and is too large to classify")
+    root = _exact_sqrt(c)
+    return (m * root, d0) if root else (m, d0 * c)
 
 
 class QuadExt:

@@ -16,17 +16,23 @@ the monic scaling run on the primitive integer vectors of its two sides,
 and the ``Poly``s are built once, from the reduced vectors.
 
 ``factor_roots`` finds the complete root multiset of a monic denominator
-when it splits over Q or a single real quadratic extension (rational root
-extraction plus the quadratic formula on the squarefree leftovers, with a
-norm trick for denominators that themselves carry radical coefficients).
-Anything deeper raises ``UnsupportedFactorization``.  Rational root
-candidates p/q come from the divisors of the primitive integer vector's
-end coefficients, enumerated from their prime powers, and each is tested
-in integers as sum c_i p^i q^(deg - i) == 0.  A root is divided out of
-the integer vector by synthetic division by (q t - p), which is exact
-and keeps the vector primitive by Gauss's lemma, so no polynomial
-division over ``QuadExt`` runs until the rational roots are gone (Cohen,
-*A Course in Computational Algebraic Number Theory*, 3.4).
+when it splits over Q or a single real quadratic extension, with a norm
+trick for denominators that themselves carry radical coefficients.
+Anything deeper raises ``UnsupportedFactorization``.  A rational
+denominator is scaled to a primitive integer vector f, and its rational
+roots are those of the squarefree core f/gcd(f, f'), the gcd taken by
+the remainder sequence ``poly_gcd`` runs.  A core of degree 1 or 2 gives
+its rational roots by formula; a larger one has its real roots isolated
+by a Sturm sequence in integers, so the time grows with the degree and
+the coefficients' bit lengths, not with their divisors (Basu, Pollack
+and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).  Each root p/q
+is confirmed in integers as sum c_i p^i q^(deg - i) == 0 and divided out
+of f by synthetic division by (q t - p) as often as it divides, which is
+exact and keeps the vector primitive by Gauss's lemma, so no polynomial
+division over ``QuadExt`` runs (Cohen, *A Course in Computational
+Algebraic Number Theory*, 3.4).  What has no rational root is split by
+Yun's squarefree factorization in Z[t] (Yun, SYMSAC 1976), and its quadratic
+factors are solved by the quadratic formula.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 by local expansion at each root, which needs no linear system and keeps
@@ -40,13 +46,14 @@ expanded in integers and ``Fraction``s, without ``QuadExt`` arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import (ImproperRational, PoleEvaluation, RadicandMismatch,
                      UnsupportedFactorization)
-from .exact import (QuadExt, RationalLike, _integer_pair,
+from .exact import (QuadExt, RationalLike, _exact_sqrt, _integer_pair,
                     _squarefree_split, sort_key)
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -299,12 +306,47 @@ def poly_gcd(a: Poly | list[int], b: Poly | list[int]) -> Poly:
         a, b = _integer_coefficients(a), _integer_coefficients(b)
     elif not (a or b):
         raise ValueError("gcd(0, 0) is undefined")
-    f, g = (a, b) if len(a) >= len(b) else (b, a)
-    while len(g) > 1:
-        f, g = g, _primitive(_pseudo_remainder(f, g))
-    if g:       # a nonzero constant remainder: coprime
-        return _ONE_POLY
-    return Poly(Fraction(c, f[-1]) for c in f)
+    h = _integer_gcd(a, b)
+    return _monic_poly(h) if len(h) > 1 else _ONE_POLY
+
+
+def _integer_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd(f, g) in Z[t] as a primitive vector with a positive leading
+    coefficient, [1] when f and g are coprime; not both zero."""
+    if len(f) < len(g):
+        f, g = g, f
+    h = _remainder_sequence(f, g)[-1] if g else f
+    if len(h) == 1:
+        return [1]
+    h = _primitive(h)
+    return h if h[-1] > 0 else [-c for c in h]
+
+
+def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
+    """f, g (nonzero, len(f) >= len(g)) and the primitive pseudo-remainders
+    r_(k+1) of r_(k-1) by r_k that follow them, down to the last nonzero
+    one, which is gcd(f, g) up to a scalar.
+
+    Each pseudo-remainder is a positive multiple of the remainder, so
+    negating the entries at positions 2 and 3 mod 4 gives the sequence
+    s_(k+1) = -(s_(k-1) mod s_k) up to positive factors: for g = f' a
+    Sturm sequence of f."""
+    seq = [f, g]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(_primitive(r))
+    return seq
+
+
+def _monic_poly(ints: list[int]) -> Poly:
+    """The monic Poly with the integer coefficients ints, up to a scalar."""
+    return Poly(Fraction(c, ints[-1]) for c in ints)
+
+
+def _derivative(ints: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(ints) if i]
 
 
 def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
@@ -327,18 +369,20 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
-    """A nonzero integer multiple of f mod g, trailing zeros dropped.  Each
-    step scales the running remainder only by lc(g)/gcd(lc(g), lc(r)), so
-    its entries grow no more than the division needs."""
-    r, lead = list(f), g[-1]
+    """A positive integer multiple of f mod g, trailing zeros dropped.
+    Each step scales the running remainder only by |lc(g)|/gcd(lc(g),
+    lc(r)), so its entries grow no more than the division needs."""
+    r, lead, body = list(f), g[-1], g[:-1]
     while len(r) >= len(g):
         shift = len(r) - len(g)
         top = r.pop()
         common = gcd(lead, top)
-        scale, top = lead // common, top // common
+        scale, top = abs(lead) // common, top // common
+        if lead < 0:
+            top = -top
         if scale != 1:
             r = [v * scale for v in r]
-        for i, c in enumerate(g[:-1], shift):
+        for i, c in enumerate(body, shift):
             r[i] -= top * c
         while r and not r[-1]:
             r.pop()
@@ -346,19 +390,33 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Split monic f into [(g_i, i)] with f = prod g_i^i and g_i squarefree."""
-    out: list[tuple[Poly, int]] = []
+    """Split rational f into [(g_i, i)] with f = prod g_i^i up to a
+    constant, each g_i monic and squarefree.  Radical coefficients raise
+    ValueError."""
+    if not f.is_rational:
+        raise ValueError(f"{f} has radical coefficients")
     if f.degree < 1:
-        return out
-    g = poly_gcd(f, f.derivative())
-    w = f // g
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g) if not g.is_zero else Poly((1,))
-        z = w // y
-        if z.degree > 0:
-            out.append((z.monic(), i))
-        w, g = y, g // y
+        return []
+    return [(_monic_poly(g), i) for g, i in _yun(_integer_coefficients(f))]
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree factorization of a nonconstant f in Z[t]: the
+    pairs (g_i, i) with f = c * prod g_i^i, each g_i nonconstant,
+    squarefree, primitive and with a positive leading coefficient.  Every
+    division is exact in Z[t], by Gauss's lemma."""
+    df = _derivative(f)
+    c = _integer_gcd(f, df)
+    w, y = _exact_quotient(f, c), _exact_quotient(df, c)
+    out, i = [], 1
+    while len(w) > 1:
+        z = [a - b for a, b in zip_longest(y, _derivative(w), fillvalue=0)]
+        while z and not z[-1]:
+            z.pop()
+        g = _integer_gcd(w, z)
+        if len(g) > 1:
+            out.append((g, i))
+        w, y = _exact_quotient(w, g), _exact_quotient(z, g)
         i += 1
     return out
 
@@ -393,33 +451,106 @@ def _rational_values(values: Iterable[Scalar]) -> list[RationalLike] | None:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending, built from its prime powers.
+def _rational_roots(core: list[int]) -> list[tuple[int, int]]:
+    """The rational roots of a squarefree integer vector with a nonzero
+    constant term, as coprime pairs (p, q) with q > 0.
 
-    Each prime is divided out as it is found, so trial division stops at
-    the square root of the remaining cofactor: 10^21 = 2^21 * 5^21 needs
-    trial divisors up to 5 only.  A cofactor with no small prime factor,
-    such as a prime near 10^18 or (10^9 + 7)^2, still costs its square
-    root."""
-    n, divs, p = abs(n), [1] if n else [], 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n, e = n // p, e + 1
-        if e:
-            divs = [d * p ** k for d in divs for k in range(e + 1)]
-        p += 1
-    if n > 1:
-        divs += [d * n for d in divs]
-    return sorted(divs)
+    With lead = lc(core) > 0 and n = deg(core), G(u) = lead^(n-1) *
+    core(u/lead) is monic in Z[u], and p/q is a root of the core exactly
+    when lead*p/q is an integer root of G (Gauss's lemma: q | lead).  A
+    linear core reads its root off, a quadratic one tests its
+    discriminant for a square, and a larger one goes to
+    ``_integer_roots``."""
+    if core[-1] < 0:
+        core = [-c for c in core]
+    n, lead = len(core) - 1, core[-1]
+    if n == 1:
+        us = [-core[0]]
+    elif n == 2:
+        c, b = core[0], core[1]
+        s = _exact_sqrt(b * b - 4 * lead * c)
+        us = [] if s is None else [(s - b) // 2, (-s - b) // 2]
+    else:
+        us = _integer_roots(
+            [c * lead ** (n - 1 - i) for i, c in enumerate(core[:-1])] + [1])
+    out = []
+    for u in us:
+        common = gcd(u, lead)
+        out.append((u // common, lead // common))
+    return out
 
 
-def _rational_root_candidates(ints: list[int]) -> list[tuple[int, int]]:
-    """Every ±p/q in lowest terms with p | ints[0] and q | ints[-1], as
-    the coprime pair (±p, q)."""
-    qs = _divisors(ints[-1])
-    return [(sign * p, q) for p in _divisors(ints[0]) for q in qs
-            if gcd(p, q) == 1 for sign in (1, -1)]
+def _integer_roots(g: list[int]) -> list[int]:
+    """The integer roots of a monic squarefree g in Z[u].
+
+    A Sturm sequence s_0 = g, s_1 = g', ... counts the distinct real roots
+    in (a, b] as V(a) - V(b), with V(x) the number of sign changes of
+    s_i(x) (Basu, Pollack and Roy, *Algorithms in Real Algebraic
+    Geometry*, 2.2).  Every root lies in (-2^e, 2^e] for the Fujiwara
+    bound 2^e, where V equals its limit at -inf and +inf, read off the
+    leading coefficients.  The interval is halved on the integer grid;
+    one holding a single root is narrowed on the sign of g alone, and a
+    short one holding several is tested point by point."""
+    chain = [s if k % 4 < 2 else [-c for c in s] for k, s in
+             enumerate(_remainder_sequence(g, _derivative(g)))]
+    n = len(g) - 1
+    e = 1 + max(-(-g[n - i].bit_length() // i) for i in range(1, n + 1))
+    at_minus = _sign_changes([s[-1] if len(s) % 2 else -s[-1]
+                              for s in chain])
+    at_plus = _sign_changes([s[-1] for s in chain])
+    roots: list[int] = []
+    todo = [(-(1 << e), 1 << e, at_minus, at_plus)]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a <= 4:
+            roots += [x for x in range(a + 1, b + 1) if not _horner(g, x)]
+        elif va - vb == 1:
+            roots += _lone_integer_root(g, a, b)
+        else:
+            mid = (a + b) // 2
+            vm = _sign_changes([_horner(s, mid) for s in chain] if mid else
+                               [s[0] for s in chain])
+            todo += [(a, mid, va, vm), (mid, b, vm, vb)]
+    return roots
+
+
+def _lone_integer_root(g: list[int], a: int, b: int) -> list[int]:
+    """[x] when the one root of the squarefree g in (a, b] is the integer
+    x, else []; g changes sign only at that root."""
+    value = _horner(g, b)
+    if not value:
+        return [b]
+    sign_b = value > 0
+    while b - a > 1:
+        mid = (a + b) // 2
+        value = _horner(g, mid)
+        if not value:
+            return [mid]
+        if (value > 0) == sign_b:
+            b = mid
+        else:
+            a = mid
+    return []
+
+
+def _horner(ints: list[int], x: int) -> int:
+    acc = 0
+    for c in ints[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(values: list[int]) -> int:
+    """Sign changes along values, zeros skipped."""
+    count, last = 0, 0
+    for v in values:
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
 
 
 def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
@@ -453,11 +584,13 @@ def _quadratic_roots(h: Poly) -> list[QuadExt]:
         raise UnsupportedFactorization(
             f"quadratic factor {h} has complex roots")
     assert disc != 0, "repeated root escaped squarefree splitting"
-    m, d0 = _squarefree_split(disc.numerator * disc.denominator)
     half = Fraction(1, 2)
+    top, bottom = _exact_sqrt(disc.numerator), _exact_sqrt(disc.denominator)
+    if top is not None and bottom is not None:
+        root = Fraction(top, bottom)
+        return [QuadExt(half * (-b + root)), QuadExt(half * (-b - root))]
+    m, d0 = _squarefree_split(disc.numerator * disc.denominator)
     root_rad = Fraction(m, disc.denominator)  # sqrt(disc) = root_rad*sqrt(d0)
-    if d0 == 1:
-        return [QuadExt(half * (-b + root_rad)), QuadExt(half * (-b - root_rad))]
     return [QuadExt(-b * half, half * root_rad, d0),
             QuadExt(-b * half, -half * root_rad, d0)]
 
@@ -470,20 +603,25 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
     if zeros:
         found[_ZERO] = zeros
     ints = _integer_coefficients(f)[zeros:]
-    for p, q in _rational_root_candidates(ints):
-        m = 0
-        while len(ints) > 1 and _vanishes_at(ints, p, q):
-            ints = _deflate(ints, p, q)
-            m += 1
-        if m:
-            found[QuadExt.of(Fraction(p, q))] = m
-    # what has no rational root, monic again
-    rest = Poly(Fraction(c, ints[-1]) for c in ints)
-    for h, mult in squarefree_decomposition(rest):
-        if h.degree == 1:
-            root = -h.coefficient(0)
-            found[root] = found.get(root, 0) + mult
-        elif h.degree == 2:
+    rest: list[tuple[list[int], int]] = []
+    if len(ints) > 1:
+        # the rational roots of the squarefree core, each divided out of
+        # ints as often as it divides
+        repeated = _integer_gcd(ints, _derivative(ints))
+        core = _exact_quotient(ints, repeated) if len(repeated) > 1 else ints
+        for p, q in _rational_roots(core):
+            m = 0
+            while _vanishes_at(ints, p, q):
+                ints = _deflate(ints, p, q)
+                m += 1
+            if m:
+                found[QuadExt.of(Fraction(p, q))] = m
+        # what has no rational root; squarefree already when ints was
+        if len(ints) > 1:
+            rest = _yun(ints) if len(repeated) > 1 else [(ints, 1)]
+    for g, mult in rest:
+        h = _monic_poly(g)
+        if h.degree == 2:
             for root in _quadratic_roots(h):
                 found[root] = found.get(root, 0) + mult
         elif h.degree == 3:     # no rational root, so irreducible over Q
@@ -499,7 +637,7 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
 def factor_roots(den: Poly) -> list[tuple[QuadExt, int]]:
     """Complete root multiset of a monic denominator, or raise.
 
-    Rational coefficients go straight to rational-root extraction plus the
+    Rational coefficients go straight to rational-root isolation plus the
     quadratic formula.  Radical coefficients are handled through the norm
     den * conj(den), whose rational factorization supplies the candidate
     roots; multiplicities are then counted on den itself.

@@ -12,6 +12,7 @@ import pytest
 import dlaplace
 from dlaplace import polys, solver
 from dlaplace.cli import build_parser, main
+from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
 from dlaplace.sequences import _MEMO_LIMIT, ClosedFormSequence
 
@@ -453,14 +454,19 @@ def test_values_past_the_digit_limit_are_refused(extra, capsys):
     assert str(10 ** (8 * (first - 2))) in capsys.readouterr().out
 
 
-def _solve_json_in_child(text):
-    """Values of `solve --json` run in a child with a 20 s limit."""
+def _run_in_child(argv):
+    """The CLI run on argv in a child with a 20 s limit."""
     src = str(Path(dlaplace.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "dlaplace", "solve", "--json", text],
+    return subprocess.run(
+        [sys.executable, "-m", "dlaplace", *argv],
         capture_output=True, text=True, timeout=20,
         env={**os.environ, "PYTHONPATH": path})
+
+
+def _solve_json_in_child(text):
+    """Values of `solve --json` run in a child with a 20 s limit."""
+    result = _run_in_child(["solve", "--json", text])
     assert result.returncode == 0
     return json.loads(result.stdout)["values"]
 
@@ -478,6 +484,29 @@ def test_large_constant_term_solves_in_bounded_time():
     values = _solve_json_in_child(
         "a[n+1] = 2*a[n] + 3/1000000000000000000000^n; a[1] = 1")
     assert values[:2] == ["1", "2000000000000000000003/1000000000000000000000"]
+
+
+def test_double_pair_with_a_large_radicand_solves_in_bounded_time():
+    # roots +-sqrt(10^9 + 7), each double: the constant term is near 10^18
+    text = ("a[n+4] = 2000000014*a[n+2] - 1000000014000000049*a[n]; "
+            "a[1]=1; a[2]=0; a[3]=0; a[4]=0")
+    values = _solve_json_in_child(text)
+    reference = solver.RecursiveSequence(parse_program(text).to_spec())
+    assert len(values) == 10
+    assert values == [str(reference(n)) for n in range(1, 11)]
+
+
+def test_unsplittable_radicand_is_refused_in_bounded_time():
+    # the roots (1 +- sqrt(10^30 + 57))/2 need the prime radicand
+    # 10^30 + 57 split into a square and a squarefree part
+    result = _run_in_child(
+        ["solve", "a[n+2] = a[n+1] + 250000000000000000000000000014*a[n]; "
+                  "a[1]=1; a[2]=1"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: cannot split the radicand {10 ** 30 + 57}: it has no prime "
+        "factor below 65537 and is too large to classify\n")
 
 
 def test_module_entry_point():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dlaplace.exact import PHI, PSI, SQRT5, QuadExt, sort_key
-from dlaplace.errors import RadicandMismatch
+from dlaplace.exact import (PHI, PSI, SQRT5, QuadExt, _squarefree_split,
+                            sort_key)
+from dlaplace.errors import CapabilityError, RadicandMismatch
 
 
 def test_normalization_folds_square_factors():
@@ -28,6 +29,36 @@ def test_normalization_zero_radical_drops_radicand():
     # exact cancellation during normalization
     assert QuadExt(2, -1, 4).is_rational
     assert QuadExt(2, -1, 4) == 0
+
+
+def test_radicand_split_matches_brute_force():
+    assert _squarefree_split(0) == (1, 0)
+    for d in range(1, 5000):
+        m, d0 = _squarefree_split(d)
+        assert m * m * d0 == d
+        assert all(d0 % (k * k) for k in range(2, math.isqrt(d0) + 1))
+
+
+def test_radicand_split_past_the_trial_bound():
+    # 65537 and 65539 are the first primes past the trial divisors: a
+    # cofactor below the cube of the bound is p, p^2 or p*q
+    p, q = 65537, 65539
+    assert _squarefree_split(12 * p * p) == (2 * p, 3)
+    assert _squarefree_split(18 * p * q) == (3, 2 * p * q)
+    assert _squarefree_split(10 ** 12 + 1) == (1, 10 ** 12 + 1)
+    assert _squarefree_split(4 * (10 ** 9 + 7)) == (2, 10 ** 9 + 7)
+    assert QuadExt(0, 1, 9 * p * p) == 3 * p
+
+def test_large_radicand_is_refused_in_bounded_time(time_limit):
+    # the prime 10^30 + 57, and a product of three primes past the trial
+    # divisors, are refused by name instead of factored
+    with time_limit(5):
+        for d in (10 ** 30 + 57, 4 * (10 ** 30 + 57), 65537 * 65539 * 65543):
+            with pytest.raises(CapabilityError, match=str(d)):
+                _squarefree_split(d)
+        with pytest.raises(CapabilityError, match=f"its factor {10 ** 30 + 57} "
+                                                  "has no prime factor"):
+            QuadExt(0, 1, 4 * (10 ** 30 + 57))
 
 
 def test_negative_radicand_rejected():

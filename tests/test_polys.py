@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 
 import pytest
 
 from dlaplace import polys
 from dlaplace.dsl import parse_program
-from dlaplace.exact import PHI, PSI, QuadExt
+from dlaplace.exact import PHI, PSI, QuadExt, sort_key
 from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
                             partial_fractions, poly_gcd,
                             squarefree_decomposition)
@@ -160,6 +160,9 @@ def test_squarefree_decomposition():
         (Poly.from_roots(2), 2),
         (Poly.from_roots(3), 3),
     ]
+    assert squarefree_decomposition(Poly((7,))) == []
+    with pytest.raises(ValueError):
+        squarefree_decomposition(Poly.from_roots(PHI, 1))
 
 
 def test_eval_and_derivative():
@@ -190,15 +193,107 @@ def test_factor_radical_coefficients_by_norm():
     assert factor_roots(den2) == [(QuadExt(2), 1), (PHI, 2)]
 
 
-def test_divisors_match_brute_force():
-    for n in range(1, 3001):
-        assert polys._divisors(n) == [i for i in range(1, n + 1) if n % i == 0]
-    rng = random.Random(8128)
-    for _ in range(300):
-        n = rng.randint(1, 10 ** 8)
-        small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-        divisors = {*small, *(n // i for i in small)}
-        assert polys._divisors(-n) == sorted(divisors)
+def _divisors(n):
+    """Positive divisors of n, ascending, from its prime powers."""
+    n, divs, p = abs(n), [1] if n else [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            divs = [d * p ** k for d in divs for k in range(e + 1)]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
+def _divisor_search(ints):
+    """The rational roots of an integer vector by the search factor_roots
+    ran before root isolation: every +-p/q in lowest terms with
+    p | ints[0] and q | ints[-1], tested in integers."""
+    return {Fraction(sign * p, q) for p in _divisors(ints[0])
+            for q in _divisors(ints[-1]) if gcd(p, q) == 1
+            for sign in (1, -1) if polys._vanishes_at(ints, sign * p, q)}
+
+
+def test_root_isolation_matches_the_divisor_search_randomized():
+    # squarefree integer vectors of degree 3-8 with a nonzero constant
+    # term: some linear factors q t - p planted, the rest random
+    rng = random.Random(1976)
+    checked = with_roots = 0
+    while checked < 300:
+        degree = rng.randint(3, 8)
+        planted = rng.randint(0, degree)
+        linear = [[-rng.randint(-12, 12), rng.randint(1, 6)]
+                  for _ in range(planted)]
+        rest = [rng.randint(-20, 20) for _ in range(degree - planted)]
+        ints = [int(c) for c in _fraction_product(
+            *linear, rest + [rng.choice([-3, -1, 1, 4])])]
+        if not ints[0]:
+            continue
+        ints = polys._primitive(ints)
+        if len(polys._integer_gcd(ints, polys._derivative(ints))) > 1:
+            continue
+        pairs = polys._rational_roots(ints)
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs)
+        found = [Fraction(p, q) for p, q in pairs]
+        assert len(set(found)) == len(found)
+        assert set(found) == _divisor_search(ints), ints
+        checked += 1
+        with_roots += bool(found)
+    assert with_roots > 100
+
+
+def test_factor_roots_returns_planted_roots(time_limit):
+    # rational roots with numerators to 2^64 and denominators to 12,
+    # multiplicities to 14, zero roots, and conjugate pairs in Q(sqrt(d))
+    # for d to 10^12, single or double; a divisor search would have to
+    # factor the 2^64-sized end coefficients
+    rng = random.Random(1993)
+
+    def linear(r):
+        return [-r, Fraction(1)]
+
+    with time_limit(30):
+        for case in range(40):
+            planted = {}
+            for _ in range(rng.randint(1, 3)):
+                r = Fraction(rng.choice([1, -1]) * rng.randint(1, 2 ** 64),
+                             rng.randint(1, 12))
+                planted[QuadExt(r)] = rng.randint(1, 3)
+            small = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+            planted[QuadExt(small)] = rng.randint(1, 14)
+            if case % 2:
+                planted[QuadExt(0)] = rng.randint(1, 3)
+            factors = [linear(root.as_fraction())
+                       for root, m in planted.items() for _ in range(m)]
+            if case % 4 < 3:
+                pair = QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                               rng.randint(2, 10 ** 12))
+                if pair.radicand:
+                    m = 1 + case % 2
+                    planted[pair] = planted[pair.conjugate()] = m
+                    a, b = pair.rational_part, pair.radical_part
+                    factors += [[a * a - b * b * pair.radicand, -2 * a,
+                                 Fraction(1)]] * m
+            got = factor_roots(Poly(_fraction_product(*factors)))
+            assert got == sorted(planted.items(),
+                                 key=lambda item: sort_key(item[0])), case
+
+        big = linear(Fraction(2 ** 64 + 1, 7))
+        for factor, message in [
+                ([-1, -1, 0, 1], "irreducible factor of degree 3: t^3 - t - 1"),
+                ([1, 0, 1], "quadratic factor t^2 + 1 has complex roots"),
+                ([6, 0, -5, 0, 1], "no rational root, and factors of degree "
+                                   "4 are not split: t^4 - 5*t^2 + 6")]:
+            for extra in ([], [big] * 3, [factor, linear(Fraction(0))]):
+                den = Poly(_fraction_product(
+                    [Fraction(c) for c in factor], *extra))
+                with pytest.raises(UnsupportedFactorization) as caught:
+                    factor_roots(den)
+                assert str(caught.value) == message
 
 
 def test_integer_root_test_agrees_with_evaluation_randomized():
@@ -378,9 +473,9 @@ def test_partial_fractions_recombine_exactly_randomized():
     # Q(sqrt(5)) or Q(sqrt(1000000007)): a conjugate pair under a rational
     # numerator (the pair taken by conjugation), the same pair under a
     # radical numerator, and a lone radical root (radical denominator).
-    # factor_roots trial-divides the integer constant term, so with the
-    # large radicand the rational root is +-1 and the radical roots
-    # a +- sqrt(d) are simple: that term then stays near d.
+    # With the large radicand the rational root is +-1 and the radical
+    # roots a +- sqrt(d) are simple, so the constant term stays near d;
+    # test_factor_roots_returns_planted_roots factors larger ones.
     rng = random.Random(1993)
     for case in range(24):    # each (kind, radicand) pair twice
         kind, d = case % 4, (2, 5, 1000000007)[case % 3]
