@@ -27,7 +27,6 @@ values covering 1..k exactly once) happens during assembly and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SemanticError
@@ -40,12 +39,14 @@ _SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -85,14 +86,24 @@ def _tokenize(source: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class DslProgram:
     """A parsed and validated IVP, normalized to collected coefficients."""
 
-    order: int
-    shifts: dict[int, Fraction]      # j -> coefficient of a[n+j]
-    forcing: dict[tuple[int, Fraction], Fraction]  # (p, b) -> n^p b^n coeff
-    initials: dict[int, Fraction]
+    __slots__ = ("order", "shifts", "forcing", "initials")
+
+    def __init__(self, order: int, shifts: dict[int, Fraction],
+                 forcing: dict[tuple[int, Fraction], Fraction],
+                 initials: dict[int, Fraction]) -> None:
+        self.order = order
+        self.shifts = shifts            # j -> coefficient of a[n+j]
+        self.forcing = forcing          # (p, b) -> coefficient of n^p b^n
+        self.initials = initials
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.shifts, self.forcing, self.initials) == \
+            (other.order, other.shifts, other.forcing, other.initials)
 
     def to_spec(self) -> RecurrenceSpec:
         coefficients = tuple(self.shifts.get(j, Fraction(0))
@@ -139,13 +150,16 @@ def _coeff_body_text(coeff: Fraction, body: str) -> str:
     return f"{coeff}*{body}"
 
 
-@dataclass(frozen=True)
 class _RawTerm:
-    coefficient: Fraction
-    kind: str          # "shift" or "forcing" (n^power * base^n)
-    shift: int = 0
-    power: int = 0
-    base: Fraction = Fraction(1)
+    __slots__ = ("coefficient", "kind", "shift", "power", "base")
+
+    def __init__(self, coefficient: Fraction, kind: str, shift: int = 0,
+                 power: int = 0, base: Fraction = Fraction(1)) -> None:
+        self.coefficient = coefficient
+        self.kind = kind        # "shift" or "forcing" (n^power * base^n)
+        self.shift = shift
+        self.power = power
+        self.base = base
 
 
 class _Parser:

@@ -13,7 +13,6 @@ valid whenever |f(n)| <= alpha e^{s0 n} and s > s0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
@@ -93,21 +92,33 @@ def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
     return max(alpha, 1e-30) * 2.0, s0
 
 
-@dataclass
 class CheckEntry:
-    s: float
-    terms: int
-    series_value: float
-    transform_value: float
-    discrepancy: float
-    bound: float
-    passed: bool
+    """One sample point of the grid check."""
+
+    __slots__ = ("s", "terms", "series_value", "transform_value",
+                 "discrepancy", "bound", "passed")
+
+    def __init__(self, s: float, terms: int, series_value: float,
+                 transform_value: float, discrepancy: float, bound: float,
+                 passed: bool) -> None:
+        self.s = s
+        self.terms = terms
+        self.series_value = series_value
+        self.transform_value = transform_value
+        self.discrepancy = discrepancy
+        self.bound = bound
+        self.passed = passed
 
 
-@dataclass
 class CheckReport:
-    tolerance: float
-    entries: list[CheckEntry] = field(default_factory=list)
+    """The tolerance of a grid check and its entries, in grid order."""
+
+    __slots__ = ("tolerance", "entries")
+
+    def __init__(self, tolerance: float,
+                 entries: list[CheckEntry] | None = None) -> None:
+        self.tolerance = tolerance
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:

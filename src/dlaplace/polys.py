@@ -48,9 +48,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from ._record import Record
 from .errors import (ImproperRational, PoleEvaluation, RadicandMismatch,
                      UnsupportedFactorization)
 from .exact import (QuadExt, RationalLike, _exact_sqrt, _integer_pair,
@@ -491,13 +491,9 @@ def _integer_roots(g: list[int]) -> list[int]:
     leading coefficients.  The interval is halved on the integer grid;
     one holding a single root is narrowed on the sign of g alone, and a
     short one holding several is tested point by point."""
-    chain = [s if k % 4 < 2 else [-c for c in s] for k, s in
-             enumerate(_remainder_sequence(g, _derivative(g)))]
+    chain, at_minus, at_plus = _sturm_chain(g)
     n = len(g) - 1
     e = 1 + max(-(-g[n - i].bit_length() // i) for i in range(1, n + 1))
-    at_minus = _sign_changes([s[-1] if len(s) % 2 else -s[-1]
-                              for s in chain])
-    at_plus = _sign_changes([s[-1] for s in chain])
     roots: list[int] = []
     todo = [(-(1 << e), 1 << e, at_minus, at_plus)]
     while todo:
@@ -514,6 +510,17 @@ def _integer_roots(g: list[int]) -> list[int]:
                                [s[0] for s in chain])
             todo += [(a, mid, va, vm), (mid, b, vm, vb)]
     return roots
+
+
+def _sturm_chain(g: list[int]) -> tuple[list[list[int]], int, int]:
+    """A Sturm sequence of the squarefree g, with its sign changes V at
+    -inf and at +inf; V(-inf) - V(+inf) is the number of real roots."""
+    chain = [s if k % 4 < 2 else [-c for c in s] for k, s in
+             enumerate(_remainder_sequence(g, _derivative(g)))]
+    at_minus = _sign_changes([s[-1] if len(s) % 2 else -s[-1]
+                              for s in chain])
+    at_plus = _sign_changes([s[-1] for s in chain])
+    return chain, at_minus, at_plus
 
 
 def _lone_integer_root(g: list[int], a: int, b: int) -> list[int]:
@@ -589,10 +596,11 @@ def _quadratic_roots(h: Poly) -> list[QuadExt]:
     if top is not None and bottom is not None:
         root = Fraction(top, bottom)
         return [QuadExt(half * (-b + root)), QuadExt(half * (-b - root))]
+    # the product is not a square, so d0 > 1 and is squarefree already
     m, d0 = _squarefree_split(disc.numerator * disc.denominator)
     root_rad = Fraction(m, disc.denominator)  # sqrt(disc) = root_rad*sqrt(d0)
-    return [QuadExt(-b * half, half * root_rad, d0),
-            QuadExt(-b * half, -half * root_rad, d0)]
+    return [QuadExt._normalised(-b * half, half * root_rad, d0),
+            QuadExt._normalised(-b * half, -half * root_rad, d0)]
 
 
 def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
@@ -628,6 +636,10 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
             raise UnsupportedFactorization(
                 f"irreducible factor of degree 3: {h}")
         else:
+            _, at_minus, at_plus = _sturm_chain(g)
+            if at_minus - at_plus < h.degree:
+                raise UnsupportedFactorization(
+                    f"factor {h} has complex roots")
             raise UnsupportedFactorization(
                 f"no rational root, and factors of degree {h.degree} "
                 f"are not split: {h}")
@@ -850,13 +862,16 @@ class RatFunc:
         return f"RatFunc({self._num!r}, {self._den!r})"
 
 
-@dataclass(frozen=True)
-class PFTerm:
+class PFTerm(Record):
     """One summand coefficient/(t - root)^multiplicity."""
 
-    root: QuadExt
-    multiplicity: int
-    coefficient: QuadExt
+    __slots__ = ("root", "multiplicity", "coefficient")
+
+    def __init__(self, root: QuadExt, multiplicity: int,
+                 coefficient: QuadExt) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "coefficient", coefficient)
 
     def as_ratfunc(self) -> RatFunc:
         return RatFunc(Poly((self.coefficient,)),

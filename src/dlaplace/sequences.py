@@ -29,11 +29,11 @@ C*Q^(n-1) (Cohen, *A Course in Computational Algebraic Number Theory*,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
+from ._record import Record
 from .exact import (PHI, PSI, QuadExt, _NO_RADICAL, _integer_pair,
                     sort_key)
 from .polys import PFTerm, partial_fractions
@@ -51,13 +51,16 @@ _MINUS_ONE = QuadExt(-1)
 _EXACT = (int, Fraction, QuadExt)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One summand coefficient * C(n-1, mult-1) * root^(n-mult)."""
 
-    coefficient: QuadExt
-    root: QuadExt
-    multiplicity: int
+    __slots__ = ("coefficient", "root", "multiplicity")
+
+    def __init__(self, coefficient: QuadExt, root: QuadExt,
+                 multiplicity: int) -> None:
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 class ClosedFormSequence:

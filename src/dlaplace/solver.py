@@ -26,12 +26,12 @@ makes one ``Fraction`` per value read.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
+from ._record import Record
 from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from .polys import Poly
@@ -42,49 +42,45 @@ from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ForcingTerm:
+class ForcingTerm(Record):
     """coefficient * n^exponent * base^n as a forcing summand."""
 
-    coefficient: Fraction
-    exponent: int = 0
-    base: Fraction = Fraction(1)
+    __slots__ = ("coefficient", "exponent", "base")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(self, "base", Fraction(self.base))
-        if self.exponent < 0:
+    def __init__(self, coefficient: RationalLike, exponent: int = 0,
+                 base: RationalLike = Fraction(1)) -> None:
+        object.__setattr__(self, "coefficient", Fraction(coefficient))
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "base", Fraction(base))
+        if exponent < 0:
             raise UnsupportedForcing("negative powers of n are not supported")
-        if self.exponent > MAX_N_POWER:
+        if exponent > MAX_N_POWER:
             raise UnsupportedForcing(
-                f"n^{self.exponent} exceeds the degree limit {MAX_N_POWER}")
+                f"n^{exponent} exceeds the degree limit {MAX_N_POWER}")
         if not self.base:
             raise UnsupportedForcing("a forcing base must be nonzero")
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """Order, coefficients c_0..c_{k-1}, forcing terms and initial values."""
 
-    order: int
-    coefficients: tuple[Fraction, ...]
-    initials: tuple[Fraction, ...]
-    forcing: tuple[ForcingTerm, ...] = ()
+    __slots__ = ("order", "coefficients", "initials", "forcing")
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, coefficients: Iterable[RationalLike],
+                 initials: Iterable[RationalLike],
+                 forcing: Iterable[ForcingTerm] = ()) -> None:
+        if order < 1:
             raise ValueError("order must be at least 1")
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        inits = tuple(Fraction(v) for v in self.initials)
-        if len(coeffs) != self.order:
-            raise ValueError(
-                f"order {self.order} needs {self.order} coefficients")
-        if len(inits) != self.order:
-            raise ValueError(
-                f"order {self.order} needs {self.order} initial values")
+        coeffs = tuple(Fraction(c) for c in coefficients)
+        inits = tuple(Fraction(v) for v in initials)
+        if len(coeffs) != order:
+            raise ValueError(f"order {order} needs {order} coefficients")
+        if len(inits) != order:
+            raise ValueError(f"order {order} needs {order} initial values")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "initials", inits)
-        object.__setattr__(self, "forcing", tuple(self.forcing))
+        object.__setattr__(self, "forcing", tuple(forcing))
 
     @property
     def is_homogeneous(self) -> bool:
@@ -164,14 +160,16 @@ def _initial_polynomial(spec: RecurrenceSpec) -> list[Fraction]:
     return total
 
 
-@dataclass
 class SolutionReport:
     """Everything a solve produces, ready for rendering or JSON."""
 
-    spec: RecurrenceSpec
-    transform: TransformExpr
-    closed_form: ClosedFormSequence
-    verified_upto: int
+    def __init__(self, spec: RecurrenceSpec, transform: TransformExpr,
+                 closed_form: ClosedFormSequence, verified_upto: int,
+                 ) -> None:
+        self.spec = spec
+        self.transform = transform
+        self.closed_form = closed_form
+        self.verified_upto = verified_upto
 
     @cached_property
     def coefficient_decomposition(self) -> Optional[
@@ -312,14 +310,18 @@ def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
     return SolutionReport(spec, expr, closed, verify_upto)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of checking a proposed solution against its spec."""
 
-    passed: bool
-    checked_upto: int
-    first_failure: Optional[int] = None
-    detail: str = ""
+    __slots__ = ("passed", "checked_upto", "first_failure", "detail")
+
+    def __init__(self, passed: bool, checked_upto: int,
+                 first_failure: Optional[int] = None, detail: str = "",
+                 ) -> None:
+        self.passed = passed
+        self.checked_upto = checked_upto
+        self.first_failure = first_failure
+        self.detail = detail
 
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import dlaplace
-from dlaplace import polys, solver
+from dlaplace import exact, polys, solver
 from dlaplace.cli import build_parser, main
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
@@ -219,22 +219,35 @@ def test_exit_code_capability(capsys):
                  "--s-grid", "1.0"]) == 2
 
 
-@pytest.mark.parametrize("text", [
+_QUARTIC_REFUSALS = [
     # (t^2 - 2)(t^2 - 3)
-    "a[n+4] = 5*a[n+2] - 6*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+    ("a[n+4] = 5*a[n+2] - 6*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+     "no rational root, and factors of degree 4 are not split: "
+     "t^4 - 5*t^2 + 6"),
     # (t^2 - t - 1)(t^2 - 3t + 1)
-    "a[n+4] = 4*a[n+3] - 3*a[n+2] - 2*a[n+1] + a[n]; "
-    "a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
-    # (t^2 + 1)(t^2 + 2)
-    "a[n+4] = -3*a[n+2] - 2*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
-])
-def test_unsplit_quartics_are_not_called_irreducible(text, capsys):
+    ("a[n+4] = 4*a[n+3] - 3*a[n+2] - 2*a[n+1] + a[n]; "
+     "a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+     "no rational root, and factors of degree 4 are not split: "
+     "t^4 - 4*t^3 + 3*t^2 + 2*t - 1"),
+    # (t^2 + 1)(t^2 + 2): no real root at all
+    ("a[n+4] = -3*a[n+2] - 2*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+     "factor t^4 + 3*t^2 + 2 has complex roots"),
+    # (t^2 - 2)(t^2 + 1): two real roots of four
+    ("a[n+4] = a[n+2] + 2*a[n]; a[1] = 1; a[2] = 1; a[3] = 1; a[4] = 1",
+     "factor t^4 - t^2 - 2 has complex roots"),
+]
+
+
+@pytest.mark.parametrize("text,reason", _QUARTIC_REFUSALS,
+                         ids=[text for text, _ in _QUARTIC_REFUSALS])
+def test_unsplit_quartics_are_not_called_irreducible(text, reason, capsys):
     # each quartic is a product of two quadratics; the engine does not
-    # look for that split, so it must refuse without claiming there is none
+    # look for that split, so it must refuse without claiming there is
+    # none, and says "complex roots" when the Sturm count shows them
     assert main(["solve", text]) == 2
     err = capsys.readouterr().err
     assert "irreducible" not in err
-    assert "no rational root, and factors of degree 4 are not split" in err
+    assert err == f"error: {reason}\n"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
@@ -476,6 +489,29 @@ def test_large_radicand_solves_in_bounded_time():
     values = _solve_json_in_child(
         "a[n+2] = 2*a[n+1] + 1000000000000*a[n]; a[1]=1; a[2]=1")
     assert values[:4] == ["1", "1", "1000000000002", "3000000000004"]
+
+
+def test_quadratic_roots_split_their_radicand_once(capsys, monkeypatch):
+    # roots 1 +- sqrt(1000000000039), a prime: the discriminant is split
+    # once, and both roots reuse its squarefree part
+    calls = []
+    split = exact._squarefree_split
+
+    def counting(d):
+        calls.append(d)
+        return split(d)
+
+    monkeypatch.setattr(exact, "_squarefree_split", counting)
+    monkeypatch.setattr(polys, "_squarefree_split", counting)
+    text = "a[n+2] = 2*a[n+1] + 1000000000038*a[n]; a[1]=1; a[2]=1"
+    assert main(["solve", "--json", text]) == 0
+    assert calls == [4 * 1000000000039]
+    out = json.loads(capsys.readouterr().out)
+    assert [(t["root"]["rational"], t["root"]["radical"],
+             t["root"]["radicand"]) for t in out["closed_form"]["terms"]] \
+        == [("1", "-1", 1000000000039), ("1", "1", 1000000000039)]
+    reference = solver.RecursiveSequence(parse_program(text).to_spec())
+    assert out["values"] == [str(reference(n)) for n in range(1, 11)]
 
 
 def test_large_constant_term_solves_in_bounded_time():

@@ -287,7 +287,10 @@ def test_factor_roots_returns_planted_roots(time_limit):
                 ([-1, -1, 0, 1], "irreducible factor of degree 3: t^3 - t - 1"),
                 ([1, 0, 1], "quadratic factor t^2 + 1 has complex roots"),
                 ([6, 0, -5, 0, 1], "no rational root, and factors of degree "
-                                   "4 are not split: t^4 - 5*t^2 + 6")]:
+                                   "4 are not split: t^4 - 5*t^2 + 6"),
+                ([2, 0, 3, 0, 1], "factor t^4 + 3*t^2 + 2 has complex roots"),
+                ([-2, 0, -1, 0, 1],
+                 "factor t^4 - t^2 - 2 has complex roots")]:
             for extra in ([], [big] * 3, [factor, linear(Fraction(0))]):
                 den = Poly(_fraction_product(
                     [Fraction(c) for c in factor], *extra))
