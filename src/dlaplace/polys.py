@@ -1,46 +1,48 @@
 """Polynomials and rational functions in the formal variable t = e^s.
 
-``Poly`` stores coefficients lowest degree first over ``QuadExt``; the zero
-polynomial is the empty tuple and reports degree -1.  ``RatFunc`` keeps a
-quotient normalized: gcd cancelled and the denominator monic, so equality
-is plain coefficient comparison.
+Every transform in scope is a rational function of integers: radicals
+appear only in its roots and in its partial-fraction coefficients.  So
+``Poly`` holds rational coefficients only, lowest degree first, as
+``QuadExt`` values with radicand 0; a radical coefficient raises
+``ValueError``.  The zero polynomial is the empty tuple and reports degree
+-1.  ``RatFunc`` keeps a quotient normalized: gcd cancelled and the
+denominator monic, so equality is plain coefficient comparison.
 
-``poly_gcd`` of two rational polynomials scales each to a primitive
-integer vector and runs a primitive remainder sequence in Z[t]: each
-pseudo-remainder is divided by its content, so no ``Fraction`` or
-``QuadExt`` arithmetic runs until the monic gcd is built (Cohen, *A
-Course in Computational Algebraic Number Theory*, 3.3).  Euclid over
-``QuadExt`` is kept for radical coefficients only.  ``RatFunc`` reduces
-a rational quotient the same way: the gcd, the exact division by it and
-the monic scaling run on the primitive integer vectors of its two sides,
-and the ``Poly``s are built once, from the reduced vectors.
+``poly_gcd`` scales each operand to a primitive integer vector and runs a
+primitive remainder sequence in Z[t]: each pseudo-remainder is divided by
+its content, so no ``Fraction`` or ``QuadExt`` arithmetic runs until the
+monic gcd is built (Cohen, *A Course in Computational Algebraic Number
+Theory*, 3.3).  ``RatFunc`` reduces a quotient the same way: the gcd, the
+exact division by it and the monic scaling run on the primitive integer
+vectors of its two sides, and the ``Poly``s are built once, from the
+reduced vectors.
 
 ``factor_roots`` finds the complete root multiset of a monic denominator
-when it splits over Q or a single real quadratic extension, with a norm
-trick for denominators that themselves carry radical coefficients.
-Anything deeper raises ``UnsupportedFactorization``.  A rational
-denominator is scaled to a primitive integer vector f, and its rational
-roots are those of the squarefree core f/gcd(f, f'), the gcd taken by
-the remainder sequence ``poly_gcd`` runs.  A core of degree 1 or 2 gives
-its rational roots by formula; a larger one has its real roots isolated
-by a Sturm sequence in integers, so the time grows with the degree and
-the coefficients' bit lengths, not with their divisors (Basu, Pollack
-and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).  Each root p/q
-is confirmed in integers as sum c_i p^i q^(deg - i) == 0 and divided out
-of f by synthetic division by (q t - p) as often as it divides, which is
-exact and keeps the vector primitive by Gauss's lemma, so no polynomial
-division over ``QuadExt`` runs (Cohen, *A Course in Computational
-Algebraic Number Theory*, 3.4).  What has no rational root is split by
-Yun's squarefree factorization in Z[t] (Yun, SYMSAC 1976), and its quadratic
-factors are solved by the quadratic formula.
+when it splits over Q or over real quadratic extensions, each quadratic
+factor in its own; anything deeper raises ``UnsupportedFactorization``.
+The denominator is scaled to a primitive integer vector f, and its
+rational roots are those of the squarefree core f/gcd(f, f'), the gcd
+taken by the remainder sequence ``poly_gcd`` runs.  A core of degree 1
+or 2 gives its rational roots by formula; a larger one has its real
+roots isolated by a Sturm sequence in integers, so the time grows with
+the degree and the coefficients' bit lengths, not with their divisors
+(Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+Each root p/q is confirmed in integers as sum c_i p^i q^(deg - i) == 0
+and divided out of f by synthetic division by (q t - p) as often as it
+divides, which is exact and keeps the vector primitive by Gauss's lemma,
+so no polynomial division over ``QuadExt`` runs (Cohen, *A Course in
+Computational Algebraic Number Theory*, 3.4).  What has no rational root
+is split by Yun's squarefree factorization in Z[t] (Yun, SYMSAC 1976),
+and its quadratic factors are solved by the quadratic formula.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 by local expansion at each root, which needs no linear system and keeps
 repeated roots on the same code path as simple ones.  The Taylor shift to
 a root is one synthetic division on integer pairs (x, y), standing for
 x + y*sqrt(d), over one common denominator, with d the root's radicand
-(0 for a rational root); so a rational quotient at a rational root is
-expanded in integers and ``Fraction``s, without ``QuadExt`` arithmetic.
+(0 for a rational root); so at a rational root the quotient is expanded
+in integers and ``Fraction``s, without ``QuadExt`` arithmetic.  The
+conjugate of a radical root takes the conjugate expansion.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ._record import Record
-from .errors import (ImproperRational, PoleEvaluation, RadicandMismatch,
-                     UnsupportedFactorization)
+from .errors import ImproperRational, PoleEvaluation, UnsupportedFactorization
 from .exact import (QuadExt, RationalLike, _exact_sqrt, _integer_pair,
                     _squarefree_split, sort_key)
 
@@ -62,13 +63,37 @@ _ONE = QuadExt(1)
 _MINUS_ONE = QuadExt(-1)
 
 
+def _rational_values(values: Iterable[Scalar]) -> list[RationalLike]:
+    """The values as ints and Fractions, trailing zeros dropped; a radical
+    one raises ValueError."""
+    out: list[RationalLike] = []
+    for c in values:
+        if isinstance(c, QuadExt):
+            if c.radicand:
+                raise ValueError(f"radical coefficient {c}: "
+                                 "polynomials are over Q")
+            c = c.rational_part
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as an exact value")
+        out.append(c)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class Poly:
-    """A dense univariate polynomial over QuadExt."""
+    """A dense univariate polynomial over Q, its coefficients rational
+    QuadExt values; a radical coefficient raises ValueError and an inexact
+    one TypeError."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [QuadExt.of(c) for c in coeffs]
+        for c in cs:
+            if c.radicand:
+                raise ValueError(f"radical coefficient {c}: "
+                                 "polynomials are over Q")
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -107,10 +132,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self._coeffs) and self._coeffs[-1] == _ONE
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c.is_rational for c in self._coeffs)
 
     def coefficient(self, k: int) -> QuadExt:
         return self._coeffs[k] if 0 <= k < len(self._coeffs) else _ZERO
@@ -198,9 +219,6 @@ class Poly:
     def __floordiv__(self, other: object) -> "Poly":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: object) -> "Poly":
-        return divmod(self, other)[1]
-
     def __truediv__(self, scalar: object) -> "Poly":
         if isinstance(scalar, (int, Fraction, QuadExt)):
             inv = QuadExt.of(scalar).inverse()
@@ -219,16 +237,8 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self / self.leading
-
     def derivative(self) -> "Poly":
         return Poly((i * c for i, c in enumerate(self._coeffs) if i))
-
-    def conjugate(self) -> "Poly":
-        return Poly((c.conjugate() for c in self._coeffs))
 
     def __call__(self, x: Scalar) -> QuadExt:
         point = QuadExt.of(x)
@@ -275,15 +285,13 @@ def _power_text(k: int, var: str) -> str:
 
 def _term_text(c: QuadExt, k: int, var: str) -> str:
     if k == 0:
-        return f"({c})" if not c.is_rational else str(c)
+        return str(c)
     text = _power_text(k, var)
     if c == _ONE:
         return text
     if c == _MINUS_ONE:
         return f"-{text}"
-    if c.is_rational:
-        return f"{c}*{text}"
-    return f"({c})*{text}"
+    return f"{c}*{text}"
 
 
 # the formal variable, importable as a building block
@@ -293,18 +301,11 @@ _ONE_POLY = Poly((1,))
 
 def poly_gcd(a: Poly | list[int], b: Poly | list[int]) -> Poly:
     """Monic gcd; gcd(p, 0) is monic(p).  The operands are both Polys or
-    both integer vectors, lowest degree first.  Rational operands run a
-    primitive remainder sequence in integers, radical ones Euclid over
-    QuadExt."""
+    both integer vectors, lowest degree first; the remainder sequence runs
+    on primitive integer vectors."""
     if isinstance(a, Poly):
-        if a.is_zero and b.is_zero:
-            raise ValueError("gcd(0, 0) is undefined")
-        if not (a.is_rational and b.is_rational):
-            while not b.is_zero:
-                a, b = b, a % b
-            return a.monic()
         a, b = _integer_coefficients(a), _integer_coefficients(b)
-    elif not (a or b):
+    if not (a or b):
         raise ValueError("gcd(0, 0) is undefined")
     h = _integer_gcd(a, b)
     return _monic_poly(h) if len(h) > 1 else _ONE_POLY
@@ -390,11 +391,8 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Split rational f into [(g_i, i)] with f = prod g_i^i up to a
-    constant, each g_i monic and squarefree.  Radical coefficients raise
-    ValueError."""
-    if not f.is_rational:
-        raise ValueError(f"{f} has radical coefficients")
+    """Split f into [(g_i, i)] with f = prod g_i^i up to a constant, each
+    g_i monic and squarefree."""
     if f.degree < 1:
         return []
     return [(_monic_poly(g), i) for g, i in _yun(_integer_coefficients(f))]
@@ -422,8 +420,8 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
 
 
 def _integer_coefficients(f: Poly) -> list[int]:
-    """Scale a rational-coefficient polynomial to primitive integers."""
-    return _primitive_part([c.as_fraction() for c in f.coefficients])[0]
+    """Scale a polynomial to primitive integers."""
+    return _primitive_part([c.rational_part for c in f.coefficients])[0]
 
 
 def _primitive_part(values: list[RationalLike]) -> tuple[list[int], Fraction]:
@@ -432,23 +430,6 @@ def _primitive_part(values: list[RationalLike]) -> tuple[list[int], Fraction]:
     ints = [x.numerator * (scale // x.denominator) for x in values]
     content = gcd(*ints) or 1
     return [v // content for v in ints], Fraction(content, scale)
-
-
-def _rational_values(values: Iterable[Scalar]) -> list[RationalLike] | None:
-    """The values as ints and Fractions, trailing zeros dropped; None when
-    one of them is radical."""
-    out: list[RationalLike] = []
-    for c in values:
-        if isinstance(c, QuadExt):
-            if c.radicand:
-                return None
-            c = c.rational_part
-        elif not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot interpret {c!r} as an exact value")
-        out.append(c)
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _rational_roots(core: list[int]) -> list[tuple[int, int]]:
@@ -603,7 +584,13 @@ def _quadratic_roots(h: Poly) -> list[QuadExt]:
             QuadExt._normalised(-b * half, -half * root_rad, d0)]
 
 
-def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
+def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
+    """Complete root multiset of a monic denominator, or raise: rational
+    root isolation, then the quadratic formula on what is left."""
+    if f.degree < 1:
+        raise ValueError("denominator must have degree >= 1")
+    if not f.is_monic:
+        raise ValueError("denominator must be monic")
     found: dict[QuadExt, int] = {}
     zeros = 0
     while not f.coefficient(zeros):
@@ -646,54 +633,6 @@ def _factor_rational(f: Poly) -> list[tuple[QuadExt, int]]:
     return sorted(found.items(), key=lambda item: sort_key(item[0]))
 
 
-def factor_roots(den: Poly) -> list[tuple[QuadExt, int]]:
-    """Complete root multiset of a monic denominator, or raise.
-
-    Rational coefficients go straight to rational-root isolation plus the
-    quadratic formula.  Radical coefficients are handled through the norm
-    den * conj(den), whose rational factorization supplies the candidate
-    roots; multiplicities are then counted on den itself.
-    """
-    if den.degree < 1:
-        raise ValueError("denominator must have degree >= 1")
-    if not den.is_monic:
-        raise ValueError("denominator must be monic")
-    if den.is_rational:
-        return _factor_rational(den)
-    norm = (den * den.conjugate()).monic()
-    found: list[tuple[QuadExt, int]] = []
-    work = den
-    try:
-        for root, _ in _factor_rational(norm):
-            m = 0
-            while work.degree >= 1 and not work(root):
-                work = work // Poly((-root, 1))
-                m += 1
-            if m:
-                found.append((root, m))
-    except RadicandMismatch as exc:
-        raise UnsupportedFactorization(
-            "roots span more than one quadratic extension") from exc
-    if work.degree != 0:
-        raise UnsupportedFactorization(f"unfactored part remains: {work}")
-    return sorted(found, key=lambda item: sort_key(item[0]))
-
-
-def _reduce_radical(n: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """n/d with the gcd cancelled and d monic, over QuadExt."""
-    if d.is_zero:
-        raise ZeroDivisionError("rational function with zero denominator")
-    if n.is_zero:
-        return Poly(), _ONE_POLY
-    g = poly_gcd(n, d)
-    if g.degree > 0:
-        n, d = n // g, d // g
-    lead = d.leading
-    if lead != _ONE:
-        n, d = n / lead, d / lead
-    return n, d
-
-
 def _coefficient_list(value: "Poly | Scalar | Sequence[Scalar]",
                       ) -> Sequence[Scalar]:
     if isinstance(value, Poly):
@@ -707,10 +646,9 @@ class RatFunc:
     """A normalized quotient of polynomials in t.
 
     Numerator and denominator are each a ``Poly``, a scalar or a
-    coefficient sequence, lowest degree first.  When both are rational the
-    gcd, the exact division by it and the monic scaling run on their
-    primitive integer vectors; radical ones reduce by Euclid over
-    ``QuadExt``."""
+    coefficient sequence, lowest degree first, with rational coefficients;
+    a radical one raises ValueError.  The gcd, the exact division by it and
+    the monic scaling run on their primitive integer vectors."""
 
     __slots__ = ("_num", "_den")
 
@@ -718,9 +656,6 @@ class RatFunc:
                  den: Poly | Scalar | Sequence[Scalar] = 1) -> None:
         num, den = _coefficient_list(num), _coefficient_list(den)
         top, bottom = _rational_values(num), _rational_values(den)
-        if top is None or bottom is None:
-            self._num, self._den = _reduce_radical(Poly(num), Poly(den))
-            return
         if not bottom:
             raise ZeroDivisionError("rational function with zero denominator")
         if not top:
@@ -873,39 +808,28 @@ class PFTerm(Record):
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "coefficient", coefficient)
 
-    def as_ratfunc(self) -> RatFunc:
-        return RatFunc(Poly((self.coefficient,)),
-                       Poly((-self.root, 1)) ** self.multiplicity)
-
 
 def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
-    """First count coefficients of p(r + u): Fractions when p and r are
-    rational, QuadExt otherwise.
+    """First count coefficients of p(r + u): Fractions when r is rational,
+    QuadExt otherwise.
 
-    With d the one radicand, r = R/Q and p = P/L for R and the P_i in
-    Z[sqrt(d)], p(r + u) = H(R + Q u)/(L Q^deg) for H_i = P_i Q^(deg - i).
+    With d the radicand of r, r = R/Q and p = P/L for R in Z[sqrt(d)] and
+    the P_i in Z, p(r + u) = H(R + Q u)/(L Q^deg) for H_i = P_i Q^(deg - i).
     Synthetic division by (z - R) on integer pairs (x, y), standing for
     x + y sqrt(d), gives the Taylor coefficients h_k of H at R, and the
     coefficient of u^k is h_k/(L Q^(deg - k))."""
     coeffs = p.coefficients
-    radicands = {c.radicand for c in coeffs} | {r.radicand}
-    radicands.discard(0)
-    if len(radicands) > 1:
-        first, second = sorted(radicands)[:2]
-        raise RadicandMismatch(
-            f"cannot combine sqrt({first}) with sqrt({second})")
-    d = radicands.pop() if radicands else 0
+    d = r.radicand
     q = lcm(r.rational_part.denominator, r.radical_part.denominator)
     u, v = _integer_pair(r, q)
     vd = v * d
-    scale = lcm(*(x.denominator for c in coeffs
-                  for x in (c.rational_part, c.radical_part)))
-    xs, ys, q_power = [], [], 1     # H, highest degree first
+    scale = lcm(*(c.rational_part.denominator for c in coeffs))
+    xs, q_power = [], 1     # H, highest degree first
     for c in reversed(coeffs):
-        x, y = _integer_pair(c, scale)
-        xs.append(x * q_power)
-        ys.append(y * q_power)
+        x = c.rational_part
+        xs.append(x.numerator * (scale // x.denominator) * q_power)
         q_power *= q
+    ys = [0] * len(xs)
     den, out = scale * q_power // q, []
     for _ in range(min(count, len(xs))):
         acc_x = acc_y = 0
@@ -927,21 +851,19 @@ def partial_fractions(a: RatFunc) -> list[PFTerm]:
 
     Local expansion at each root r of multiplicity m (Bronstein and Salvy,
     ISSAC 1993): at t = r + u the first m terms of the series num/Q, where
-    Q = den/(t - r)^m, are the coefficients of 1/(t - r)^m .. 1/(t - r); a
-    rational quotient conjugates them for the conjugate root.  Zero
-    coefficients are dropped.  The Taylor shifts run in integers, and at a
-    rational root of a rational quotient the series quotient runs in
-    Fractions.
+    Q = den/(t - r)^m, are the coefficients of 1/(t - r)^m .. 1/(t - r), and
+    the conjugate root takes their conjugates.  Zero coefficients are
+    dropped.  The Taylor shifts run in integers, and at a rational root the
+    series quotient runs in Fractions.
     """
     if a.is_zero:
         return []
     if not a.is_strictly_proper:
         raise ImproperRational(
             f"degree {a.num.degree} over degree {a.den.degree}")
-    rational = a.num.is_rational and a.den.is_rational
     local: dict[QuadExt, list[QuadExt]] = {}    # root -> series
     for root, mult in factor_roots(a.den):
-        if rational and root.conjugate() in local:
+        if root.conjugate() in local:
             series = [c.conjugate() for c in local[root.conjugate()]]
         else:
             num = _taylor(a.num, root, mult)

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Union
 from ._record import Record
 from .exact import (PHI, PSI, QuadExt, _NO_RADICAL, _integer_pair,
                     sort_key)
-from .polys import PFTerm, partial_fractions
+from .polys import Poly, RatFunc, partial_fractions
 from .transforms import TransformExpr
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -155,12 +155,45 @@ class ClosedFormSequence:
         return hash(self._terms)
 
     def transform(self) -> TransformExpr:
-        """Forward transform: each term is c/(t - r)^m, the partial
-        fraction that inverse_transform turns back into it."""
+        """Forward transform, one rational quotient per conjugate orbit.
+
+        A term is the partial fraction c/(t - r)^m that inverse_transform
+        turns back into it.  A rational root r keeps c/(t - r)^m, and c
+        must be rational.  A radical root r needs the conjugate term
+        conj(c)/(t - conj(r))^m, and the pair sums to
+
+            2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m,
+
+        with Re the rational part and N(r) = r conj(r), so every quotient
+        is over Q (Bronstein and Salvy, ISSAC 1993).  A term that breaks
+        this raises ValueError naming it."""
+        coefficients = {(t.root, t.multiplicity): t.coefficient
+                        for t in self._terms}
         total = TransformExpr()
         for term in self._terms:
-            total = total + TransformExpr(PFTerm(
-                term.root, term.multiplicity, term.coefficient).as_ratfunc())
+            c, r, m = term.coefficient, term.root, term.multiplicity
+            if r.is_rational:
+                if not c.is_rational:
+                    raise ValueError(f"term {_term_text(term)} has a "
+                                     "radical coefficient on a rational root")
+                quotient = RatFunc(c, Poly((-r, 1)) ** m)
+            else:
+                conj = r.conjugate()
+                partner = coefficients.get((conj, m))
+                if partner is None:
+                    raise ValueError(f"term {_term_text(term)} has no "
+                                     "conjugate partner")
+                if partner != c.conjugate():
+                    raise ValueError(
+                        f"term {_term_text(term)} has the partner "
+                        f"coefficient {partner}, not its conjugate")
+                if r.radical_part < 0:
+                    continue    # the orbit is built from its other root
+                num = [2 * (c * comb(m, k) * (-conj) ** (m - k)).rational_part
+                       for k in range(m + 1)]
+                quotient = RatFunc(num, Poly((r * conj, -2 * r.rational_part,
+                                              1)) ** m)
+            total = total + TransformExpr(quotient)
         return total
 
     def __str__(self) -> str:
@@ -249,6 +282,8 @@ def _root_power_text(root: QuadExt, exponent_shift: int) -> str:
 
 def _term_text(term: Term) -> str:
     c, r, m = term.coefficient, term.root, term.multiplicity
+    if not r:
+        return _spike_text(m, c)
     factors: list[str] = []
     if m == 2:
         factors.append("(n-1)")

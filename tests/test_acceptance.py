@@ -195,36 +195,33 @@ def test_criterion_09_numeric_certification():
         assert check_closed_form_pair(seq, expr).passed
 
 
-def test_criterion_10_randomized_property_suites():
+def test_criterion_10_randomized_property_suites(with_partners, recombines):
     with criterion(10, "four randomized property suites"):
         start = time.perf_counter()
         rng = random.Random(99)
         root_pool = [QuadExt(1), QuadExt(2), QuadExt(Fraction(1, 2)),
                      QuadExt(-1), PHI, PSI]
 
-        # (a) transform followed by inversion is the identity
+        # (a) transform followed by inversion is the identity; a radical
+        # root brings its conjugate partner
         for _ in range(100):
             picks = rng.sample(root_pool, rng.randint(1, 2))
             terms = [(QuadExt(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                               or 1), root, rng.randint(1, 2))
                      for root in picks]
-            seq = ClosedFormSequence(terms)
+            seq = ClosedFormSequence(with_partners(terms))
             assert inverse_transform(seq.transform()) == seq
 
-        # (b) partial fraction split recombines to the original function
+        # (b) partial fraction split recombines to the original function;
+        # the terms c/(t - r)^m are summed as a closed form's transform
         for _ in range(100):
             picks = rng.sample(root_pool, rng.randint(1, 2))
             parts = [PFTerm(root, rng.randint(1, 2),
                             QuadExt(rng.randint(1, 5)))
                      for root in picks]
-            total = parts[0].as_ratfunc()
-            for part in parts[1:]:
-                total = total + part.as_ratfunc()
-            split = partial_fractions(total)
-            recombined = RatFunc(Poly((0,)), Poly((1,)))
-            for part in split:
-                recombined = recombined + part.as_ratfunc()
-            assert recombined == total
+            terms = [(p.coefficient, p.root, p.multiplicity) for p in parts]
+            total = ClosedFormSequence(with_partners(terms)).transform()
+            recombines(total.rational, partial_fractions(total.rational))
 
         # (c) the shift rule agrees with index translation
         for _ in range(100):

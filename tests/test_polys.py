@@ -11,7 +11,7 @@ from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
                             partial_fractions, poly_gcd,
                             squarefree_decomposition)
 from dlaplace.errors import (ImproperRational, PoleEvaluation,
-                             RadicandMismatch, UnsupportedFactorization)
+                             UnsupportedFactorization)
 from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import transform_of
 
@@ -97,18 +97,18 @@ def test_gcd(monkeypatch):
     a = Poly.from_roots(1, 1, 2)
     b = Poly.from_roots(1, 3)
     assert poly_gcd(a, b) == Poly.from_roots(1)
-    assert poly_gcd(a, Poly()) == a.monic()
+    assert poly_gcd(a, Poly()) == a          # a is monic
     assert poly_gcd(Poly((2,)), a) == Poly((1,))
     with pytest.raises(ValueError):
         poly_gcd(Poly(), Poly())
 
-    # rational operands never divide over QuadExt
-    def no_mod(self, other):
-        raise AssertionError("rational gcd reached Poly.__mod__")
+    # the gcd never divides Polys
+    def no_divmod(self, other):
+        raise AssertionError("gcd reached Poly.__divmod__")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Poly, "__mod__", no_mod)
-        assert poly_gcd(a * Fraction(3, 4), Poly()) == a.monic()
+        patch.setattr(Poly, "__divmod__", no_divmod)
+        assert poly_gcd(a * Fraction(3, 4), Poly()) == a
         rng = random.Random(41)
         roots = [Fraction(1), Fraction(-1), Fraction(3), Fraction(2, 3),
                  Fraction(-5, 7), Fraction(1, 2), Fraction(0)]
@@ -140,15 +140,9 @@ def test_gcd(monkeypatch):
             drawn.add(name)
         assert drawn == set(planted)
 
-    # a radical coefficient takes Euclid over QuadExt
-    def no_integers(f, g):
-        raise AssertionError("radical gcd reached the integer sequence")
-
-    monkeypatch.setattr(polys, "_pseudo_remainder", no_integers)
-    sqrt2 = QuadExt(0, 1, 2)
-    left = Poly.from_roots(sqrt2, 1, 1) * 3
-    right = Poly.from_roots(sqrt2, 1, Fraction(-2, 5))
-    assert poly_gcd(left, right) == Poly.from_roots(sqrt2, 1)
+    # a radical coefficient is refused where the operand is built
+    with pytest.raises(ValueError, match="radical coefficient"):
+        Poly.from_roots(QuadExt(0, 1, 2), 1, 1)
 
 
 def test_squarefree_decomposition():
@@ -187,10 +181,15 @@ def test_factor_repeated_and_mixed_roots():
 
 
 def test_factor_radical_coefficients_by_norm():
-    den = Poly.from_roots(PHI)  # t - phi, radical coefficients
-    assert factor_roots(den) == [(PHI, 1)]
-    den2 = Poly.from_roots(PHI, PHI, 2)
-    assert factor_roots(den2) == [(QuadExt(2), 1), (PHI, 2)]
+    # t - phi has radical coefficients and is refused; its norm
+    # t^2 - t - 1 is rational and factors into phi and its conjugate
+    for roots in [(PHI,), (PHI, PHI, 2)]:
+        with pytest.raises(ValueError, match="radical coefficient"):
+            Poly.from_roots(*roots)
+    norm = Poly((-1, -1, 1))
+    assert factor_roots(norm) == [(PSI, 1), (PHI, 1)]
+    den2 = norm * norm * Poly.from_roots(2)
+    assert factor_roots(den2) == [(QuadExt(2), 1), (PSI, 2), (PHI, 2)]
 
 
 def _divisors(n):
@@ -372,12 +371,32 @@ def test_factor_unsupported_cases():
         factor_roots(Poly((-1, -1, 0, 1)))  # t^3 - t - 1, irreducible
     with pytest.raises(UnsupportedFactorization):
         factor_roots(Poly((1, 0, 1)))       # t^2 + 1, complex pair
-    with pytest.raises(UnsupportedFactorization):
-        factor_roots(Poly((-QuadExt(0, 1, 5), 0, 1)))  # t^2 - sqrt(5)
+    with pytest.raises(ValueError, match="radical coefficient"):
+        Poly((-QuadExt(0, 1, 5), 0, 1))                # t^2 - sqrt(5)
     with pytest.raises(ValueError):
         factor_roots(Poly((2, 2)))          # not monic
     with pytest.raises(ValueError):
         factor_roots(Poly((1,)))            # constant
+
+
+def test_radical_coefficients_are_refused():
+    sqrt2 = QuadExt(0, 1, 2)
+    for build in (lambda: Poly((1, sqrt2)), lambda: Poly.monomial(2, sqrt2),
+                  lambda: Poly((1, 1)) * sqrt2, lambda: Poly((1,)) / sqrt2,
+                  lambda: RatFunc(Poly((1,)), [sqrt2, 1]),
+                  lambda: RatFunc([sqrt2], Poly((0, 1))),
+                  lambda: RatFunc(sqrt2),
+                  lambda: RatFunc(Poly((1,)), Poly((0, 1))) * sqrt2):
+        with pytest.raises(ValueError, match="radical coefficient"):
+            build()
+    # coefficients stay QuadExt values with radicand 0; a float is inexact
+    coefficients = Poly((Fraction(1, 2), 3, QuadExt(1, 0, 5))).coefficients
+    assert all(isinstance(c, QuadExt) and not c.radicand
+               for c in coefficients)
+    with pytest.raises(TypeError):
+        Poly([0.5])
+    with pytest.raises(TypeError):
+        RatFunc([1], [0.5])
 
 
 def test_ratfunc_normalization():
@@ -447,7 +466,17 @@ def test_partial_fractions_improper_rejected():
         partial_fractions(RatFunc(Poly((1,)), Poly((2,))) * 1)
 
 
-def test_partial_fractions_recombination_randomized():
+def _orbit_poly(r):
+    """The monic polynomial over Q whose roots are r and its conjugate:
+    t - r, or t^2 - 2 Re(r) t + N(r) for a radical r."""
+    if r.is_rational:
+        return Poly((-r, 1))
+    return Poly((r * r.conjugate(), -2 * r.rational_part, 1))
+
+
+def test_partial_fractions_recombination_randomized(recombines):
+    # a radical root brings its conjugate, with the multiplicity of the
+    # one drawn first
     rng = random.Random(424242)
     roots_pool = [QuadExt(1), QuadExt(2), QuadExt(Fraction(1, 2)),
                   QuadExt(-1), QuadExt(3), PHI, PSI]
@@ -458,24 +487,23 @@ def test_partial_fractions_recombination_randomized():
         mults = [rng.randint(1, 3) for _ in chosen]
         den = Poly((1,))
         for r, m in zip(chosen, mults):
-            den = den * Poly.from_roots(*([r] * m))
+            if r.conjugate() not in chosen[:chosen.index(r)]:
+                den = den * _orbit_poly(r) ** m
         num = Poly([Fraction(rng.randint(-9, 9)) for _ in range(den.degree)])
         quotient = RatFunc(num, den)
         if quotient.is_zero:
             continue
-        back = RatFunc()
-        for term in partial_fractions(quotient):
-            back = back + term.as_ratfunc()
-        assert back == quotient
+        recombines(quotient, partial_fractions(quotient))
         checked += 1
 
 
-def test_partial_fractions_recombine_exactly_randomized():
+def test_partial_fractions_recombine_exactly_randomized(recombines):
     # every denominator has a rational root of multiplicity up to 13 and
     # often a zero root (spikes); kinds 1-3 add roots in Q(sqrt(2)),
     # Q(sqrt(5)) or Q(sqrt(1000000007)): a conjugate pair under a rational
     # numerator (the pair taken by conjugation), the same pair under a
     # radical numerator, and a lone radical root (radical denominator).
+    # The last two are not quotients over Q and are refused.
     # With the large radicand the rational root is +-1 and the radical
     # roots a +- sqrt(d) are simple, so the constant term stays near d;
     # test_factor_roots_returns_planted_roots factors larger ones.
@@ -497,26 +525,29 @@ def test_partial_fractions_recombine_exactly_randomized():
             roots += [(r, mult), (r.conjugate(), mult)]
         elif kind == 3:
             roots.append((r, mult))
-        den = Poly((1,))
-        for root, mult in roots:
-            den = den * Poly.from_roots(*[root] * mult)
+        degree = sum(mult for _, mult in roots)
         scalars = [QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                            rng.randint(-2, 2) if kind == 2 else 0, d)
-                   for _ in range(den.degree)]
+                   for _ in range(degree)]
+        if kind == 3:
+            with pytest.raises(ValueError, match="radical coefficient"):
+                Poly.from_roots(r)
+            continue
+        den = Poly((1,))
+        for root, mult in roots:
+            if root.radical_part >= 0:
+                den = den * _orbit_poly(root) ** mult
+        if any(c.radicand for c in scalars):
+            with pytest.raises(ValueError, match="radical coefficient"):
+                RatFunc(scalars, den)
+            continue
         quotient = RatFunc(Poly(scalars), den)
         if quotient.is_zero:
             continue
         terms = partial_fractions(quotient)
         assert all(t.coefficient for t in terms)
         assert len({(t.root, t.multiplicity) for t in terms}) == len(terms)
-        # sum of the terms over the common denominator: num/den exactly
-        back = Poly()
-        for term in terms:
-            part = term.as_ratfunc()
-            cofactor, rem = divmod(quotient.den, part.den)
-            assert rem.is_zero
-            back = back + part.num * cofactor
-        assert back == quotient.num
+        recombines(quotient, terms)
 
 
 def test_rendering():
@@ -529,7 +560,8 @@ def test_rendering():
     assert str(RatFunc(Poly((1,)), Poly((0, 1)))) == "1/t"
     assert str(RatFunc()) == "0"
     assert str(Poly((0, Fraction(-1, 2)))) == "-1/2*t"
-    assert str(Poly.from_roots(PHI)) == "t + (-1/2 - 1/2*sqrt(5))"
+    with pytest.raises(ValueError, match="radical coefficient"):
+        Poly.from_roots(PHI)
 
 
 def _taylor_reference(p, r, count):
@@ -549,9 +581,8 @@ def _taylor_reference(p, r, count):
 def _assert_taylor_matches(p, r, count):
     got = polys._taylor(p, r, count)
     assert got == _taylor_reference(p, r, count), (p, r, count)
-    # a rational polynomial at a rational root stays in Fractions
-    rational = p.is_rational and r.is_rational
-    assert all(isinstance(c, Fraction) == rational for c in got)
+    # a rational root stays in Fractions
+    assert all(isinstance(c, Fraction) == r.is_rational for c in got)
 
 
 def test_taylor_shift_matches_quadext_reference_randomized():
@@ -590,15 +621,15 @@ def test_taylor_shift_matches_quadext_reference_randomized():
         # a radical pair in Q(sqrt d), alone and beside a rational root
         r, s = radical_pair()
         q = QuadExt(rational(5, 4))
-        pair = Poly.from_roots(r, s) ** rng.randint(1, 2)
+        pair = _orbit_poly(r) ** rng.randint(1, 2)
         for den in (pair, pair * Poly.from_roots(*[q] * rng.randint(1, 4))):
             num = Poly([rational() for _ in range(den.degree)])
             for root in (r, s, q):
                 _assert_taylor_matches(den, root, 4)
                 _assert_taylor_matches(num, root, 3)
     for _ in range(20):
-        # numerators with radical coefficients: the transform of a closed
-        # form with radical coefficients over one field
+        # a closed form whose conjugate roots carry coefficients that are
+        # not conjugate has no transform over Q: it is refused
         r, s = radical_pair()
         q = QuadExt(rational(5, 4))
         seq = ClosedFormSequence([
@@ -606,16 +637,12 @@ def test_taylor_shift_matches_quadext_reference_randomized():
             (QuadExt(rational(), rational(), r.radicand), s, 1),
             (rational() or 1, q, rng.randint(1, 3)),
             (rational() or 1, 0, rng.randint(1, 2))])
-        quotient = seq.transform().rational
-        assert not quotient.num.is_rational
-        for root, mult in factor_roots(quotient.den):
-            _assert_taylor_matches(quotient.num, root, mult)
-            _assert_taylor_matches(quotient.den, root, 2 * mult)
-    # two radicands cannot meet, in the new shift as in the reference
-    mixed = Poly.from_roots(QuadExt(0, 1, 2), 1)
-    for shift in (polys._taylor, _taylor_reference):
-        with pytest.raises(RadicandMismatch):
-            shift(mixed, QuadExt(1, 1, 3), 2)
+        with pytest.raises(ValueError, match="not its conjugate"):
+            seq.transform()
+    # a polynomial with a radical coefficient is refused, so the shift
+    # never meets two radicands
+    with pytest.raises(ValueError, match="radical coefficient"):
+        Poly.from_roots(QuadExt(0, 1, 2), 1)
 
 
 def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
@@ -634,8 +661,23 @@ def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
     assert partial_fractions(quotient) == expected
 
 
+def _reduce_by_euclid(n, d):
+    """n/d with the gcd cancelled and d monic, by Euclid and division of
+    Polys: the reduction RatFunc once ran for radical coefficients."""
+    if n.is_zero:
+        return Poly(), Poly((1,))
+    a, b = n, d
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    g = a / a.leading
+    if g.degree > 0:
+        n, d = n // g, d // g
+    lead = d.leading
+    return n / lead, d / lead
+
+
 def test_rational_ratfunc_reduces_in_integers(monkeypatch):
-    # the radical path, Euclid over QuadExt, is the reference
+    # Euclid over Poly division is the reference
     rng = random.Random(3141)
     cases = []
     for _ in range(60):
@@ -647,7 +689,7 @@ def test_rational_ratfunc_reduces_in_integers(monkeypatch):
         den = common * Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                              for _ in range(rng.randint(1, 3))]
                             + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
-        cases.append((num, den, polys._reduce_radical(num, den)))
+        cases.append((num, den, _reduce_by_euclid(num, den)))
 
     def fail(*args):
         raise AssertionError("Poly division on a rational reduction")

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from dlaplace.cli import main
+from dlaplace.dsl import parse_program
 from dlaplace.errors import RadicandMismatch
 from dlaplace.exact import PHI, PSI, QuadExt
 from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
@@ -13,7 +14,7 @@ from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 fibonacci_normal, inverse_transform,
                                 partial_sums)
 from dlaplace.solver import (RecurrenceSpec, RecursiveSequence,
-                             verify_solution)
+                             transform_of, verify_solution)
 from dlaplace.transforms import (TransformExpr, convolve as xf_convolve,
                                  geometric, n_power)
 
@@ -150,8 +151,9 @@ def test_inverse_transform_keeps_deltas():
     assert seq(1) == 1 and seq(2) == 8 and seq(3) == 1
 
 
-def test_round_trip_randomized():
-    # closed form -> forward transform -> partial fractions -> closed form
+def test_round_trip_randomized(with_partners):
+    # closed form -> forward transform -> partial fractions -> closed form;
+    # a radical root brings its conjugate partner
     rng = random.Random(161803)
     roots_pool = [QuadExt(1), QuadExt(2), QuadExt(Fraction(1, 2)),
                   QuadExt(-1), PHI, PSI]
@@ -163,7 +165,7 @@ def test_round_trip_randomized():
         deltas = {}
         if rng.random() < 0.3:
             deltas[rng.randint(1, 4)] = Fraction(rng.randint(-5, 5))
-        seq = ClosedFormSequence(terms, deltas)
+        seq = ClosedFormSequence(with_partners(terms), deltas)
         if seq.is_zero:
             continue
         back = inverse_transform(seq.transform())
@@ -175,6 +177,73 @@ def test_forward_transform_matches_rule_assembly():
     seq = ClosedFormSequence([(1, 2, 2)])
     expected = xf_convolve(geometric(2), geometric(2))
     assert seq.transform() == expected
+
+
+def test_forward_transform_over_two_fields_matches_the_solver():
+    # denominator (t^2 - 2)(t^2 - 3)^2: roots in Q(sqrt(2)) and Q(sqrt(3))
+    spec = parse_program(
+        "a[n+6] = 8*a[n+4] - 21*a[n+2] + 18*a[n]; "
+        "a[1]=1; a[2]=0; a[3]=0; a[4]=0; a[5]=0; a[6]=0").to_spec()
+    sqrt2, sqrt3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    seq = ClosedFormSequence([
+        (Fraction(9, 2), sqrt2, 1), (Fraction(9, 2), -sqrt2, 1),
+        (-4, sqrt3, 1), (-4, -sqrt3, 1),
+        (sqrt3 / 2, sqrt3, 2), (-sqrt3 / 2, -sqrt3, 2)])
+    expected = transform_of(spec)
+    assert seq.transform() == expected
+    assert inverse_transform(expected) == seq
+
+
+def test_round_trip_of_orbit_closed_forms_randomized():
+    # one or two radical orbits in Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(5)),
+    # the same field or two, with poles up to order 3 and terms of every
+    # lower order at the same root; rational roots and spikes beside them.
+    # The orbits take distinct orders, so Yun's algorithm separates their
+    # quadratics.
+    rng = random.Random(1993)
+
+    def rational(top=6, den=3):
+        return Fraction(rng.randint(-top, top), rng.randint(1, den))
+
+    for _ in range(100):
+        orders = rng.sample([1, 2, 3], rng.randint(1, 2))
+        terms = []
+        for m in orders:
+            d = rng.choice([2, 3, 5])
+            r = QuadExt(rational(3, 2), rational(3, 2) or 1, d)
+            for k in range(1, m + 1):
+                c = QuadExt(rational(), rational(), d)
+                if k == m:
+                    c = c or QuadExt(1)
+                terms += [(c, r, k), (c.conjugate(), r.conjugate(), k)]
+        for _ in range(rng.randint(0, 2)):
+            terms.append((rational() or 1, rational(3, 2), rng.randint(1, 3)))
+        deltas = {rng.randint(1, 4): rational()
+                  for _ in range(rng.randint(0, 2))}
+        seq = ClosedFormSequence(terms, deltas)
+        assert inverse_transform(seq.transform()) == seq
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([(1, PHI, 1)],
+     "term (1/2 + 1/2*sqrt(5))^(n-1) has no conjugate partner"),
+    ([(1, PHI, 2), (1, PSI, 1)],
+     "term (1/2 - 1/2*sqrt(5))^(n-1) has no conjugate partner"),
+    ([(1, PHI, 1), (2, PSI, 1)],
+     "term 2*(1/2 - 1/2*sqrt(5))^(n-1) has the partner coefficient 1, "
+     "not its conjugate"),
+    ([(QuadExt(0, 1, 2), 3, 1)],
+     "term (sqrt(2))*3^(n-1) has a radical coefficient on a rational root"),
+    ([(QuadExt(0, 1, 2), 0, 2)],
+     "term (sqrt(2))*delta(n,2) has a radical coefficient on a rational "
+     "root"),
+], ids=["lone root", "unmatched order", "unconjugated coefficient",
+        "radical coefficient", "radical spike"])
+def test_forward_transform_refuses_a_term_outside_a_rational_orbit(
+        terms, message):
+    with pytest.raises(ValueError) as caught:
+        ClosedFormSequence(terms).transform()
+    assert str(caught.value) == message
 
 
 def test_rationality_of_rational_data():

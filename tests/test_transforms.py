@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dlaplace import polys
-from dlaplace.exact import PHI
+from dlaplace.exact import PHI, QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, inverse_transform
 from dlaplace.transforms import (MAX_N_POWER, TransformExpr, convolve,
@@ -24,7 +24,22 @@ def rf(num, den):
 def test_geometric_rule():
     assert geometric(5).rational == rf([1], [-5, 1])
     assert geometric(Fraction(1, 2)).rational == rf([1], [Fraction(-1, 2), 1])
-    assert geometric(PHI).rational == RatFunc(Poly((1,)), Poly((-PHI, 1)))
+    # a radical base has no quotient over Q: its conjugate partner is needed
+    with pytest.raises(ValueError, match="radical coefficient"):
+        geometric(PHI)
+
+
+def test_rules_refuse_radical_coefficients():
+    sqrt5 = QuadExt(0, 1, 5)
+    with pytest.raises(ValueError, match="radical coefficient"):
+        shift(ONE, 2, [1, sqrt5])
+    with pytest.raises(ValueError, match="radical coefficient"):
+        ONE * sqrt5
+    with pytest.raises(ValueError, match="radical coefficient"):
+        sqrt5 * ONE
+    with pytest.raises(ValueError, match="radical coefficient"):
+        difference(ONE, sqrt5)
+    assert ONE * QuadExt(3) == geometric(1) * 3
 
 
 def test_geometric_zero_base_is_the_spike_at_one():
