@@ -24,8 +24,7 @@ def main():
         print(f"  ({part.coefficient}) / (t - ({part.root}))")
 
     print()
-    print("closed form:", report.closed_form_text())
-    print("  expanded: ", report.closed_form)
+    print("closed form:", report.closed_form)
 
     values = report.values(12)
     print()

@@ -13,7 +13,7 @@ from .errors import (CapabilityError, CheckFailed, DegreeLimitExceeded,
                      RadicandMismatch, SemanticError, SeriesCapExceeded,
                      UnsupportedFactorization, UnsupportedForcing,
                      VerificationFailed)
-from .exact import PHI, PSI, QuadExt, SQRT5
+from .exact import QuadExt
 from .polys import (PFTerm, Poly, RatFunc, T, factor_roots, partial_fractions,
                     poly_gcd, squarefree_decomposition)
 from .transforms import (MAX_N_POWER, TransformExpr, convolve as
@@ -21,8 +21,7 @@ from .transforms import (MAX_N_POWER, TransformExpr, convolve as
                          transform_difference, geometric, n_power,
                          partial_sum, shift, times_n)
 from .sequences import (ClosedFormSequence, Term, convolve, delta,
-                        equal_prefix, fibonacci_normal, inverse_transform,
-                        partial_sums)
+                        equal_prefix, inverse_transform, partial_sums)
 from .solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
                      SolutionReport, VerificationReport, solve_ivp,
                      transform_of, verify_solution)
@@ -39,14 +38,14 @@ __all__ = [
     "ParseError", "PoleEvaluation", "RadicandMismatch", "SemanticError",
     "SeriesCapExceeded", "UnsupportedFactorization", "UnsupportedForcing",
     "VerificationFailed",
-    "PHI", "PSI", "QuadExt", "SQRT5",
+    "QuadExt",
     "PFTerm", "Poly", "RatFunc", "T", "factor_roots", "partial_fractions",
     "poly_gcd", "squarefree_decomposition",
     "MAX_N_POWER", "TransformExpr", "transform_convolve",
     "transform_difference", "geometric", "n_power", "partial_sum", "shift",
     "times_n",
     "ClosedFormSequence", "Term", "convolve", "delta", "equal_prefix",
-    "fibonacci_normal", "inverse_transform", "partial_sums",
+    "inverse_transform", "partial_sums",
     "ForcingTerm", "RecurrenceSpec", "RecursiveSequence", "SolutionReport",
     "VerificationReport", "solve_ivp", "transform_of", "verify_solution",
     "DEFAULT_S_GRID", "DEFAULT_TOLERANCE", "CheckReport",

@@ -99,7 +99,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     basis = report.coefficient_decomposition
     var = _display_var(args.display)
     values = ", ".join(report.value_texts(args.terms))
-    print(f"closed form: {report.closed_form_text()}")
+    print(f"closed form: {report.closed_form}")
     print(f"transform:   {report.transform.render(var)}")
     print(f"values:      {values}")
     print(f"verified:    n <= {report.verified_upto} (exact)")

@@ -354,12 +354,6 @@ def _integer_pair(value: QuadExt, scale: int) -> tuple[int, int]:
             b.numerator * (scale // b.denominator))
 
 
-SQRT5 = QuadExt(0, 1, 5)
-# The two roots of t^2 - t - 1: the golden ratio and its conjugate.
-PHI = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-PSI = PHI.conjugate()
-
-
 def sort_key(value: QuadExt) -> tuple[int, Fraction, Fraction]:
     """A deterministic ordering key usable across different radicands."""
     return (value.radicand, value.rational_part, value.radical_part)

@@ -16,19 +16,12 @@ import math
 from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
-from .exact import QuadExt
 from .sequences import ClosedFormSequence
 from .transforms import TransformExpr
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
 SERIES_CAP = 10 ** 6
-
-
-def _as_float(value: object) -> float:
-    if isinstance(value, QuadExt):
-        return value.to_float()
-    return float(value)  # type: ignore[arg-type]
 
 
 def series_eval(f: Callable[[int], object], s: float, terms: int) -> float:
@@ -43,7 +36,7 @@ def _float_term(f: Callable[[int], object], n: int, stage: str,
     """f(n) as a double, refusing a value past the double range."""
     value = f(n)
     try:
-        return _as_float(value)
+        return float(value)  # type: ignore[arg-type]
     except OverflowError:
         raise SeriesCapExceeded(
             f"{stage}: term {n} of {terms} is past the double range"
@@ -65,6 +58,9 @@ def terms_needed(alpha: float, s0: float, s: float, target: float) -> int:
     if target <= 0:
         raise ValueError("target must be positive")
     q = math.exp(s0 - s)
+    if not q:
+        raise SeriesCapExceeded(
+            f"series at s = {s}: e^(s0 - s) is past the double range")
     # alpha q^(N+1)/(1-q) <= target
     need = math.log(target * (1.0 - q) / alpha) / math.log(q) - 1.0
     terms = max(1, math.ceil(need))
@@ -159,11 +155,20 @@ def check_closed_form_pair(seq: ClosedFormSequence, expr: TransformExpr,
             f"no sample point exceeds the growth rate s0 = {s0:.3f}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if not tolerance / 2.0:
+        raise SeriesCapExceeded(
+            f"tolerance {tolerance!r} is past the double range when halved")
     report = CheckReport(tolerance)
     for s in usable:
         terms = terms_needed(alpha, s0, s, tolerance / 2.0)
         total = series_eval(seq, s, terms)
-        reference = expr.eval_float(math.exp(s))
+        try:
+            t = math.exp(s)
+        except OverflowError:
+            raise SeriesCapExceeded(
+                f"transform at s = {s}: e^s is past the double range"
+            ) from None
+        reference = expr.eval_float(t)
         gap = abs(total - reference)
         entry = CheckEntry(s, terms, total, reference, gap,
                            tail_bound(alpha, s0, s, terms), gap <= tolerance)

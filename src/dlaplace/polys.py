@@ -256,25 +256,22 @@ class Poly:
     def render(self, var: str = "t") -> str:
         if self.is_zero:
             return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
-                continue
-            body = _term_text(c, k, var)
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(f" - {body[1:]}")
-            else:
-                parts.append(f" + {body}")
-        return "".join(parts)
+        return _sum_text([_term_text(c, k, var) for k, c in
+                          reversed(list(enumerate(self._coeffs))) if c])
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self._coeffs]})"
+
+
+def _sum_text(parts: list[str]) -> str:
+    """The parts joined by + and -, a part's leading minus made the sign."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _power_text(k: int, var: str) -> str:

@@ -12,19 +12,24 @@ delta at n = m.  The binomial factor vanishes for n < m, so no negative
 powers of the root are ever formed and a zero root never meets a negative
 exponent (0^0 counts as 1).
 
+A radical term c*r^(n-m) and its partner conj(c)*conj(r)^(n-m) form a
+conjugate orbit, one real object: one rational quotient of the transform,
+one printed quotient such as ((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5)).
+
 A closed form memoises its values a(1), a(2), ... as they are read in
 order, so the self-check, the growth estimate and every series sum of one
-request share a single pass.  The pass runs in integers: with d the one
-radicand, Q the lcm of the root parts' denominators and C that of the
-coefficient parts', R = Q*root and K = C*Q^(m-1)*coefficient lie in
-Z[sqrt(d)] and
+request share a single pass.  The pass runs in integers: with Q the lcm
+of the root parts' denominators and C that of the coefficient parts',
+R = Q*root and K = C*Q^(m-1)*coefficient lie in Z[sqrt(d)], d the term's
+radicand, and
 
     C*Q^(n-1) * a(n) = sum K * C(n-1, m-1) * R^(n-m),
 
-so each term's running power K*R^(n-m) is stepped by one integer pair
-product per n, and each value is divided once by the running denominator
-C*Q^(n-1) (Cohen, *A Course in Computational Algebraic Number Theory*,
-3.4: clear the denominators, then work in Z).
+so each term's running power K*R^(n-m) is stepped by one product per n,
+and each value is divided once by the running denominator C*Q^(n-1)
+(Cohen, *A Course in Computational Algebraic Number Theory*, 3.4: clear
+the denominators, then work in Z).  An orbit steps one member, from 2*K,
+and adds its rational part, so its values are rational in any field.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from ._record import Record
-from .exact import (PHI, PSI, QuadExt, _NO_RADICAL, _integer_pair,
-                    sort_key)
-from .polys import Poly, RatFunc, partial_fractions
+from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
+from .polys import Poly, RatFunc, _sum_text, partial_fractions
 from .transforms import TransformExpr
 
 Scalar = Union[int, Fraction, QuadExt]
@@ -120,8 +124,7 @@ class ClosedFormSequence:
         if not memo:
             self._steps = _IntegerSteps.of(self._terms)
         steps = self._steps
-        # mixed radicands have no integer form; term by term raises the
-        # RadicandMismatch wherever the arithmetic meets them
+        # lone radicals in two fields raise RadicandMismatch where they meet
         value = steps.next() if steps is not None else self._term_by_term(n)
         memo.append(value)
         return value
@@ -158,37 +161,29 @@ class ClosedFormSequence:
         """Forward transform, one rational quotient per conjugate orbit.
 
         A term is the partial fraction c/(t - r)^m that inverse_transform
-        turns back into it.  A rational root r keeps c/(t - r)^m, and c
-        must be rational.  A radical root r needs the conjugate term
-        conj(c)/(t - conj(r))^m, and the pair sums to
-
-            2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m,
-
+        turns back into it; at a rational root c must be rational.  An
+        orbit sums to 2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m,
         with Re the rational part and N(r) = r conj(r), so every quotient
         is over Q (Bronstein and Salvy, ISSAC 1993).  A term that breaks
         this raises ValueError naming it."""
-        coefficients = {(t.root, t.multiplicity): t.coefficient
-                        for t in self._terms}
         total = TransformExpr()
-        for term in self._terms:
+        for term, partner, _ in _orbits(self._terms):
             c, r, m = term.coefficient, term.root, term.multiplicity
-            if r.is_rational:
+            if partner is None:
+                if not r.is_rational:
+                    raise ValueError(f"term {_term_text(term)} has no "
+                                     "conjugate partner")
                 if not c.is_rational:
                     raise ValueError(f"term {_term_text(term)} has a "
                                      "radical coefficient on a rational root")
                 quotient = RatFunc(c, Poly((-r, 1)) ** m)
             else:
-                conj = r.conjugate()
-                partner = coefficients.get((conj, m))
-                if partner is None:
-                    raise ValueError(f"term {_term_text(term)} has no "
-                                     "conjugate partner")
-                if partner != c.conjugate():
+                # the partner sorts first, so it is the term named
+                if partner.coefficient != c.conjugate():
                     raise ValueError(
-                        f"term {_term_text(term)} has the partner "
-                        f"coefficient {partner}, not its conjugate")
-                if r.radical_part < 0:
-                    continue    # the orbit is built from its other root
+                        f"term {_term_text(partner)} has the partner "
+                        f"coefficient {c}, not its conjugate")
+                conj = partner.root
                 num = [2 * (c * comb(m, k) * (-conj) ** (m - k)).rational_part
                        for k in range(m + 1)]
                 quotient = RatFunc(num, Poly((r * conj, -2 * r.rational_part,
@@ -199,105 +194,154 @@ class ClosedFormSequence:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = [_term_text(t) for t in self.terms]
-        parts += [_spike_text(j, c) for j, c in self.deltas.items()]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        parts = []
+        for term, partner, orbit in _orbits(self._terms):
+            if orbit:
+                parts.append(_orbit_text(term))
+            elif term.root:
+                parts += [_term_text(t) for t in (partner, term) if t]
+        return _sum_text(
+            parts + [_spike_text(j, c) for j, c in self.deltas.items()])
 
     def __repr__(self) -> str:
         return f"ClosedFormSequence({list(self.terms)!r}, {self.deltas!r})"
 
 
-class _IntegerSteps:
-    """The values a(1), a(2), ... of a closed form, stepped in Z[sqrt(d)].
+def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None, bool]]:
+    """The sorted terms grouped by conjugate root, in order.
 
-    Each term is kept as (K, R, m) with K and R integer pairs (x, y)
-    standing for x + y*sqrt(d), and its running power K*R^(n-m) starts at
-    K when n = m (0^0 = 1 for a spike) and is then multiplied by R once
-    per n."""
+    A radical term and the term at its conjugate root with the same
+    multiplicity are listed once, as (term, partner, orbit) with term the
+    one of positive radical part, at the place of the partner, which sorts
+    first; orbit says whether their coefficients are conjugate within the
+    root's field.  Any other term is listed as (term, None, False)."""
+    by_key = {(t.root, t.multiplicity): t for t in terms}
+    grouped = []
+    for term in terms:
+        r, c = term.root, term.coefficient
+        partner = None if r.is_rational else \
+            by_key.get((r.conjugate(), term.multiplicity))
+        if partner is None:
+            grouped.append((term, None, False))
+        elif r.radical_part < 0:
+            grouped.append((partner, term, c.radicand in (0, r.radicand)
+                            and c == partner.coefficient.conjugate()))
+    return grouped
+
+
+class _IntegerSteps:
+    """The values a(1), a(2), ... of a closed form, stepped in integers.
+
+    Each stepped term is kept as (K, R, m) with K and R integer pairs
+    (x, y) standing for x + y*sqrt(d), and its running power K*R^(n-m)
+    starts at K when n = m (0^0 = 1 for a spike) and is then multiplied
+    by R once per n; a rational term steps x alone.  An orbit adds x, and
+    lone radical terms add x + y*sqrt(d) in the one field d they share."""
 
     __slots__ = ("_d", "_q", "_scaled", "_powers", "_n", "_den")
 
-    def __init__(self, terms: tuple[Term, ...], d: int) -> None:
-        q = lcm(*(x.denominator for t in terms
+    def __init__(self, stepped: list[tuple[Term, bool]], d: int) -> None:
+        q = lcm(*(x.denominator for t, _ in stepped
                   for x in (t.root.rational_part, t.root.radical_part)))
-        c = lcm(*(x.denominator for t in terms
+        c = lcm(*(x.denominator for t, _ in stepped
                   for x in (t.coefficient.rational_part,
                             t.coefficient.radical_part)))
         self._scaled = []
-        for t in terms:
+        for t, orbit in stepped:
             u, v = _integer_pair(t.root, q)
-            start = _integer_pair(t.coefficient, c * q ** (t.multiplicity - 1))
-            self._scaled.append((start, (u, v, v * d), t.multiplicity))
+            x, y = _integer_pair(t.coefficient, (1 + orbit) * c *
+                                 q ** (t.multiplicity - 1))
+            self._scaled.append(((x, y), u, v, v * t.root.radicand,
+                                 t.multiplicity, not orbit and bool(y or v)))
         self._d, self._q = d, q
-        self._powers = [(0, 0)] * len(terms)
+        self._powers = [(0, 0)] * len(stepped)
         self._n, self._den = 0, c      # den = C*Q^(n-1) for the next n
 
     @classmethod
     def of(cls, terms: tuple[Term, ...]) -> "_IntegerSteps | None":
-        """Scale the terms once; None when they mix two radicands."""
-        radicands = {x.radicand for t in terms
-                     for x in (t.coefficient, t.root)} - {0}
-        if len(radicands) > 1:
+        """Scale the terms once; None when lone radical terms span two
+        fields."""
+        stepped = [(t, orbit) for term, partner, orbit in _orbits(terms)
+                   for t in (term, None if orbit else partner) if t]
+        fields = {x.radicand for t, orbit in stepped if not orbit
+                  for x in (t.coefficient, t.root)} - {0}
+        if len(fields) > 1:
             return None
-        return cls(terms, radicands.pop() if radicands else 0)
+        return cls(stepped, fields.pop() if fields else 0)
 
     def next(self) -> QuadExt:
         n = self._n = self._n + 1
         powers = self._powers
         x_sum = y_sum = 0
-        for i, (start, (u, v, vd), m) in enumerate(self._scaled):
+        for i, (start, u, v, vd, m, lone) in enumerate(self._scaled):
             if n < m:
                 continue
             if n == m:
                 x, y = start
             else:
                 x, y = powers[i]
-                x, y = x * u + y * vd, x * v + y * u
+                if v or y:
+                    x, y = x * u + y * vd, x * v + y * u
+                else:
+                    x *= u
             powers[i] = (x, y)
             weight = comb(n - 1, m - 1)
-            x_sum, y_sum = x_sum + weight * x, y_sum + weight * y
-        den = self._den
-        self._den = den * self._q
-        if not y_sum:
-            return QuadExt._normalised(Fraction(x_sum, den), _NO_RADICAL, 0)
-        return QuadExt._normalised(Fraction(x_sum, den), Fraction(y_sum, den),
-                                   self._d)
+            x_sum += weight * x
+            if lone:
+                y_sum += weight * y
+        den, self._den = self._den, self._den * self._q
+        radical = Fraction(y_sum, den) if y_sum else _NO_RADICAL
+        return QuadExt._normalised(Fraction(x_sum, den), radical, self._d)
 
 
 def _coeff_text(c: QuadExt) -> str:
     return str(c) if c.is_rational and c >= 0 else f"({c})"
 
 
-def _root_power_text(root: QuadExt, exponent_shift: int) -> str:
-    plain = (root.is_rational and root >= 0
-             and root.rational_part.denominator == 1)
-    base = str(root) if plain else f"({root})"
-    if exponent_shift == 1:
-        return f"{base}^(n-1)"
-    return f"{base}^(n-{exponent_shift})"
+def _binomial_factors(m: int) -> list[str]:
+    """The factor C(n-1, m-1) as text; none for m = 1."""
+    return [] if m == 1 else ["(n-1)" if m == 2 else f"C(n-1,{m - 1})"]
+
+
+def _times(c: QuadExt, factors: list[str]) -> str:
+    """c times the product of factors; a coefficient of 1 or -1 shows only
+    as its sign."""
+    body = "*".join(factors)
+    if c == _ONE:
+        return body
+    if c == _MINUS_ONE:
+        return f"-{body}"
+    return f"{_coeff_text(c)}*{body}"
 
 
 def _term_text(term: Term) -> str:
     c, r, m = term.coefficient, term.root, term.multiplicity
     if not r:
         return _spike_text(m, c)
-    factors: list[str] = []
-    if m == 2:
-        factors.append("(n-1)")
-    elif m > 2:
-        factors.append(f"C(n-1,{m - 1})")
+    factors = _binomial_factors(m)
     if r != _ONE:
-        factors.append(_root_power_text(r, m))
+        plain = r.is_rational and r >= 0 and r.rational_part.denominator == 1
+        factors.append((f"{r}" if plain else f"({r})") + f"^(n-{m})")
     if not factors:
         return str(c) if c.is_rational else f"({c})"
-    if c == _ONE:
-        return "*".join(factors)
-    if c == _MINUS_ONE:
-        return "-" + "*".join(factors)
-    return "*".join([_coeff_text(c)] + factors)
+    return _times(c, factors)
+
+
+def _orbit_text(term: Term) -> str:
+    """The orbit of term as (u*(p+q*sqrt(d))^n + v*(p-q*sqrt(d))^n)
+    over k^n*sqrt(d), where r = (p + q*sqrt(d))/k with k the least common
+    denominator of r's parts, u = c*sqrt(d)/r^m and v = -conj(u)."""
+    c, r, m = term.coefficient, term.root, term.multiplicity
+    k = lcm(r.rational_part.denominator, r.radical_part.denominator)
+    p, q = int(r.rational_part * k), int(r.radical_part * k)
+    sqrt_d = f"sqrt({r.radicand})"
+    radical = sqrt_d if q == 1 else f"{q}*{sqrt_d}"
+    u = c * QuadExt._normalised(_NO_RADICAL, Fraction(1), r.radicand) / r ** m
+    bases = (f"{p}+{radical}", f"{p}-{radical}") if p else \
+        (radical, f"-{radical}")
+    joined = _sum_text([_times(w, _binomial_factors(m) + [f"({b})^n"])
+                        for w, b in zip((u, -u.conjugate()), bases)])
+    return f"({joined})/" + (sqrt_d if k == 1 else f"({k}^n*{sqrt_d})")
 
 
 def _spike_text(j: int, c: QuadExt) -> str:
@@ -349,34 +393,3 @@ def equal_prefix(f: Sequence1, g: Sequence1, upto: int,
         if left != right:
             return False, n
     return True, None
-
-
-def fibonacci_normal(seq: ClosedFormSequence) -> str | None:
-    """Render u*(1+sqrt(5))^n + v*(1-sqrt(5))^n over 2^n*sqrt(5), if exact.
-
-    Applies only to closed forms whose poles are exactly the two roots of
-    t^2 - t - 1, each simple; returns None otherwise.
-    """
-    if seq.deltas or len(seq.terms) != 2:
-        return None
-    by_root = {t.root: t for t in seq.terms}
-    if set(by_root) != {PHI, PSI} or any(
-            t.multiplicity != 1 for t in seq.terms):
-        return None
-    sqrt5 = QuadExt(0, 1, 5)
-    # c*phi^(n-1) = u*(1+sqrt5)^n/(2^n sqrt5)  with  u = c*sqrt5/phi
-    u = by_root[PHI].coefficient * sqrt5 / PHI
-    v = by_root[PSI].coefficient * sqrt5 / PSI
-    first = _numerator_text(u, "(1+sqrt(5))^n")
-    second = _numerator_text(v, "(1-sqrt(5))^n")
-    joined = first + (f" - {second[1:]}" if second.startswith("-")
-                      else f" + {second}")
-    return f"({joined})/(2^n*sqrt(5))"
-
-
-def _numerator_text(c: QuadExt, body: str) -> str:
-    if c == _ONE:
-        return body
-    if c == _MINUS_ONE:
-        return f"-{body}"
-    return f"{_coeff_text(c)}*{body}"

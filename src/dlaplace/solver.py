@@ -36,8 +36,7 @@ from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from .polys import Poly
 from .transforms import MAX_N_POWER, TransformExpr, n_power
-from .sequences import (ClosedFormSequence, equal_prefix, fibonacci_normal,
-                        inverse_transform)
+from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
 
 RationalLike = Union[int, Fraction]
 
@@ -89,13 +88,6 @@ class RecurrenceSpec(Record):
     def characteristic(self) -> Poly:
         """t^k - c_{k-1} t^(k-1) - ... - c_0."""
         return Poly(tuple(-c for c in self.coefficients) + (1,))
-
-    @classmethod
-    def fibonacci(cls, a1: RationalLike = 1, a2: RationalLike = 1,
-                  ) -> "RecurrenceSpec":
-        """a(n+2) = a(n+1) + a(n) with the given two starting values."""
-        return cls(2, (Fraction(1), Fraction(1)),
-                   (Fraction(a1), Fraction(a2)))
 
 
 def _scaled(x: Fraction, multiple: int) -> int:
@@ -201,15 +193,11 @@ class SolutionReport:
                     f"{sys.get_int_max_str_digits()} digits") from None
         return texts
 
-    def closed_form_text(self) -> str:
-        pretty = fibonacci_normal(self.closed_form)
-        return pretty if pretty is not None else str(self.closed_form)
-
     def to_json_dict(self, count: int = 10) -> dict:
         folded = self.transform.rational
         return {
             "closed_form": {
-                "text": self.closed_form_text(),
+                "text": str(self.closed_form),
                 "terms": [{
                     "coefficient": _quadext_json(t.coefficient),
                     "root": _quadext_json(t.root),

@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from dlaplace.exact import PHI, PSI, QuadExt
+from dlaplace.exact import QuadExt
 from dlaplace.numeric import check_closed_form_pair, series_eval, terms_needed
 from dlaplace.polys import PFTerm, Poly, RatFunc, partial_fractions
 from dlaplace.sequences import (ClosedFormSequence, convolve, delta,
@@ -24,8 +24,9 @@ from dlaplace.sequences import (ClosedFormSequence, convolve, delta,
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
                              solve_ivp)
 from dlaplace.transforms import TransformExpr, geometric, n_power, partial_sum, shift
+from fibonacci import PHI, PSI, fibonacci
 
-FIB_SPEC = RecurrenceSpec.fibonacci()
+FIB_SPEC = fibonacci()
 
 
 @contextmanager
@@ -55,7 +56,7 @@ def test_criterion_01_fibonacci_end_to_end():
                   for t in report.closed_form.terms}
         assert actual == expected_terms
         assert not report.closed_form.deltas
-        assert report.closed_form_text() == \
+        assert str(report.closed_form) == \
             "((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5))"
         assert report.values(9) == [1, 1, 2, 3, 5, 8, 13, 21, 34]
         assert elapsed < 1.0
@@ -66,8 +67,8 @@ def test_criterion_02_superposition_random_initials():
         start = time.perf_counter()
         # gamma and beta: the recursions started at (1,0) and (0,1), which
         # the engine's own a(1)/a(2) basis must match
-        gamma = RecursiveSequence(RecurrenceSpec.fibonacci(1, 0))
-        beta = RecursiveSequence(RecurrenceSpec.fibonacci(0, 1))
+        gamma = RecursiveSequence(fibonacci(1, 0))
+        beta = RecursiveSequence(fibonacci(0, 1))
         first, second = solve_ivp(FIB_SPEC).coefficient_decomposition
         for n in range(1, 65):
             assert first(n) == gamma(n) and second(n) == beta(n)
@@ -75,7 +76,7 @@ def test_criterion_02_superposition_random_initials():
         for _ in range(5):
             a1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             a2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            report = solve_ivp(RecurrenceSpec.fibonacci(a1, a2))
+            report = solve_ivp(fibonacci(a1, a2))
             reference = RecursiveSequence(report.spec)
             for n in range(1, 65):
                 value = report.closed_form(n)

@@ -419,6 +419,24 @@ def test_values_past_the_double_range_are_refused(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flags, named", [
+    # e^720 overflows a double
+    (["--s-grid", "720"], "s = 720.0"),
+    # e^(s0 - 800) underflows to 0
+    (["--s-grid", "800"], "s = 800.0"),
+    # half of the tolerance underflows to 0
+    (["--tol", "5e-324"], "tolerance 5e-324"),
+])
+def test_flag_values_past_the_double_range_are_refused(flags, named,
+                                                       capsys):
+    assert main(["verify", "a[n+1] = 2*a[n]; a[1] = 1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert named in lines[0] and "past the double range" in lines[0]
+
+
 FORCED_N12 = "a[n+1] = 3*a[n] + n^12; a[1] = 1"
 
 

@@ -16,7 +16,7 @@ def test_fibonacci_program():
     assert program.shifts == {1: Fraction(1), 0: Fraction(1)}
     assert program.forcing == {}
     assert program.initials == {1: Fraction(1), 2: Fraction(1)}
-    assert program.to_spec() == RecurrenceSpec.fibonacci()
+    assert program.to_spec() == RecurrenceSpec(2, (1, 1), (1, 1))
 
 
 def test_forcing_terms_collected():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dlaplace.exact import (PHI, PSI, SQRT5, QuadExt, _squarefree_split,
-                            sort_key)
+from dlaplace.exact import QuadExt, _squarefree_split, sort_key
 from dlaplace.errors import CapabilityError, RadicandMismatch
+from fibonacci import PHI, PSI, SQRT5
 
 
 def test_normalization_folds_square_factors():

@@ -6,11 +6,12 @@ from dlaplace.errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
 from dlaplace.numeric import (check_closed_form_pair, growth_bound,
                               series_eval, tail_bound, terms_needed)
 from dlaplace.sequences import ClosedFormSequence
-from dlaplace.solver import RecurrenceSpec, RecursiveSequence, solve_ivp
+from dlaplace.solver import RecursiveSequence, solve_ivp
 from dlaplace.transforms import geometric
+from fibonacci import fibonacci
 
-FIB_REPORT = solve_ivp(RecurrenceSpec.fibonacci())
-FIB = RecursiveSequence(RecurrenceSpec.fibonacci())
+FIB_REPORT = solve_ivp(fibonacci())
+FIB = RecursiveSequence(fibonacci())
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 

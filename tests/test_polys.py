@@ -6,7 +6,7 @@ import pytest
 
 from dlaplace import polys
 from dlaplace.dsl import parse_program
-from dlaplace.exact import PHI, PSI, QuadExt, sort_key
+from dlaplace.exact import QuadExt, sort_key
 from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
                             partial_fractions, poly_gcd,
                             squarefree_decomposition)
@@ -14,6 +14,7 @@ from dlaplace.errors import (ImproperRational, PoleEvaluation,
                              UnsupportedFactorization)
 from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import transform_of
+from fibonacci import PHI, PSI
 
 FIB_DEN = Poly((-1, -1, 1))  # t^2 - t - 1
 

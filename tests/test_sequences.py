@@ -1,4 +1,6 @@
+import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -8,15 +10,14 @@ import pytest
 from dlaplace.cli import main
 from dlaplace.dsl import parse_program
 from dlaplace.errors import RadicandMismatch
-from dlaplace.exact import PHI, PSI, QuadExt
+from dlaplace.exact import QuadExt
 from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
-                                fibonacci_normal, inverse_transform,
-                                partial_sums)
-from dlaplace.solver import (RecurrenceSpec, RecursiveSequence,
-                             transform_of, verify_solution)
+                                inverse_transform, partial_sums)
+from dlaplace.solver import RecursiveSequence, transform_of, verify_solution
 from dlaplace.transforms import (TransformExpr, convolve as xf_convolve,
                                  geometric, n_power)
+from fibonacci import PHI, PSI, fibonacci
 
 
 def test_term_normalization_combines_and_drops():
@@ -121,7 +122,7 @@ def test_equal_prefix_on_mixed_value_types():
 
 
 def test_verify_solution_details_are_unchanged():
-    fib = RecurrenceSpec.fibonacci()
+    fib = fibonacci()
     bad_start = verify_solution(fib, lambda n: QuadExt(n, 1, 5), upto=20)
     assert (bad_start.first_failure, bad_start.detail) == (
         1, "initial value a(1) is 1 + sqrt(5), expected 1")
@@ -194,34 +195,82 @@ def test_forward_transform_over_two_fields_matches_the_solver():
     assert inverse_transform(expected) == seq
 
 
-def test_round_trip_of_orbit_closed_forms_randomized():
-    # one or two radical orbits in Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(5)),
-    # the same field or two, with poles up to order 3 and terms of every
-    # lower order at the same root; rational roots and spikes beside them.
-    # The orbits take distinct orders, so Yun's algorithm separates their
-    # quadratics.
-    rng = random.Random(1993)
+def _orbit_closed_form(rng):
+    """Terms and spikes of a closed form made of conjugate orbits.
 
+    One or two radical orbits in Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(5)),
+    the same field or two, with poles up to order 3 and terms of every
+    lower order at the same root; rational roots and spikes beside them.
+    The orbits take distinct orders, so Yun's algorithm separates their
+    quadratics.  The two terms of an orbit are listed together."""
     def rational(top=6, den=3):
         return Fraction(rng.randint(-top, top), rng.randint(1, den))
 
+    orders = rng.sample([1, 2, 3], rng.randint(1, 2))
+    terms = []
+    for m in orders:
+        d = rng.choice([2, 3, 5])
+        r = QuadExt(rational(3, 2), rational(3, 2) or 1, d)
+        for k in range(1, m + 1):
+            c = QuadExt(rational(), rational(), d)
+            if k == m:
+                c = c or QuadExt(1)
+            terms += [(c, r, k), (c.conjugate(), r.conjugate(), k)]
+    for _ in range(rng.randint(0, 2)):
+        terms.append((rational() or 1, rational(3, 2), rng.randint(1, 3)))
+    deltas = {rng.randint(1, 4): rational()
+              for _ in range(rng.randint(0, 2))}
+    return terms, deltas
+
+
+def test_round_trip_of_orbit_closed_forms_randomized():
+    rng = random.Random(1993)
     for _ in range(100):
-        orders = rng.sample([1, 2, 3], rng.randint(1, 2))
-        terms = []
-        for m in orders:
-            d = rng.choice([2, 3, 5])
-            r = QuadExt(rational(3, 2), rational(3, 2) or 1, d)
-            for k in range(1, m + 1):
-                c = QuadExt(rational(), rational(), d)
-                if k == m:
-                    c = c or QuadExt(1)
-                terms += [(c, r, k), (c.conjugate(), r.conjugate(), k)]
-        for _ in range(rng.randint(0, 2)):
-            terms.append((rational() or 1, rational(3, 2), rng.randint(1, 3)))
-        deltas = {rng.randint(1, 4): rational()
-                  for _ in range(rng.randint(0, 2))}
-        seq = ClosedFormSequence(terms, deltas)
+        seq = ClosedFormSequence(*_orbit_closed_form(rng))
         assert inverse_transform(seq.transform()) == seq
+
+
+def _float_value(text, n):
+    """A closed form's text evaluated in floating point at n."""
+    expression = re.sub(r"delta\(n,(\d+)\)", r"(n == \1)", text)
+    expression = expression.replace("^", "**").replace("C(", "comb(")
+    return eval(expression, {"comb": comb, "sqrt": math.sqrt, "n": n})
+
+
+def _values_by_definition(terms, deltas, count):
+    """a(1)..a(count) summed term by term in QuadExt, each root power
+    kept from the previous n."""
+    powers = [QuadExt(1)] * len(terms)
+    values = []
+    for n in range(1, count + 1):
+        total = QuadExt(deltas.get(n, 0))
+        for i, (c, r, m) in enumerate(terms):
+            if n > m:
+                powers[i] = powers[i] * r
+            if n >= m:
+                total = total + c * comb(n - 1, m - 1) * powers[i]
+        values.append(total)
+    return values
+
+
+def test_orbit_forms_step_to_rational_values_randomized():
+    # every orbit is stepped once in its own field, so a form whose orbits
+    # lie in two fields still has rational values, equal to the definition
+    rng = random.Random(1993)
+    fields = set()
+    for _ in range(20):
+        terms, deltas = _orbit_closed_form(rng)
+        seq = ClosedFormSequence(terms, deltas)
+        values = [seq(n) for n in range(1, 201)]
+        assert values == _values_by_definition(terms, deltas, 200)
+        assert all(v.radicand == 0 for v in values)
+        fields.add(len({t.root.radicand for t in seq.terms} - {0}))
+        # the printed form, each orbit one quotient, has the same values
+        text = str(seq)
+        for n in range(1, 25):
+            assert _float_value(text, n) == pytest.approx(
+                float(values[n - 1]), rel=1e-9, abs=1e-9)
+    assert fields == {1, 2}
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -257,16 +306,39 @@ def test_rationality_of_rational_data():
             assert seq(n).is_rational
 
 
-def test_fibonacci_normal_rendering():
-    binet = ClosedFormSequence([
-        (QuadExt(Fraction(1, 2), Fraction(1, 10), 5), PHI, 1),
-        (QuadExt(Fraction(1, 2), Fraction(-1, 10), 5), PSI, 1),
-    ])
-    assert fibonacci_normal(binet) == \
+def test_orbit_rendering():
+    # an orbit is one quotient over k^n*sqrt(d), with r = (p+q*sqrt(d))/k
+    binet = [(QuadExt(Fraction(1, 2), Fraction(1, 10), 5), PHI, 1),
+             (QuadExt(Fraction(1, 2), Fraction(-1, 10), 5), PSI, 1)]
+    assert str(ClosedFormSequence(binet)) == \
         "((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5))"
-    # anything that is not exactly the golden pair keeps the generic form
-    assert fibonacci_normal(ClosedFormSequence([(1, 2, 1)])) is None
-    assert fibonacci_normal(ClosedFormSequence([(1, PHI, 1)])) is None
+    # a repeated orbit: one quotient per multiplicity, each with its
+    # binomial; k = 1 is not written
+    sqrt2 = QuadExt(0, 1, 2)
+    double = [(Fraction(1, 2), sqrt2, 1), (Fraction(1, 2), -sqrt2, 1),
+              (-sqrt2 / 4, sqrt2, 2), (sqrt2 / 4, -sqrt2, 2)]
+    assert str(ClosedFormSequence(double)) == (
+        "(1/2*(sqrt(2))^n + (-1/2)*(-sqrt(2))^n)/sqrt(2)"
+        " + ((-1/4)*(n-1)*(sqrt(2))^n + 1/4*(n-1)*(-sqrt(2))^n)/sqrt(2)")
+    cube = PHI ** 3 / QuadExt(0, 1, 5)
+    assert str(ClosedFormSequence([(cube, PHI, 3),
+                                   (cube.conjugate(), PSI, 3)])) == (
+        "(C(n-1,2)*(1+sqrt(5))^n - C(n-1,2)*(1-sqrt(5))^n)/(2^n*sqrt(5))")
+    # q and p as they come: r = (-1 + 2*sqrt(3))/3
+    r = QuadExt(Fraction(-1, 3), Fraction(2, 3), 3)
+    assert str(ClosedFormSequence([(1, r, 1), (1, r.conjugate(), 1)])) == (
+        "((18/11 + 3/11*sqrt(3))*(-1+2*sqrt(3))^n + (-18/11 + 3/11*sqrt(3))"
+        "*(-1-2*sqrt(3))^n)/(3^n*sqrt(3))")
+    # an orbit among rational terms, spikes last
+    assert str(ClosedFormSequence(binet + [(1, 2, 1)], {2: 3})) == (
+        "2^(n-1) + ((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5))"
+        " + 3*delta(n,2)")
+    # a lone term, or a pair whose coefficients are not conjugate, keeps
+    # the term-by-term form
+    assert str(ClosedFormSequence([(1, PHI, 1)])) == \
+        "(1/2 + 1/2*sqrt(5))^(n-1)"
+    assert str(ClosedFormSequence([(1, PHI, 1), (2, PSI, 1)])) == \
+        "2*(1/2 - 1/2*sqrt(5))^(n-1) + (1/2 + 1/2*sqrt(5))^(n-1)"
 
 
 def test_str_rendering():
@@ -333,7 +405,7 @@ def test_memoised_values_match_the_term_by_term_definition():
 
 def test_a_lone_far_value_is_computed_without_the_memo():
     fib = inverse_transform(TransformExpr.from_ratfunc((0, 1), (-1, -1, 1)))
-    expected = RecursiveSequence(RecurrenceSpec.fibonacci(1, 1))(20000)
+    expected = RecursiveSequence(fibonacci(1, 1))(20000)
     tracemalloc.start()
     try:
         value = fib(20000)
@@ -411,6 +483,10 @@ def test_mixed_radicands_raise_where_the_arithmetic_meets_them():
 @pytest.mark.parametrize("text", [
     "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1",
     "a[n+2] = 2*a[n+1] - a[n] + n^12; a[1] = 1; a[2] = 2",
+    "a[n+2] = 2*a[n+1] + a[n]; a[1] = 1; a[2] = 2",
+    # orbits in Q(sqrt(2)) and Q(sqrt(3))
+    "a[n+6] = 8*a[n+4] - 21*a[n+2] + 18*a[n]; a[1]=1; a[2]=0; a[3]=0; "
+    "a[4]=0; a[5]=0; a[6]=0",
 ])
 def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
                                                       monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from dlaplace import polys
 from dlaplace.dsl import parse_program
-from dlaplace.exact import PHI, PSI, QuadExt
+from dlaplace.exact import QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
@@ -13,8 +13,9 @@ from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
 from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
                              VerificationFailed)
+from fibonacci import PHI, PSI, fibonacci
 
-FIB = RecurrenceSpec.fibonacci()
+FIB = fibonacci()
 
 
 def _solve_affine(lam, beta, a1, verify_upto=64):
@@ -145,7 +146,7 @@ def test_fibonacci_transform_shape():
     # (a1 t + a2 - a1)/(t^2 - t - 1) with a1 = a2 = 1
     assert transform_of(FIB).rational == \
         RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
-    general = transform_of(RecurrenceSpec.fibonacci(2, 7))
+    general = transform_of(fibonacci(2, 7))
     assert general.rational == RatFunc(Poly((5, 2)), Poly((-1, -1, 1)))
 
 
@@ -157,7 +158,7 @@ def test_solve_fibonacci_binet():
     ])
     assert report.closed_form == expected
     assert report.values(9) == [1, 1, 2, 3, 5, 8, 13, 21, 34]
-    assert report.closed_form_text() == \
+    assert str(report.closed_form) == \
         "((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5))"
     assert report.verified_upto == 64
 
@@ -166,8 +167,8 @@ def test_solve_produces_basis_decomposition():
     report = solve_ivp(FIB)
     first, second = report.coefficient_decomposition
     # gamma and beta columns against direct recursion of (1,0) and (0,1)
-    ref1 = RecursiveSequence(RecurrenceSpec.fibonacci(1, 0))
-    ref2 = RecursiveSequence(RecurrenceSpec.fibonacci(0, 1))
+    ref1 = RecursiveSequence(fibonacci(1, 0))
+    ref2 = RecursiveSequence(fibonacci(0, 1))
     for n in range(1, 30):
         assert first(n) == ref1(n)
         assert second(n) == ref2(n)
@@ -175,13 +176,13 @@ def test_solve_produces_basis_decomposition():
 
 def test_superposition_matches_gamma_beta():
     # gamma and beta are the Fibonacci recursions started at (1,0) and (0,1)
-    gamma = RecursiveSequence(RecurrenceSpec.fibonacci(1, 0))
-    beta = RecursiveSequence(RecurrenceSpec.fibonacci(0, 1))
+    gamma = RecursiveSequence(fibonacci(1, 0))
+    beta = RecursiveSequence(fibonacci(0, 1))
     rng = random.Random(64)
     for _ in range(5):
         a1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         a2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        report = solve_ivp(RecurrenceSpec.fibonacci(a1, a2))
+        report = solve_ivp(fibonacci(a1, a2))
         for n in range(1, 41):
             assert report.closed_form(n) == gamma(n) * a1 + beta(n) * a2
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from dlaplace import polys
-from dlaplace.exact import PHI, QuadExt
+from dlaplace.exact import QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, inverse_transform
 from dlaplace.transforms import (MAX_N_POWER, TransformExpr, convolve,
                                  difference, geometric, n_power, partial_sum,
                                  shift, times_n)
 from dlaplace.errors import DegreeLimitExceeded, ImproperResult
+from fibonacci import PHI
 
 ONE = geometric(1)                     # 1/(t - 1), the constant sequence 1
 N = n_power(1)                         # t/(t - 1)^2

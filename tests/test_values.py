@@ -69,7 +69,7 @@ def test_repr_text():
     assert repr(ForcingTerm(2)) == (
         "ForcingTerm(coefficient=Fraction(2, 1), exponent=0, "
         "base=Fraction(1, 1))")
-    assert repr(RecurrenceSpec.fibonacci()) == (
+    assert repr(RecurrenceSpec(2, (1, 1), (1, 1))) == (
         "RecurrenceSpec(order=2, coefficients=(Fraction(1, 1), "
         "Fraction(1, 1)), initials=(Fraction(1, 1), Fraction(1, 1)), "
         "forcing=())")
