@@ -20,7 +20,7 @@ def main():
 
     print()
     print("partial fractions over Q(sqrt(5)):")
-    for part in partial_fractions(report.transform.rational):
+    for part in partial_fractions(report.transform):
         print(f"  ({part.coefficient}) / (t - ({part.root}))")
 
     print()

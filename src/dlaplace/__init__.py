@@ -14,12 +14,11 @@ from .errors import (CapabilityError, CheckFailed, DegreeLimitExceeded,
                      UnsupportedFactorization, UnsupportedForcing,
                      VerificationFailed)
 from .exact import QuadExt
-from .polys import (PFTerm, Poly, RatFunc, T, factor_roots, partial_fractions,
+from .polys import (Poly, RatFunc, T, factor_roots, partial_fractions,
                     poly_gcd, squarefree_decomposition)
-from .transforms import (MAX_N_POWER, TransformExpr, convolve as
-                         transform_convolve, difference as
-                         transform_difference, geometric, n_power,
-                         partial_sum, shift, times_n)
+from .transforms import (MAX_N_POWER, convolve as transform_convolve,
+                         difference as transform_difference, geometric,
+                         n_power, partial_sum, shift, times_n)
 from .sequences import (ClosedFormSequence, Term, convolve, delta,
                         equal_prefix, inverse_transform, partial_sums)
 from .solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
@@ -39,11 +38,10 @@ __all__ = [
     "SeriesCapExceeded", "UnsupportedFactorization", "UnsupportedForcing",
     "VerificationFailed",
     "QuadExt",
-    "PFTerm", "Poly", "RatFunc", "T", "factor_roots", "partial_fractions",
-    "poly_gcd", "squarefree_decomposition",
-    "MAX_N_POWER", "TransformExpr", "transform_convolve",
-    "transform_difference", "geometric", "n_power", "partial_sum", "shift",
-    "times_n",
+    "Poly", "RatFunc", "T", "factor_roots", "partial_fractions", "poly_gcd",
+    "squarefree_decomposition",
+    "MAX_N_POWER", "transform_convolve", "transform_difference", "geometric",
+    "n_power", "partial_sum", "shift", "times_n",
     "ClosedFormSequence", "Term", "convolve", "delta", "equal_prefix",
     "inverse_transform", "partial_sums",
     "ForcingTerm", "RecurrenceSpec", "RecursiveSequence", "SolutionReport",

@@ -16,8 +16,8 @@ import math
 from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
+from .polys import RatFunc
 from .sequences import ClosedFormSequence
-from .transforms import TransformExpr
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
@@ -136,7 +136,7 @@ class CheckReport:
         }
 
 
-def check_closed_form_pair(seq: ClosedFormSequence, expr: TransformExpr,
+def check_closed_form_pair(seq: ClosedFormSequence, expr: RatFunc,
                            s_values: Sequence[float] = DEFAULT_S_GRID,
                            tolerance: float = DEFAULT_TOLERANCE,
                            ) -> CheckReport:
@@ -169,6 +169,9 @@ def check_closed_form_pair(seq: ClosedFormSequence, expr: TransformExpr,
                 f"transform at s = {s}: e^s is past the double range"
             ) from None
         reference = expr.eval_float(t)
+        if not math.isfinite(reference):
+            raise SeriesCapExceeded(
+                f"transform at s = {s}: its value is past the double range")
         gap = abs(total - reference)
         entry = CheckEntry(s, terms, total, reference, gap,
                            tail_bound(alpha, s0, s, terms), gap <= tolerance)

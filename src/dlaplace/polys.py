@@ -36,12 +36,15 @@ is split by Yun's squarefree factorization in Z[t] (Yun, SYMSAC 1976),
 and its quadratic factors are solved by the quadratic formula.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
-by local expansion at each root, which needs no linear system and keeps
-repeated roots on the same code path as simple ones.  The Taylor shift to
-a root is one synthetic division on integer pairs (x, y), standing for
-x + y*sqrt(d), over one common denominator, with d the root's radicand
-(0 for a rational root); so at a rational root the quotient is expanded
-in integers and ``Fraction``s, without ``QuadExt`` arithmetic.  The
+into ``Term``s c/(t - r)^m, the records a closed form reads as its
+summands c C(n-1, m-1) r^(n-m), so inverting a transform copies nothing.
+It works by local expansion at each root, which needs no linear system
+and keeps repeated roots on the same code path as simple ones.  The
+Taylor shift to a root is one synthetic division on integer pairs (x, y),
+standing for x + y*sqrt(d), over one common denominator, with d the
+root's radicand (0 for a rational root); so at a rational root the
+quotient is expanded in integers and ``Fraction``s, without ``QuadExt``
+arithmetic.  The
 conjugate of a radical root takes the conjugate expansion.
 """
 
@@ -794,16 +797,19 @@ class RatFunc:
         return f"RatFunc({self._num!r}, {self._den!r})"
 
 
-class PFTerm(Record):
-    """One summand coefficient/(t - root)^multiplicity."""
+class Term(Record):
+    """One pole term, read on either side of the transform: the partial
+    fraction coefficient/(t - root)^multiplicity, and the sequence summand
+    coefficient * C(n-1, multiplicity-1) * root^(n-multiplicity) whose
+    transform it is (Concrete Mathematics 7.3)."""
 
-    __slots__ = ("root", "multiplicity", "coefficient")
+    __slots__ = ("coefficient", "root", "multiplicity")
 
-    def __init__(self, root: QuadExt, multiplicity: int,
-                 coefficient: QuadExt) -> None:
+    def __init__(self, coefficient: QuadExt, root: QuadExt,
+                 multiplicity: int) -> None:
+        object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "coefficient", coefficient)
 
 
 def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
@@ -843,8 +849,10 @@ def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
     return out + [_ZERO if d else Fraction(0)] * (count - len(out))
 
 
-def partial_fractions(a: RatFunc) -> list[PFTerm]:
-    """Expand a strictly proper quotient as sum c/(t - r)^j, exactly.
+def partial_fractions(a: RatFunc) -> list[Term]:
+    """Expand a strictly proper quotient as sum c/(t - r)^j, exactly, one
+    ``Term(c, r, j)`` per nonzero coefficient; a quotient with a
+    polynomial part raises ``ImproperRational``.
 
     Local expansion at each root r of multiplicity m (Bronstein and Salvy,
     ISSAC 1993): at t = r + u the first m terms of the series num/Q, where
@@ -872,5 +880,5 @@ def partial_fractions(a: RatFunc) -> list[PFTerm]:
                     q[j] * series[i - j] for j in range(1, i + 1))))
             series = [QuadExt.of(c) for c in series]
         local[root] = series
-    return [PFTerm(root, j, c) for root, series in local.items()
+    return [Term(c, root, j) for root, series in local.items()
             for j, c in enumerate(reversed(series), 1) if c]

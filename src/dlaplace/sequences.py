@@ -4,13 +4,15 @@ A closed form here is a finite sum of terms
 
     coefficient * C(n-1, m-1) * root^(n-m)
 
-(one term per pole, multiplicity m).  That shape is exactly what
-inverting a strictly proper rational transform produces: a simple pole at
-r gives r^(n-1), an m-fold pole gives the (m-1)-fold self-convolution of
-that geometric sequence, and a pole of order m at zero is the Kronecker
-delta at n = m.  The binomial factor vanishes for n < m, so no negative
-powers of the root are ever formed and a zero root never meets a negative
-exponent (0^0 counts as 1).
+(one term per pole, multiplicity m), each the ``Term`` record that
+``partial_fractions`` returns for the pole c/(t - r)^m: the inverse of a
+strictly proper ``RatFunc`` transform is the closed form of its partial
+fractions as they come.  A simple pole at r gives r^(n-1), an m-fold
+pole gives the (m-1)-fold self-convolution of that geometric sequence,
+and a pole of order m at zero is the Kronecker delta at n = m.  The
+binomial factor vanishes for n < m, so no negative powers of the root are
+ever formed and a zero root never meets a negative exponent (0^0 counts
+as 1).
 
 A radical term c*r^(n-m) and its partner conj(c)*conj(r)^(n-m) form a
 conjugate orbit, one real object: one rational quotient of the transform,
@@ -38,10 +40,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Union
 
-from ._record import Record
 from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
-from .polys import Poly, RatFunc, _sum_text, partial_fractions
-from .transforms import TransformExpr
+from .polys import Poly, RatFunc, Term, _sum_text, partial_fractions
 
 Scalar = Union[int, Fraction, QuadExt]
 Sequence1 = Callable[[int], Scalar]
@@ -53,18 +53,6 @@ _MEMO_LIMIT = 4096
 _ONE = QuadExt(1)
 _MINUS_ONE = QuadExt(-1)
 _EXACT = (int, Fraction, QuadExt)
-
-
-class Term(Record):
-    """One summand coefficient * C(n-1, mult-1) * root^(n-mult)."""
-
-    __slots__ = ("coefficient", "root", "multiplicity")
-
-    def __init__(self, coefficient: QuadExt, root: QuadExt,
-                 multiplicity: int) -> None:
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 class ClosedFormSequence:
@@ -157,7 +145,7 @@ class ClosedFormSequence:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def transform(self) -> TransformExpr:
+    def transform(self) -> RatFunc:
         """Forward transform, one rational quotient per conjugate orbit.
 
         A term is the partial fraction c/(t - r)^m that inverse_transform
@@ -166,7 +154,7 @@ class ClosedFormSequence:
         with Re the rational part and N(r) = r conj(r), so every quotient
         is over Q (Bronstein and Salvy, ISSAC 1993).  A term that breaks
         this raises ValueError naming it."""
-        total = TransformExpr()
+        total = RatFunc()
         for term, partner, _ in _orbits(self._terms):
             c, r, m = term.coefficient, term.root, term.multiplicity
             if partner is None:
@@ -188,7 +176,7 @@ class ClosedFormSequence:
                        for k in range(m + 1)]
                 quotient = RatFunc(num, Poly((r * conj, -2 * r.rational_part,
                                               1)) ** m)
-            total = total + TransformExpr(quotient)
+            total = total + quotient
         return total
 
     def __str__(self) -> str:
@@ -350,11 +338,11 @@ def _spike_text(j: int, c: QuadExt) -> str:
     return f"{_coeff_text(c)}*delta(n,{j})"
 
 
-def inverse_transform(expr: TransformExpr) -> ClosedFormSequence:
-    """Invert a transform into its closed form via partial fractions."""
-    pieces = partial_fractions(expr.rational)
-    return ClosedFormSequence(
-        [Term(p.coefficient, p.root, p.multiplicity) for p in pieces])
+def inverse_transform(expr: RatFunc) -> ClosedFormSequence:
+    """Invert a transform into its closed form: its partial fractions are
+    the closed form's terms.  A quotient with a polynomial part raises
+    ``ImproperRational``."""
+    return ClosedFormSequence(partial_fractions(expr))
 
 
 def delta(f: Sequence1) -> Sequence1:

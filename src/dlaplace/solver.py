@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Optional, Union
 from ._record import Record
 from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
-from .polys import Poly
-from .transforms import MAX_N_POWER, TransformExpr, n_power
+from .polys import Poly, RatFunc
+from .transforms import MAX_N_POWER, n_power
 from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
 
 RationalLike = Union[int, Fraction]
@@ -155,7 +155,7 @@ def _initial_polynomial(spec: RecurrenceSpec) -> list[Fraction]:
 class SolutionReport:
     """Everything a solve produces, ready for rendering or JSON."""
 
-    def __init__(self, spec: RecurrenceSpec, transform: TransformExpr,
+    def __init__(self, spec: RecurrenceSpec, transform: RatFunc,
                  closed_form: ClosedFormSequence, verified_upto: int,
                  ) -> None:
         self.spec = spec
@@ -194,7 +194,6 @@ class SolutionReport:
         return texts
 
     def to_json_dict(self, count: int = 10) -> dict:
-        folded = self.transform.rational
         return {
             "closed_form": {
                 "text": str(self.closed_form),
@@ -208,8 +207,10 @@ class SolutionReport:
             },
             "transform": {
                 "text": self.transform.render("e^s"),
-                "num": [_quadext_json(c) for c in folded.num.coefficients],
-                "den": [_quadext_json(c) for c in folded.den.coefficients],
+                "num": [_quadext_json(c)
+                        for c in self.transform.num.coefficients],
+                "den": [_quadext_json(c)
+                        for c in self.transform.den.coefficients],
             },
             "values": self.value_texts(count),
             "verified_upto": self.verified_upto,
@@ -246,7 +247,7 @@ def _integer_vector(fracs: list[Fraction]) -> tuple[list[int], int]:
     return [_scaled(x, scale) for x in fracs], scale
 
 
-def transform_of(spec: RecurrenceSpec) -> TransformExpr:
+def transform_of(spec: RecurrenceSpec) -> RatFunc:
     """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
     fnum/fden is the forcing over one common denominator: the product of
     (v t - u)^k over the bases u/v, each k the highest pole order there.
@@ -254,7 +255,7 @@ def transform_of(spec: RecurrenceSpec) -> TransformExpr:
     Both sides are assembled as integer vectors and reduced once."""
     # (numerator, coefficient, base, order) of each c*num/(t - b)^k; a
     # pole shared with char only raises that root's multiplicity
-    pieces = [(n_power(term.exponent, term.base).rational.num,
+    pieces = [(n_power(term.exponent, term.base).num,
                term.coefficient, term.base, term.exponent + 1)
               for term in spec.forcing]
     orders: dict[Fraction, int] = {}
@@ -283,7 +284,7 @@ def transform_of(spec: RecurrenceSpec) -> TransformExpr:
     for i, x in enumerate(fnum):
         num[i] += x * char_scale * init_scale
     den = [x * init_scale * coeff_scale for x in _int_mul(char, fden)]
-    return TransformExpr.from_ratfunc(num, den)
+    return RatFunc(num, den)
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,

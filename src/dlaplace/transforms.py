@@ -6,7 +6,8 @@ includes sequences supported on finitely many points: c at n = j and 0
 elsewhere is c * e^(-js) = c/t^j, a pole of order j at t = 0, and the
 spike at n = 1 is the geometric sequence of base 0 (0^0 = 1).
 
-Rules, all exact in t:
+A transform is therefore a plain ``RatFunc``: every rule below takes and
+returns one.  Rules, all exact in t:
 
     geometric     a^(n-1)            ->  1/(t - a)
     shift         f(n+k)             ->  t^k F - sum_{i=1..k} f(i) t^(k-i)
@@ -16,9 +17,10 @@ Rules, all exact in t:
     partial_sum   sum_{k<n} f(k)     ->  F/(t - 1)
     n_power       n^k b^n            ->  b t^k A_k(b/t)/(t - b)^(k+1)
 
-A rule that would produce a polynomial part raises ``ImproperResult``; that
-only happens when the supplied initial values contradict the series F
-actually encodes.
+Every rule checks its result: one with a polynomial part is the transform
+of no sequence and raises ``ImproperResult``.  Given strictly proper
+inputs, that only happens when the supplied initial values contradict the
+series F actually encodes.
 """
 
 from __future__ import annotations
@@ -36,123 +38,53 @@ Scalar = Union[int, Fraction, QuadExt]
 # Highest power of n accepted by n_power and by forcing terms.
 MAX_N_POWER = 12
 
-_ZERO_RF = RatFunc()
 
-
-class TransformExpr:
-    """A transform value: a strictly proper rational function of t."""
-
-    __slots__ = ("_rational",)
-
-    def __init__(self, rational: RatFunc = _ZERO_RF) -> None:
-        if not rational.is_strictly_proper:
-            raise ValueError("rational part must be strictly proper")
-        self._rational = rational
-
-    @classmethod
-    def from_ratfunc(cls, num, den=1) -> "TransformExpr":
-        """Wrap num/den as a transform; accepts Poly, scalar, or
-        a coefficient sequence (lowest degree first)."""
-        return _proper(RatFunc(num, den))
-
-    @property
-    def rational(self) -> RatFunc:
-        return self._rational
-
-    @property
-    def is_zero(self) -> bool:
-        return self._rational.is_zero
-
-    def __add__(self, other: object) -> "TransformExpr":
-        if not isinstance(other, TransformExpr):
-            return NotImplemented
-        return TransformExpr(self._rational + other._rational)
-
-    def __sub__(self, other: object) -> "TransformExpr":
-        if not isinstance(other, TransformExpr):
-            return NotImplemented
-        return TransformExpr(self._rational - other._rational)
-
-    def __neg__(self) -> "TransformExpr":
-        return TransformExpr(-self._rational)
-
-    def __mul__(self, other: object) -> "TransformExpr":
-        if isinstance(other, TransformExpr):
-            return convolve(self, other)
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return TransformExpr(self._rational * QuadExt.of(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransformExpr):
-            return NotImplemented
-        return self._rational == other._rational
-
-    def __hash__(self) -> int:
-        return hash(self._rational)
-
-    def eval_float(self, t0: float) -> float:
-        return self._rational.eval_float(t0)
-
-    def render(self, var: str = "t") -> str:
-        return self._rational.render(var)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"TransformExpr({self._rational!r})"
-
-
-def _proper(quotient: RatFunc) -> TransformExpr:
-    """Wrap an already reduced quotient, refusing a polynomial part."""
+def _proper(quotient: RatFunc) -> RatFunc:
+    """The quotient itself, refusing a polynomial part."""
     if not quotient.is_strictly_proper:
         raise ImproperResult(
             f"{quotient} has a polynomial part; "
             "not the transform of any sequence")
-    return TransformExpr(quotient)
+    return quotient
 
 
-def geometric(a: Scalar) -> TransformExpr:
+def geometric(a: Scalar) -> RatFunc:
     """Transform of a^(n-1); base 0 (0^0 = 1) gives 1/t, the spike at n=1."""
-    return TransformExpr(RatFunc(Poly((1,)), Poly((-QuadExt.of(a), 1))))
+    return _proper(RatFunc(Poly((1,)), Poly((-QuadExt.of(a), 1))))
 
 
-def shift(expr: TransformExpr, k: int, initials: Sequence[Scalar],
-          ) -> TransformExpr:
+def shift(expr: RatFunc, k: int, initials: Sequence[Scalar]) -> RatFunc:
     """Transform of f(n+k) given the first k values of f."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
     if len(initials) != k:
         raise ValueError(f"shift by {k} needs exactly {k} initial values")
     head = Poly((QuadExt.of(c) for c in reversed(initials)))
-    return _proper(RatFunc(Poly.monomial(k)) * expr.rational - RatFunc(head))
+    return _proper(RatFunc(Poly.monomial(k)) * expr - RatFunc(head))
 
 
-def difference(expr: TransformExpr, first: Scalar) -> TransformExpr:
+def difference(expr: RatFunc, first: Scalar) -> RatFunc:
     """Transform of (Df)(n) = f(n+1) - f(n) given f(1)."""
-    return _proper(RatFunc(Poly((-1, 1))) * expr.rational - RatFunc(
+    return _proper(RatFunc(Poly((-1, 1))) * expr - RatFunc(
         Poly((QuadExt.of(first),))))
 
 
-def times_n(expr: TransformExpr) -> TransformExpr:
+def times_n(expr: RatFunc) -> RatFunc:
     """Transform of n*f(n): -dF/ds = -t dF/dt, so c/t^j becomes j*c/t^j."""
-    return TransformExpr(-expr.rational.d_ds())
+    return _proper(-expr.d_ds())
 
 
-def convolve(left: TransformExpr, right: TransformExpr) -> TransformExpr:
+def convolve(left: RatFunc, right: RatFunc) -> RatFunc:
     """Transform of the convolution sum_{k=1}^{n-1} f(k) g(n-k)."""
-    return _proper(left.rational * right.rational)
+    return _proper(left * right)
 
 
-def partial_sum(expr: TransformExpr) -> TransformExpr:
+def partial_sum(expr: RatFunc) -> RatFunc:
     """Transform of n -> sum_{k=1}^{n-1} f(k); divides by (t - 1)."""
-    return _proper(expr.rational / RatFunc(Poly((-1, 1))))
+    return _proper(expr / RatFunc(Poly((-1, 1))))
 
 
-def n_power(k: int, base: Union[int, Fraction] = 1) -> TransformExpr:
+def n_power(k: int, base: Union[int, Fraction] = 1) -> RatFunc:
     """Transform of n^k b^n: b t^k A_k(b/t)/(t - b)^(k+1), with the
     Eulerian numbers A(k, m) as the coefficients of A_k (Concrete
     Mathematics 6.2), and b/(t - b) at k = 0.  The numerator is
@@ -172,4 +104,4 @@ def n_power(k: int, base: Union[int, Fraction] = 1) -> TransformExpr:
             (-1) ** j * comb(k + 1, j) * (m + 1 - j) ** k
             for j in range(m + 1))
     den = [comb(k + 1, i) * (-b) ** (k + 1 - i) for i in range(k + 2)]
-    return TransformExpr(RatFunc._reduced(Poly(num), Poly(den)))
+    return _proper(RatFunc._reduced(Poly(num), Poly(den)))

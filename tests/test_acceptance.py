@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from dlaplace.exact import QuadExt
 from dlaplace.numeric import check_closed_form_pair, series_eval, terms_needed
-from dlaplace.polys import PFTerm, Poly, RatFunc, partial_fractions
+from dlaplace.polys import Poly, RatFunc, Term, partial_fractions
 from dlaplace.sequences import (ClosedFormSequence, convolve, delta,
                                 inverse_transform, partial_sums)
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
                              solve_ivp)
-from dlaplace.transforms import TransformExpr, geometric, n_power, partial_sum, shift
+from dlaplace.transforms import geometric, n_power, partial_sum, shift
 from fibonacci import PHI, PSI, fibonacci
 
 FIB_SPEC = fibonacci()
@@ -46,8 +46,7 @@ def test_criterion_01_fibonacci_end_to_end():
         start = time.perf_counter()
         report = solve_ivp(FIB_SPEC)
         elapsed = time.perf_counter() - start
-        assert report.transform.rational == \
-            RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
+        assert report.transform == RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
         expected_terms = {
             (QuadExt(Fraction(1, 2), Fraction(1, 10), 5), PHI, 1),
             (QuadExt(Fraction(1, 2), Fraction(-1, 10), 5), PSI, 1),
@@ -217,12 +216,13 @@ def test_criterion_10_randomized_property_suites(with_partners, recombines):
         # the terms c/(t - r)^m are summed as a closed form's transform
         for _ in range(100):
             picks = rng.sample(root_pool, rng.randint(1, 2))
-            parts = [PFTerm(root, rng.randint(1, 2),
-                            QuadExt(rng.randint(1, 5)))
+            # keywords keep the seeded draws in order: m, then c
+            parts = [Term(root=root, multiplicity=rng.randint(1, 2),
+                          coefficient=QuadExt(rng.randint(1, 5)))
                      for root in picks]
             terms = [(p.coefficient, p.root, p.multiplicity) for p in parts]
             total = ClosedFormSequence(with_partners(terms)).transform()
-            recombines(total.rational, partial_fractions(total.rational))
+            recombines(total, partial_fractions(total))
 
         # (c) the shift rule agrees with index translation
         for _ in range(100):

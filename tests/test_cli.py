@@ -250,7 +250,7 @@ def test_unsplit_quartics_are_not_called_irreducible(text, reason, capsys):
     assert err == f"error: {reason}\n"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 @pytest.mark.parametrize("argv", [
     ["verify", "a[n+1] = a[n] + n^12; a[1] = 1"],
     ["verify", "a[n+2] = 2*a[n+1] - a[n] + n^6; a[1]=1; a[2]=2",
@@ -408,6 +408,9 @@ def test_json_verify_steps_root_powers_instead_of_powering(capsys,
     ["verify", "a[n+1] = 100000000*a[n]; a[1] = 1", "--s-grid", "30"],
     ["verify", "a[n+1] = 100000000*a[n]; a[1] = 1", "--s-grid", "30",
      "--json"],
+    # numerator and denominator of the transform overflow at t = e^400
+    ["verify", "a[n+3] = 6*a[n+2] - 11*a[n+1] + 6*a[n]; a[1] = 1; "
+     "a[2] = 0; a[3] = 0", "--s-grid", "400"],
 ])
 def test_values_past_the_double_range_are_refused(argv, capsys):
     assert main(argv) == 2

@@ -7,9 +7,8 @@ import pytest
 from dlaplace import polys
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt, sort_key
-from dlaplace.polys import (PFTerm, Poly, RatFunc, T, factor_roots,
-                            partial_fractions, poly_gcd,
-                            squarefree_decomposition)
+from dlaplace.polys import (Poly, RatFunc, T, factor_roots, partial_fractions,
+                            poly_gcd, squarefree_decomposition)
 from dlaplace.errors import (ImproperRational, PoleEvaluation,
                              UnsupportedFactorization)
 from dlaplace.sequences import ClosedFormSequence
@@ -321,7 +320,7 @@ def test_integer_root_test_agrees_with_evaluation_randomized():
 def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
     spec = parse_program("a[n+2] = 5*a[n+1] - 6*a[n] + n^3 + 4^n; "
                          "a[1] = 1; a[2] = 4").to_spec()
-    den = transform_of(spec).rational.den
+    den = transform_of(spec).den
     calls = []
     real_call = Poly.__call__
 
@@ -338,7 +337,7 @@ def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
 def test_rational_roots_are_deflated_in_integers(monkeypatch):
     spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
                          "a[1] = 1; a[2] = 2").to_spec()
-    den = transform_of(spec).rational.den
+    den = transform_of(spec).den
     calls = []
     real_divmod = Poly.__divmod__
 
@@ -649,7 +648,7 @@ def test_taylor_shift_matches_quadext_reference_randomized():
 def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
     spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
                          "a[1] = 1; a[2] = 2").to_spec()
-    quotient = transform_of(spec).rational
+    quotient = transform_of(spec)
     expected = partial_fractions(quotient)
     assert max(t.multiplicity for t in expected) == 15
 

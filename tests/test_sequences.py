@@ -15,8 +15,8 @@ from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
                                 inverse_transform, partial_sums)
 from dlaplace.solver import RecursiveSequence, transform_of, verify_solution
-from dlaplace.transforms import (TransformExpr, convolve as xf_convolve,
-                                 geometric, n_power)
+from dlaplace.polys import RatFunc
+from dlaplace.transforms import convolve as xf_convolve, geometric, n_power
 from fibonacci import PHI, PSI, fibonacci
 
 
@@ -59,7 +59,7 @@ def test_add_and_scale():
 
 
 def test_delta_and_partial_sums_are_inverse_ish():
-    fib = inverse_transform(TransformExpr.from_ratfunc((0, 1), (-1, -1, 1)))
+    fib = inverse_transform(RatFunc((0, 1), (-1, -1, 1)))
     diffs = delta(fib)
     sums = partial_sums(diffs)
     for n in range(1, 51):
@@ -137,7 +137,7 @@ def test_verify_solution_details_are_unchanged():
 
 
 def test_inverse_transform_fibonacci():
-    fib = inverse_transform(TransformExpr.from_ratfunc((0, 1), (-1, -1, 1)))
+    fib = inverse_transform(RatFunc((0, 1), (-1, -1, 1)))
     values = [fib(n) for n in range(1, 10)]
     assert values == [1, 1, 2, 3, 5, 8, 13, 21, 34]
     assert all(v.is_rational for v in values)
@@ -146,8 +146,8 @@ def test_inverse_transform_fibonacci():
 
 def test_inverse_transform_keeps_deltas():
     # 1/(t - 1) + 7/t^2: the constant 1 plus a spike of 7 at n = 2
-    expr = TransformExpr.from_ratfunc((1,), (-1, 1)) + \
-        TransformExpr.from_ratfunc((7,), (0, 0, 1))
+    expr = RatFunc((1,), (-1, 1)) + \
+        RatFunc((7,), (0, 0, 1))
     seq = inverse_transform(expr)
     assert seq(1) == 1 and seq(2) == 8 and seq(3) == 1
 
@@ -404,7 +404,7 @@ def test_memoised_values_match_the_term_by_term_definition():
 
 
 def test_a_lone_far_value_is_computed_without_the_memo():
-    fib = inverse_transform(TransformExpr.from_ratfunc((0, 1), (-1, -1, 1)))
+    fib = inverse_transform(RatFunc((0, 1), (-1, -1, 1)))
     expected = RecursiveSequence(fibonacci(1, 1))(20000)
     tracemalloc.start()
     try:

@@ -8,10 +8,11 @@ from dlaplace import polys
 from dlaplace.exact import QuadExt
 from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import ClosedFormSequence, inverse_transform
-from dlaplace.transforms import (MAX_N_POWER, TransformExpr, convolve,
-                                 difference, geometric, n_power, partial_sum,
-                                 shift, times_n)
-from dlaplace.errors import DegreeLimitExceeded, ImproperResult
+from dlaplace.transforms import (MAX_N_POWER, convolve, difference,
+                                 geometric, n_power, partial_sum, shift,
+                                 times_n)
+from dlaplace.errors import (DegreeLimitExceeded, ImproperRational,
+                             ImproperResult)
 from fibonacci import PHI
 
 ONE = geometric(1)                     # 1/(t - 1), the constant sequence 1
@@ -23,8 +24,8 @@ def rf(num, den):
 
 
 def test_geometric_rule():
-    assert geometric(5).rational == rf([1], [-5, 1])
-    assert geometric(Fraction(1, 2)).rational == rf([1], [Fraction(-1, 2), 1])
+    assert geometric(5) == rf([1], [-5, 1])
+    assert geometric(Fraction(1, 2)) == rf([1], [Fraction(-1, 2), 1])
     # a radical base has no quotient over Q: its conjugate partner is needed
     with pytest.raises(ValueError, match="radical coefficient"):
         geometric(PHI)
@@ -45,17 +46,16 @@ def test_rules_refuse_radical_coefficients():
 
 def test_geometric_zero_base_is_the_spike_at_one():
     spike = geometric(0)
-    assert spike.rational == rf([1], [0, 1])          # 1/t
+    assert spike == rf([1], [0, 1])          # 1/t
     assert inverse_transform(spike) == ClosedFormSequence(deltas={1: 1})
 
 
 def test_shift_rule_fibonacci_assembly():
     # t^2 L - a1 t - a2 for the two-step shift
-    L = TransformExpr(rf([0, 1], [-1, -1, 1]))   # t/(t^2 - t - 1)
+    L = rf([0, 1], [-1, -1, 1])   # t/(t^2 - t - 1)
     shifted = shift(L, 2, [1, 1])
     # f(n+2) for Fibonacci is f(n+1) + f(n): L*(t+1) - 1... check directly
-    expected = TransformExpr(rf([0, 1], [-1, -1, 1]) * rf([0, 0, 1], [1])
-                             - rf([1, 1], [1]))
+    expected = rf([0, 1], [-1, -1, 1]) * rf([0, 0, 1], [1]) - rf([1, 1], [1])
     assert shifted == expected
 
 
@@ -103,20 +103,20 @@ def test_difference_consistency_randomized():
 
 
 def test_times_n_builds_power_table():
-    assert N.rational == rf([0, 1], [1, -2, 1])
+    assert N == rf([0, 1], [1, -2, 1])
     n2 = times_n(N)
-    assert n2.rational == rf([0, 1, 1], [-1, 3, -3, 1])
+    assert n2 == rf([0, 1, 1], [-1, 3, -3, 1])
     n3 = times_n(n2)
     # numerator 1, 4, 1: the square bracket coefficients checked by series
-    assert n3.rational == rf([0, 1, 4, 1], [1, -4, 6, -4, 1])
+    assert n3 == rf([0, 1, 4, 1], [1, -4, 6, -4, 1])
     assert n_power(2) == n2
     assert n_power(3) == n3
 
 
 def test_times_n_scales_deltas_by_position():
     # 2/t^3 + 1/t, spikes at n = 3 and n = 1, becomes 6/t^3 + 1/t
-    expr = TransformExpr(rf([2], [0, 0, 0, 1]) + rf([1], [0, 1]))
-    expected = TransformExpr(rf([6], [0, 0, 0, 1]) + rf([1], [0, 1]))
+    expr = rf([2], [0, 0, 0, 1]) + rf([1], [0, 1])
+    expected = rf([6], [0, 0, 0, 1]) + rf([1], [0, 1])
     assert times_n(expr) == expected
 
 
@@ -133,7 +133,7 @@ def test_n_power_matches_the_times_n_iteration():
 def test_n_power_denominator_structure():
     for k in range(0, 7):
         expr = n_power(k)
-        assert expr.rational.den == Poly.from_roots(*([1] * (k + 1)))
+        assert expr.den == Poly.from_roots(*([1] * (k + 1)))
     with pytest.raises(DegreeLimitExceeded):
         n_power(MAX_N_POWER + 1)
     with pytest.raises(ValueError):
@@ -143,22 +143,21 @@ def test_n_power_denominator_structure():
 
 
 def test_convolution_is_the_product():
-    assert convolve(N, ONE).rational == \
-        N.rational * ONE.rational
+    assert convolve(N, ONE) == N * ONE
     assert convolve(N, ONE) == convolve(ONE, N)
     a, b, c = geometric(2), geometric(3), ONE
     assert convolve(a, convolve(b, c)) == convolve(convolve(a, b), c)
 
 
 def test_partial_sum_divides_by_t_minus_one():
-    assert partial_sum(N).rational == rf([0, 1], [-1, 3, -3, 1])
+    assert partial_sum(N) == rf([0, 1], [-1, 3, -3, 1])
     # partial sums of the spike at 1: the step sequence 0, 1, 1, ...
     stepped = partial_sum(geometric(0))
-    assert stepped.rational == rf([1], [0, -1, 1])
+    assert stepped == rf([1], [0, -1, 1])
 
 
 def test_rules_reduce_their_quotient_once(monkeypatch):
-    # each rule's RatFunc arithmetic already reduces; wrapping the result
+    # each rule's RatFunc arithmetic already reduces; checking the result
     # must not run a further gcd
     g = 3 * geometric(2)
     calls = []
@@ -180,25 +179,43 @@ def test_rules_reduce_their_quotient_once(monkeypatch):
 
 def test_linearity_and_scalar_ops():
     expr = 3 * ONE - N * Fraction(1, 2)
-    assert expr.rational == \
-        3 * ONE.rational - Fraction(1, 2) * N.rational
+    assert expr == 3 * ONE - Fraction(1, 2) * N
     assert (ONE * 0).is_zero
-    assert (-ONE) + ONE == TransformExpr()
+    assert (-ONE) + ONE == RatFunc()
 
 
 def test_deltas_fold_into_ratfunc():
     # 1/(t-1) + (1/2)/t^2 is the single fraction (t^2 + t/2 - 1/2)/(t^3 - t^2)
-    other = TransformExpr(rf([1], [-1, 1])) + \
-        TransformExpr(rf([Fraction(1, 2)], [0, 0, 1]))
-    assert other.rational == rf([Fraction(-1, 2), Fraction(1, 2), 1],
-                                [0, 0, -1, 1])
+    other = rf([1], [-1, 1]) + rf([Fraction(1, 2)], [0, 0, 1])
+    assert other == rf([Fraction(-1, 2), Fraction(1, 2), 1], [0, 0, -1, 1])
 
 
-def test_from_ratfunc_rejects_improper():
-    with pytest.raises(ImproperResult):
-        TransformExpr.from_ratfunc(Poly((0, 1)), Poly((-1, 1)))
-    with pytest.raises(ValueError):
-        TransformExpr(rf([0, 1], [-1, 1]))
+def test_inverse_transform_refuses_a_polynomial_part():
+    # t/(t - 1) = 1 + 1/(t - 1) is the transform of no sequence
+    with pytest.raises(ImproperRational):
+        inverse_transform(RatFunc(Poly((0, 1)), Poly((-1, 1))))
+
+
+IMPROPER = rf([0, 0, 1], [-1, 1])      # t^2/(t - 1)
+
+
+@pytest.mark.parametrize("rule, args", [
+    (geometric, (3,)),
+    (n_power, (4, -2)),
+    (shift, (N, 1, [1])),
+    (difference, (N, 1)),
+    (times_n, (N,)),
+    (convolve, (N, ONE)),
+    (partial_sum, (N,)),
+], ids=["geometric", "n_power", "shift", "difference", "times_n",
+        "convolve", "partial_sum"])
+def test_rules_return_strictly_proper_ratfuncs(rule, args):
+    result = rule(*args)
+    assert type(result) is RatFunc and result.is_strictly_proper
+    if args[0] is N:
+        # no rule passes on a polynomial part it is given
+        with pytest.raises(ImproperResult):
+            rule(IMPROPER, *args[1:])
 
 
 def test_definitional_series_agreement_randomized():
@@ -229,7 +246,7 @@ def test_definitional_series_agreement_randomized():
 
 def test_render_with_deltas():
     # 1/(t - 1) + 3/t^2 prints as its one folded fraction
-    expr = TransformExpr(rf([1], [-1, 1]) + rf([3], [0, 0, 1]))
+    expr = rf([1], [-1, 1]) + rf([3], [0, 0, 1])
     assert expr.render() == "(t^2 + 3*t - 3)/(t^3 - t^2)"
     assert expr.render("e^s") == "(e^(2s) + 3*e^s - 3)/(e^(3s) - e^(2s))"
     assert geometric(0).render() == "1/t"

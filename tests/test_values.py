@@ -1,6 +1,6 @@
 """The public value types: construction, equality, hash, repr, immutability.
 
-``Term``, ``PFTerm``, ``ForcingTerm`` and ``RecurrenceSpec`` are compared,
+``Term``, ``ForcingTerm`` and ``RecurrenceSpec`` are compared,
 hashed, printed and used as dict keys across the package and by callers,
 so their observable behaviour is pinned here field by field.
 """
@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from dlaplace import (MAX_N_POWER, ForcingTerm, PFTerm, QuadExt,
-                      RecurrenceSpec, Term, UnsupportedForcing)
+from dlaplace import (MAX_N_POWER, ForcingTerm, QuadExt, RecurrenceSpec,
+                      Term, UnsupportedForcing)
 
 HALF = Fraction(1, 2)
 
@@ -24,10 +24,6 @@ def _examples():
          Term(coefficient=QuadExt(1, 1, 20), root=QuadExt(HALF),
               multiplicity=2),
          Term(QuadExt(1, 2, 5), QuadExt(HALF), 1)),
-        (PFTerm(QuadExt(1, 2, 5), 2, QuadExt(3)),
-         PFTerm(coefficient=QuadExt(3), multiplicity=2,
-                root=QuadExt(1, 1, 20)),
-         PFTerm(QuadExt(1, -2, 5), 2, QuadExt(3))),
         (ForcingTerm(HALF, 3, -2),
          ForcingTerm(base=-2, exponent=3, coefficient=Fraction(2, 4)),
          ForcingTerm(HALF, 3, 2)),
@@ -62,10 +58,6 @@ def test_repr_text():
     assert repr(Term(QuadExt(1, 2, 5), QuadExt(HALF), 2)) == (
         "Term(coefficient=QuadExt(Fraction(1, 1), Fraction(2, 1), 5), "
         "root=QuadExt(Fraction(1, 2), Fraction(0, 1), 0), multiplicity=2)")
-    assert repr(PFTerm(QuadExt(1, 2, 5), 2, QuadExt(3))) == (
-        "PFTerm(root=QuadExt(Fraction(1, 1), Fraction(2, 1), 5), "
-        "multiplicity=2, "
-        "coefficient=QuadExt(Fraction(3, 1), Fraction(0, 1), 0))")
     assert repr(ForcingTerm(2)) == (
         "ForcingTerm(coefficient=Fraction(2, 1), exponent=0, "
         "base=Fraction(1, 1))")
@@ -93,9 +85,8 @@ def test_keyword_construction_defaults_and_coercion():
     forced = RecurrenceSpec(1, (2,), (1,), [ForcingTerm(1)])
     assert forced.forcing == (ForcingTerm(1),)
     assert type(forced.forcing) is tuple
-    # Term and PFTerm store their arguments as given
+    # Term stores its arguments as given
     assert Term(1, 2, 3).coefficient == 1
-    assert PFTerm(root=2, multiplicity=1, coefficient=5).coefficient == 5
 
 
 def test_assignment_and_deletion_raise_attribute_error():
