@@ -9,13 +9,13 @@ and cross-checks transforms numerically against their defining series.
 
 from .errors import (CapabilityError, CheckFailed, DegreeLimitExceeded,
                      DivergenceGuard, DlaplaceError, ImproperRational,
-                     ImproperResult, ParseError, PoleEvaluation,
+                     ParseError, PoleEvaluation,
                      RadicandMismatch, SemanticError, SeriesCapExceeded,
                      UnsupportedFactorization, UnsupportedForcing,
                      VerificationFailed)
 from .exact import QuadExt
 from .polys import (Poly, RatFunc, T, factor_roots, partial_fractions,
-                    poly_gcd, squarefree_decomposition)
+                    poly_gcd)
 from .transforms import (MAX_N_POWER, convolve as transform_convolve,
                          difference as transform_difference, geometric,
                          n_power, partial_sum, shift, times_n)
@@ -33,13 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError", "CheckFailed", "DegreeLimitExceeded",
-    "DivergenceGuard", "DlaplaceError", "ImproperRational", "ImproperResult",
+    "DivergenceGuard", "DlaplaceError", "ImproperRational",
     "ParseError", "PoleEvaluation", "RadicandMismatch", "SemanticError",
     "SeriesCapExceeded", "UnsupportedFactorization", "UnsupportedForcing",
     "VerificationFailed",
     "QuadExt",
     "Poly", "RatFunc", "T", "factor_roots", "partial_fractions", "poly_gcd",
-    "squarefree_decomposition",
     "MAX_N_POWER", "transform_convolve", "transform_difference", "geometric",
     "n_power", "partial_sum", "shift", "times_n",
     "ClosedFormSequence", "Term", "convolve", "delta", "equal_prefix",

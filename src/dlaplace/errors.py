@@ -35,16 +35,9 @@ class DegreeLimitExceeded(CapabilityError):
 
 
 class ImproperRational(DlaplaceError):
-    """Partial fractions were requested for a non strictly proper quotient."""
-
-
-class ImproperResult(DlaplaceError):
-    """A transform rule produced a polynomial part.
-
-    This happens when supplied initial values disagree with the series the
-    transform actually represents; a genuine sequence transform is always
-    strictly proper in t = e^s.
-    """
+    """A quotient with a polynomial part, the transform of no sequence: a
+    rule made one from initial values that disagree with the series it
+    transforms, or partial fractions were asked of one."""
 
 
 class PoleEvaluation(DlaplaceError):
@@ -77,7 +70,7 @@ class DivergenceGuard(DlaplaceError):
 
 class SeriesCapExceeded(DlaplaceError):
     """Reaching the requested tolerance would need too many series terms,
-    or terms past the double range."""
+    terms past the double range, or more precision than doubles carry."""
 
 
 class ParseError(DlaplaceError):

@@ -22,6 +22,9 @@ from .sequences import ClosedFormSequence
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
 SERIES_CAP = 10 ** 6
+# A gap within 16 ulps (2^-52 each) of the values compared is double
+# rounding, which no tolerance below it can resolve.
+_ROUNDING = 2.0 ** -48
 
 
 def series_eval(f: Callable[[int], object], s: float, terms: int) -> float:
@@ -146,7 +149,9 @@ def check_closed_form_pair(seq: ClosedFormSequence, expr: RatFunc,
     points at or below s0 are skipped.  The truncation point comes from the
     tail bound at half the tolerance, so a failure means the pair is wrong,
     not that the sum stopped early.  Raises CheckFailed on the first
-    offending sample point.
+    offending sample point, or SeriesCapExceeded when its gap is within
+    double rounding of the values compared, so the tolerance is finer than
+    the check resolves.
     """
     alpha, s0 = growth_bound(seq)
     usable = tuple(s for s in s_values if s > s0)
@@ -176,6 +181,12 @@ def check_closed_form_pair(seq: ClosedFormSequence, expr: RatFunc,
         entry = CheckEntry(s, terms, total, reference, gap,
                            tail_bound(alpha, s0, s, terms), gap <= tolerance)
         report.entries.append(entry)
+        size = max(abs(total), abs(reference))
+        if not entry.passed and gap <= _ROUNDING * size:
+            raise SeriesCapExceeded(
+                f"tolerance {tolerance:.1e} at s = {s} is finer than double "
+                f"precision resolves: series and transform differ by "
+                f"{gap:.3e}, within rounding of {size:.3e}")
         if not entry.passed:
             raise CheckFailed(
                 f"series and transform differ by {gap:.3e} at s = {s} "

@@ -2,20 +2,22 @@
 
 Every transform in scope is a rational function of integers: radicals
 appear only in its roots and in its partial-fraction coefficients.  So
-``Poly`` holds rational coefficients only, lowest degree first, as
-``QuadExt`` values with radicand 0; a radical coefficient raises
-``ValueError``.  The zero polynomial is the empty tuple and reports degree
--1.  ``RatFunc`` keeps a quotient normalized: gcd cancelled and the
-denominator monic, so equality is plain coefficient comparison.
+``Poly`` stores rational coefficients only, lowest degree first, as
+``Fraction``s: its construction and arithmetic are ``Fraction``
+arithmetic; a radical coefficient raises ``ValueError``.  ``coefficients``
+reads them as rational ``QuadExt`` values, for JSON and other readers
+that also meet radical values.  The zero polynomial is the empty tuple
+and reports degree -1.  ``RatFunc`` keeps a quotient normalized: gcd
+cancelled and the denominator monic, so equality is plain coefficient
+comparison.
 
 ``poly_gcd`` scales each operand to a primitive integer vector and runs a
 primitive remainder sequence in Z[t]: each pseudo-remainder is divided by
-its content, so no ``Fraction`` or ``QuadExt`` arithmetic runs until the
-monic gcd is built (Cohen, *A Course in Computational Algebraic Number
-Theory*, 3.3).  ``RatFunc`` reduces a quotient the same way: the gcd, the
-exact division by it and the monic scaling run on the primitive integer
-vectors of its two sides, and the ``Poly``s are built once, from the
-reduced vectors.
+its content, so no ``Fraction`` arithmetic runs until the monic gcd is
+built (Cohen, *A Course in Computational Algebraic Number Theory*, 3.3).
+``RatFunc`` reduces a quotient the same way: the gcd, the exact division
+by it and the monic scaling run on the primitive integer vectors of its
+two sides, and the ``Poly``s are built once, from the reduced vectors.
 
 ``factor_roots`` finds the complete root multiset of a monic denominator
 when it splits over Q or over real quadratic extensions, each quadratic
@@ -29,11 +31,11 @@ the degree and the coefficients' bit lengths, not with their divisors
 (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
 Each root p/q is confirmed in integers as sum c_i p^i q^(deg - i) == 0
 and divided out of f by synthetic division by (q t - p) as often as it
-divides, which is exact and keeps the vector primitive by Gauss's lemma,
-so no polynomial division over ``QuadExt`` runs (Cohen, *A Course in
-Computational Algebraic Number Theory*, 3.4).  What has no rational root
-is split by Yun's squarefree factorization in Z[t] (Yun, SYMSAC 1976),
-and its quadratic factors are solved by the quadratic formula.
+divides, which is exact and keeps the vector primitive by Gauss's lemma
+(Cohen, *A Course in Computational Algebraic Number Theory*, 3.4).  What
+has no rational root is split by Yun's squarefree factorization in Z[t]
+(Yun, SYMSAC 1976), and its quadratic factors are solved by the
+quadratic formula.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 into ``Term``s c/(t - r)^m, the records a closed form reads as its
@@ -44,8 +46,8 @@ Taylor shift to a root is one synthetic division on integer pairs (x, y),
 standing for x + y*sqrt(d), over one common denominator, with d the
 root's radicand (0 for a rational root); so at a rational root the
 quotient is expanded in integers and ``Fraction``s, without ``QuadExt``
-arithmetic.  The
-conjugate of a radical root takes the conjugate expansion.
+arithmetic.  The conjugate of a radical root takes the conjugate
+expansion.
 """
 
 from __future__ import annotations
@@ -62,13 +64,11 @@ from .exact import (QuadExt, RationalLike, _exact_sqrt, _integer_pair,
 
 Scalar = Union[int, Fraction, QuadExt]
 _ZERO = QuadExt(0)
-_ONE = QuadExt(1)
-_MINUS_ONE = QuadExt(-1)
 
 
 def _rational_values(values: Iterable[Scalar]) -> list[RationalLike]:
     """The values as ints and Fractions, trailing zeros dropped; a radical
-    one raises ValueError."""
+    one raises ValueError and an inexact one TypeError."""
     out: list[RationalLike] = []
     for c in values:
         if isinstance(c, QuadExt):
@@ -85,37 +85,30 @@ def _rational_values(values: Iterable[Scalar]) -> list[RationalLike]:
 
 
 class Poly:
-    """A dense univariate polynomial over Q, its coefficients rational
-    QuadExt values; a radical coefficient raises ValueError and an inexact
-    one TypeError."""
+    """A dense univariate polynomial over Q, stored as Fractions; it is
+    built from ints, Fractions or rational QuadExt values, and a radical
+    coefficient raises ValueError and an inexact one TypeError."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [QuadExt.of(c) for c in coeffs]
-        for c in cs:
-            if c.radicand:
-                raise ValueError(f"radical coefficient {c}: "
-                                 "polynomials are over Q")
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                             for c in _rational_values(coeffs))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Poly":
         return cls((0,) * degree + (coefficient,))
 
-    @classmethod
-    def from_roots(cls, *roots: Scalar) -> "Poly":
-        """The monic polynomial with exactly the given roots."""
-        p = cls((1,))
-        for r in roots:
-            p = p * cls((-QuadExt.of(r), 1))
-        return p
+    @property
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return self._coeffs
 
     @property
     def coefficients(self) -> tuple[QuadExt, ...]:
-        return self._coeffs
+        """The coefficients as rational QuadExt values, lowest degree
+        first, for readers that also meet radical values."""
+        return tuple(map(QuadExt.of, self._coeffs))
 
     @property
     def degree(self) -> int:
@@ -127,17 +120,11 @@ class Poly:
         return not self._coeffs
 
     @property
-    def leading(self) -> QuadExt:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == _ONE
+        return bool(self._coeffs) and self._coeffs[-1] == 1
 
     def coefficient(self, k: int) -> QuadExt:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else _ZERO
+        return QuadExt.of(self._coeffs[k] if 0 <= k < len(self._coeffs) else 0)
 
     def _coerce(self, other: object) -> "Poly | None":
         if isinstance(other, Poly):
@@ -150,8 +137,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self._coeffs), len(o._coeffs))
-        return Poly((self.coefficient(i) + o.coefficient(i) for i in range(n)))
+        return Poly(a + b for a, b in
+                    zip_longest(self._coeffs, o._coeffs, fillvalue=0))
 
     __radd__ = __add__
 
@@ -159,8 +146,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self._coeffs), len(o._coeffs))
-        return Poly((self.coefficient(i) - o.coefficient(i) for i in range(n)))
+        return Poly(a - b for a, b in
+                    zip_longest(self._coeffs, o._coeffs, fillvalue=0))
 
     def __rsub__(self, other: object) -> "Poly":
         o = self._coerce(other)
@@ -177,7 +164,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Poly()
-        out = [_ZERO] * (len(self._coeffs) + len(o._coeffs) - 1)
+        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             if not a:
                 continue
@@ -199,34 +186,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def __divmod__(self, other: object) -> tuple["Poly", "Poly"]:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        db, lead = o.degree, o.leading
-        q = [_ZERO] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            f = rem[-1] / lead
-            k = len(rem) - 1 - db
-            q[k] = f
-            for i, bc in enumerate(o._coeffs):
-                rem[k + i] = rem[k + i] - f * bc
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: object) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __truediv__(self, scalar: object) -> "Poly":
-        if isinstance(scalar, (int, Fraction, QuadExt)):
-            inv = QuadExt.of(scalar).inverse()
-            return Poly((c * inv for c in self._coeffs))
-        return NotImplemented
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -253,7 +212,7 @@ class Poly:
     def eval_float(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self._coeffs):
-            acc = acc * x + c.to_float()
+            acc = acc * x + float(c)
         return acc
 
     def render(self, var: str = "t") -> str:
@@ -283,13 +242,13 @@ def _power_text(k: int, var: str) -> str:
     return var if k == 1 else f"{var}^{k}"
 
 
-def _term_text(c: QuadExt, k: int, var: str) -> str:
+def _term_text(c: Fraction, k: int, var: str) -> str:
     if k == 0:
         return str(c)
     text = _power_text(k, var)
-    if c == _ONE:
+    if c == 1:
         return text
-    if c == _MINUS_ONE:
+    if c == -1:
         return f"-{text}"
     return f"{c}*{text}"
 
@@ -390,14 +349,6 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Split f into [(g_i, i)] with f = prod g_i^i up to a constant, each
-    g_i monic and squarefree."""
-    if f.degree < 1:
-        return []
-    return [(_monic_poly(g), i) for g, i in _yun(_integer_coefficients(f))]
-
-
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's squarefree factorization of a nonconstant f in Z[t]: the
     pairs (g_i, i) with f = c * prod g_i^i, each g_i nonconstant,
@@ -421,10 +372,11 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
 
 def _integer_coefficients(f: Poly) -> list[int]:
     """Scale a polynomial to primitive integers."""
-    return _primitive_part([c.rational_part for c in f.coefficients])[0]
+    return _primitive_part(f._coeffs)[0]
 
 
-def _primitive_part(values: list[RationalLike]) -> tuple[list[int], Fraction]:
+def _primitive_part(values: Sequence[RationalLike],
+                    ) -> tuple[list[int], Fraction]:
     """(f, c) with values == c * f and f a primitive integer vector."""
     scale = lcm(*(x.denominator for x in values))
     ints = [x.numerator * (scale // x.denominator) for x in values]
@@ -565,8 +517,7 @@ def _deflate(ints: list[int], p: int, q: int) -> list[int]:
 
 def _quadratic_roots(h: Poly) -> list[QuadExt]:
     """Roots of a monic rational quadratic, exact over Q(sqrt(d))."""
-    b = h.coefficient(1).as_fraction()
-    c = h.coefficient(0).as_fraction()
+    c, b, _ = h._coeffs
     disc = b * b - 4 * c
     if disc < 0:
         raise UnsupportedFactorization(
@@ -593,7 +544,7 @@ def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
         raise ValueError("denominator must be monic")
     found: dict[QuadExt, int] = {}
     zeros = 0
-    while not f.coefficient(zeros):
+    while not f._coeffs[zeros]:
         zeros += 1
     if zeros:
         found[_ZERO] = zeros
@@ -636,7 +587,7 @@ def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
 def _coefficient_list(value: "Poly | Scalar | Sequence[Scalar]",
                       ) -> Sequence[Scalar]:
     if isinstance(value, Poly):
-        return value.coefficients
+        return value._coeffs
     if isinstance(value, (tuple, list)):
         return value
     return (value,)
@@ -700,7 +651,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction, QuadExt, Poly)):
-            return RatFunc(other if isinstance(other, Poly) else Poly((other,)))
+            return RatFunc(other)
         return None
 
     def __add__(self, other: object) -> "RatFunc":
@@ -782,10 +733,10 @@ class RatFunc:
         num_text = self._num.render(var)
         if self._den == _ONE_POLY:
             return num_text
-        if sum(1 for c in self._num.coefficients if c) > 1:
+        if sum(1 for c in self._num._coeffs if c) > 1:
             num_text = f"({num_text})"
         den_text = self._den.render(var)
-        if sum(1 for c in self._den.coefficients if c) > 1 or \
+        if sum(1 for c in self._den._coeffs if c) > 1 or \
                 not self._den.is_monic:
             den_text = f"({den_text})"
         return f"{num_text}/{den_text}"
@@ -821,16 +772,14 @@ def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
     Synthetic division by (z - R) on integer pairs (x, y), standing for
     x + y sqrt(d), gives the Taylor coefficients h_k of H at R, and the
     coefficient of u^k is h_k/(L Q^(deg - k))."""
-    coeffs = p.coefficients
     d = r.radicand
     q = lcm(r.rational_part.denominator, r.radical_part.denominator)
     u, v = _integer_pair(r, q)
     vd = v * d
-    scale = lcm(*(c.rational_part.denominator for c in coeffs))
+    scale = lcm(*(c.denominator for c in p._coeffs))
     xs, q_power = [], 1     # H, highest degree first
-    for c in reversed(coeffs):
-        x = c.rational_part
-        xs.append(x.numerator * (scale // x.denominator) * q_power)
+    for c in reversed(p._coeffs):
+        xs.append(c.numerator * (scale // c.denominator) * q_power)
         q_power *= q
     ys = [0] * len(xs)
     den, out = scale * q_power // q, []

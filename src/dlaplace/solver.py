@@ -269,8 +269,8 @@ def transform_of(spec: RecurrenceSpec) -> RatFunc:
     fnum = [0] * len(fden)
     for num, c, b, k in pieces:
         vk = b.denominator ** k
-        top = [_scaled(x.as_fraction(), vk) * _scaled(c, coeff_scale)
-               for x in num.coefficients]
+        top = [_scaled(x, vk) * _scaled(c, coeff_scale)
+               for x in num.fractions]
         cofactor = reduce(_int_mul, (p for other, p in poles.items()
                                      if other != b),
                           _pole(b, orders[b] - k))

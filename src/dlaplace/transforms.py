@@ -18,7 +18,7 @@ returns one.  Rules, all exact in t:
     n_power       n^k b^n            ->  b t^k A_k(b/t)/(t - b)^(k+1)
 
 Every rule checks its result: one with a polynomial part is the transform
-of no sequence and raises ``ImproperResult``.  Given strictly proper
+of no sequence and raises ``ImproperRational``.  Given strictly proper
 inputs, that only happens when the supplied initial values contradict the
 series F actually encodes.
 """
@@ -29,11 +29,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
 
-from .errors import DegreeLimitExceeded, ImproperResult
-from .exact import QuadExt
-from .polys import Poly, RatFunc, T
-
-Scalar = Union[int, Fraction, QuadExt]
+from .errors import DegreeLimitExceeded, ImproperRational
+from .polys import Poly, RatFunc, Scalar
 
 # Highest power of n accepted by n_power and by forcing terms.
 MAX_N_POWER = 12
@@ -42,7 +39,7 @@ MAX_N_POWER = 12
 def _proper(quotient: RatFunc) -> RatFunc:
     """The quotient itself, refusing a polynomial part."""
     if not quotient.is_strictly_proper:
-        raise ImproperResult(
+        raise ImproperRational(
             f"{quotient} has a polynomial part; "
             "not the transform of any sequence")
     return quotient
@@ -50,7 +47,7 @@ def _proper(quotient: RatFunc) -> RatFunc:
 
 def geometric(a: Scalar) -> RatFunc:
     """Transform of a^(n-1); base 0 (0^0 = 1) gives 1/t, the spike at n=1."""
-    return _proper(RatFunc(Poly((1,)), Poly((-QuadExt.of(a), 1))))
+    return _proper(RatFunc(Poly((1,)), Poly((-a, 1))))
 
 
 def shift(expr: RatFunc, k: int, initials: Sequence[Scalar]) -> RatFunc:
@@ -59,14 +56,13 @@ def shift(expr: RatFunc, k: int, initials: Sequence[Scalar]) -> RatFunc:
         raise ValueError("shift must be nonnegative")
     if len(initials) != k:
         raise ValueError(f"shift by {k} needs exactly {k} initial values")
-    head = Poly((QuadExt.of(c) for c in reversed(initials)))
+    head = Poly(reversed(initials))
     return _proper(RatFunc(Poly.monomial(k)) * expr - RatFunc(head))
 
 
 def difference(expr: RatFunc, first: Scalar) -> RatFunc:
     """Transform of (Df)(n) = f(n+1) - f(n) given f(1)."""
-    return _proper(RatFunc(Poly((-1, 1))) * expr - RatFunc(
-        Poly((QuadExt.of(first),))))
+    return _proper(RatFunc(Poly((-1, 1))) * expr - RatFunc(first))
 
 
 def times_n(expr: RatFunc) -> RatFunc:

@@ -10,10 +10,11 @@ import jsonschema
 import pytest
 
 import dlaplace
-from dlaplace import exact, polys, solver
+from dlaplace import cli, exact, polys, solver
 from dlaplace.cli import build_parser, main
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
+from dlaplace.polys import RatFunc
 from dlaplace.sequences import _MEMO_LIMIT, ClosedFormSequence
 
 FIB_TEXT = "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1"
@@ -263,11 +264,34 @@ def test_correct_closed_forms_pass_the_numeric_check(argv, capsys):
     assert main(argv) == 0
 
 
-def test_exit_code_check_failed(capsys):
-    # an unreachable tolerance turns double rounding into a check failure
-    code = main(["verify", FIB_TEXT, "--s-grid", "1.2", "--tol", "1e-30"])
-    assert code == 3
-    assert "differ by" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["verify", "a[n+1] = 2*a[n]; a[1] = 1", "--tol", "1e-20"],
+    ["verify", FIB_TEXT, "--s-grid", "1.2", "--tol", "1e-30"],
+])
+def test_tolerance_below_double_rounding_is_refused(argv, capsys):
+    # the gap is within 16 ulps of the values compared: that is rounding,
+    # not a wrong closed form, so the tolerance is refused (exit 2)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "finer than double precision resolves" in err
+    assert f"tolerance {float(argv[-1]):.1e} at s = " in err
+
+
+def test_exit_code_check_failed(capsys, monkeypatch):
+    # a report whose transform is off by 10^-6/(t - 1/2) fails the
+    # numeric check, even at a tolerance below double rounding
+    real = cli.solve_ivp
+    wrong = RatFunc(Fraction(1, 10 ** 6), (Fraction(-1, 2), 1))
+
+    def perturbed(spec, verify_upto):
+        report = real(spec, verify_upto)
+        report.transform = report.transform + wrong
+        return report
+
+    monkeypatch.setattr(cli, "solve_ivp", perturbed)
+    for tol in ("1e-9", "1e-30"):
+        assert main(["verify", FIB_TEXT, "--tol", tol]) == 3
+        assert "differ by" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("upto", ["1", "64"])

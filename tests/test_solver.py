@@ -14,6 +14,7 @@ from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
                              VerificationFailed)
 from fibonacci import PHI, PSI, fibonacci
+from poly_reference import from_roots
 
 FIB = fibonacci()
 
@@ -92,7 +93,7 @@ def _seeded_specs(rng, count):
                    for _ in range(rng.randint(1, 3) if case % 7 != 1 else 0)]
         if case % 3 == 0:
             roots = [rng.choice(bases) for _ in range(order)]
-            char = Poly.from_roots(*roots)
+            char = from_roots(*roots)
             coefficients = [-c.as_fraction() for c in char.coefficients[:-1]]
             forcing.append(ForcingTerm(Fraction(5, 2), rng.choice((0, 12)),
                                        roots[0]))
@@ -261,7 +262,7 @@ def test_second_difference_ivp():
         assert report.closed_form(n) == expected
     # transform assembled with the double-shift initial data
     assert report.transform == \
-        RatFunc(Poly((1, 0, -1, 1)), Poly.from_roots(1, 1, 1, 1))
+        RatFunc(Poly((1, 0, -1, 1)), from_roots(1, 1, 1, 1))
 
 
 def test_first_difference_ivp():
@@ -357,7 +358,7 @@ def test_forcing_bases_planted_on_characteristic_roots():
         roots = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
         if case % 2 == 0:
             roots.append(roots[0])
-        char = Poly.from_roots(*roots)
+        char = from_roots(*roots)
         forcing = tuple(ForcingTerm(rng.choice([-2, 1, 3]), rng.randint(0, 2),
                                     rng.choice(roots))
                         for _ in range(rng.randint(1, 2)))
