@@ -92,21 +92,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _check_horizon("--verify-upto", args.verify_upto)
     program = parse_program(_read_program(args))
     report = solve_ivp(program.to_spec(), verify_upto=args.verify_upto)
-    if args.json:
-        print(json.dumps(report.to_json_dict(args.terms), indent=2))
-        return EXIT_OK
-    # built before anything is printed, so a basis refusal prints nothing
-    basis = report.coefficient_decomposition
-    var = _display_var(args.display)
-    values = ", ".join(report.value_texts(args.terms))
-    print(f"closed form: {report.closed_form}")
-    print(f"transform:   {report.transform.render(var)}")
-    print(f"values:      {values}")
-    print(f"verified:    n <= {report.verified_upto} (exact)")
-    if basis is not None:
-        first, second = basis
-        print(f"a(1) basis:  {first}")
-        print(f"a(2) basis:  {second}")
+    # built before anything is printed, so a refusal prints nothing
+    basis = None if args.json else report.coefficient_decomposition
+    try:
+        if args.json:
+            text = json.dumps(report.to_json_dict(args.terms), indent=2)
+        else:
+            var = _display_var(args.display)
+            values = ", ".join(report.value_texts(args.terms))
+            lines = [f"closed form: {report.closed_form}",
+                     f"transform:   {report.transform.render(var)}",
+                     f"values:      {values}",
+                     f"verified:    n <= {report.verified_upto} (exact)"]
+            if basis is not None:
+                lines += [f"a(1) basis:  {basis[0]}",
+                          f"a(2) basis:  {basis[1]}"]
+            text = "\n".join(lines)
+    except ValueError:
+        # an int with more digits than the interpreter converts to a string
+        raise CapabilityError(
+            "the answer is too large to print: it has a number with more "
+            f"than {sys.get_int_max_str_digits()} digits") from None
+    print(text)
     return EXIT_OK
 
 

@@ -27,9 +27,10 @@ values covering 1..k exactly once) happens during assembly and raises
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError, SemanticError
+from .errors import CapabilityError, ParseError, SemanticError
 from .solver import ForcingTerm, RecurrenceSpec
 
 _SYMBOLS = {
@@ -212,13 +213,13 @@ class _Parser:
             shift = 0
             if self.peek().kind == "PLUS":
                 self.advance()
-                shift = int(self.expect("INT", "a shift amount").text)
+                shift = self.expect_int("a shift amount")
             self.expect("RBRACK", "']'")
             self.expect("EQUALS", "'='")
             terms = self.parse_expr()
             recurrences.append((shift, terms, opener))
         elif token.kind == "INT":
-            index = int(self.advance().text)
+            index = self.expect_int("an index")
             self.expect("RBRACK", "']'")
             self.expect("EQUALS", "'='")
             value = self.parse_signed_rational()
@@ -262,7 +263,7 @@ class _Parser:
             shift = 0
             if self.peek().kind == "PLUS":
                 self.advance()
-                shift = int(self.expect("INT", "a shift amount").text)
+                shift = self.expect_int("a shift amount")
             self.expect("RBRACK", "']'")
             return _RawTerm(coefficient, "shift", shift=shift)
         if token.kind == "NAME" and token.text == "n":
@@ -270,7 +271,7 @@ class _Parser:
             power = 1
             if self.peek().kind == "CARET":
                 self.advance()
-                power = int(self.expect("INT", "an exponent").text)
+                power = self.expect_int("an exponent")
             if self.peek().kind != "STAR":
                 return _RawTerm(coefficient, "forcing", power=power)
             self.advance()
@@ -307,16 +308,28 @@ class _Parser:
             raise ParseError(f"expected '{name}'", token.line, token.column)
         self.advance()
 
+    def expect_int(self, what: str) -> int:
+        """The next token as an int; one with more digits than the
+        interpreter converts is refused."""
+        token = self.expect("INT", what)
+        try:
+            return int(token.text)
+        except ValueError:
+            raise CapabilityError(
+                f"number with {len(token.text)} digits is past the limit of "
+                f"{sys.get_int_max_str_digits()} digits (line {token.line}, "
+                f"column {token.column})") from None
+
     def parse_rational(self) -> Fraction:
-        whole = self.expect("INT", "a number")
-        value = Fraction(int(whole.text))
+        value = Fraction(self.expect_int("a number"))
         if self.peek().kind == "SLASH":
             self.advance()
-            bottom = self.expect("INT", "a denominator")
-            if int(bottom.text) == 0:
+            bottom = self.peek()
+            denominator = self.expect_int("a denominator")
+            if not denominator:
                 raise ParseError("denominator cannot be zero",
                                  bottom.line, bottom.column)
-            value /= int(bottom.text)
+            value /= denominator
         return value
 
     def parse_signed_rational(self) -> Fraction:
@@ -360,11 +373,22 @@ def _assemble(recurrences, initials) -> DslProgram:
             raise SemanticError(
                 f"initial value a[{index}] is outside 1..{order}")
         seen[index] = value
-    missing = [i for i in range(1, order + 1) if i not in seen]
-    if missing:
-        wanted = ", ".join(f"a[{i}]" for i in missing)
+    # the gaps between the given indices, so the work is bounded by the
+    # input and not by the order
+    given = sorted(seen)
+    gaps = [(lo + 1, hi - 1) for lo, hi in
+            zip([0] + given, given + [order + 1]) if hi - lo > 1]
+    if gaps:
+        wanted = ", ".join(_run_text(i, j) for i, j in gaps)
         raise SemanticError(f"missing initial values: {wanted}")
     return DslProgram(order, shifts, forcing, seen)
+
+
+def _run_text(first: int, last: int) -> str:
+    """a[first] .. a[last] as text; a run of three or more is elided."""
+    if last - first > 1:
+        return f"a[{first}], ..., a[{last}]"
+    return ", ".join(f"a[{i}]" for i in range(first, last + 1))
 
 
 def parse_program(source: str) -> DslProgram:

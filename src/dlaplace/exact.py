@@ -73,12 +73,21 @@ def _squarefree_split(d: int) -> tuple[int, int]:
                 d0 *= p
         p += 1 if p == 2 else 2
     if c >= p ** 3:
-        part = "it" if c == d else f"its factor {c}"
+        part = "it" if c == d else f"its factor {_int_text(c)}"
         raise CapabilityError(
-            f"cannot split the radicand {d}: {part} has no prime factor "
-            f"below {p} and is too large to classify")
+            f"cannot split the radicand {_int_text(d)}: {part} has no prime "
+            f"factor below {p} and is too large to classify")
     root = _exact_sqrt(c)
     return (m * root, d0) if root else (m, d0 * c)
+
+
+def _int_text(x: int) -> str:
+    """x in decimal, or its bit length when it has more digits than the
+    interpreter converts to a string."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"of {x.bit_length()} bits"
 
 
 class QuadExt:

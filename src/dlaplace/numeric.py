@@ -82,7 +82,12 @@ def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
     """
     largest = 1.0
     for term in seq.terms:
-        largest = max(largest, abs(term.root).to_float())
+        try:
+            largest = max(largest, abs(term.root).to_float())
+        except OverflowError:
+            raise SeriesCapExceeded(
+                "growth estimate: a root of the closed form is past the "
+                "double range") from None
     s0 = math.log(largest) + 0.01
     alpha = 0.0
     for n in range(1, 51):

@@ -22,20 +22,19 @@ two sides, and the ``Poly``s are built once, from the reduced vectors.
 ``factor_roots`` finds the complete root multiset of a monic denominator
 when it splits over Q or over real quadratic extensions, each quadratic
 factor in its own; anything deeper raises ``UnsupportedFactorization``.
-The denominator is scaled to a primitive integer vector f, and its
-rational roots are those of the squarefree core f/gcd(f, f'), the gcd
-taken by the remainder sequence ``poly_gcd`` runs.  A core of degree 1
-or 2 gives its rational roots by formula; a larger one has its real
-roots isolated by a Sturm sequence in integers, so the time grows with
-the degree and the coefficients' bit lengths, not with their divisors
-(Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
-Each root p/q is confirmed in integers as sum c_i p^i q^(deg - i) == 0
-and divided out of f by synthetic division by (q t - p) as often as it
-divides, which is exact and keeps the vector primitive by Gauss's lemma
-(Cohen, *A Course in Computational Algebraic Number Theory*, 3.4).  What
-has no rational root is split by Yun's squarefree factorization in Z[t]
-(Yun, SYMSAC 1976), and its quadratic factors are solved by the
-quadratic formula.
+The denominator is scaled to a primitive integer vector f and read in one
+pass over its squarefree factors g, from Yun's squarefree factorization
+in Z[t] (Yun, SYMSAC 1976), whose gcds run the remainder sequence
+``poly_gcd`` runs.  A factor of degree 1 or 2 gives its rational roots by
+formula; a larger one has its real roots isolated by a Sturm sequence in
+integers, so the time grows with the degree and the coefficients' bit
+lengths, not with their divisors (Basu, Pollack and Roy, *Algorithms in
+Real Algebraic Geometry*, ch. 2).  As g is squarefree, each root p/q
+divides it once: it takes g's multiplicity and is divided out by
+synthetic division by (q t - p), which is exact and keeps the vector
+primitive by Gauss's lemma (Cohen, *A Course in Computational Algebraic
+Number Theory*, 3.4).  What is left of g has no rational root, and a
+quadratic left is solved by the quadratic formula.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 into ``Term``s c/(t - r)^m, the records a closed form reads as its
@@ -350,15 +349,18 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's squarefree factorization of a nonconstant f in Z[t]: the
-    pairs (g_i, i) with f = c * prod g_i^i, each g_i nonconstant,
-    squarefree, primitive and with a positive leading coefficient.  Every
-    division is exact in Z[t], by Gauss's lemma."""
+    """Yun's squarefree factorization of f in Z[t]: the pairs (g_i, i)
+    with f = c * prod g_i^i, each g_i nonconstant, squarefree, primitive
+    and with a positive leading coefficient; none for a constant f.  Every
+    division is exact in Z[t], by Gauss's lemma.  Once the product w of
+    the factors not yet found is linear, it is the last one, and its
+    multiplicity is the degree not yet accounted for: a pole (t - 1)^15
+    takes one step, not fifteen."""
     df = _derivative(f)
     c = _integer_gcd(f, df)
     w, y = _exact_quotient(f, c), _exact_quotient(df, c)
     out, i = [], 1
-    while len(w) > 1:
+    while len(w) > 2:
         z = [a - b for a, b in zip_longest(y, _derivative(w), fillvalue=0)]
         while z and not z[-1]:
             z.pop()
@@ -367,6 +369,9 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
             out.append((g, i))
         w, y = _exact_quotient(w, g), _exact_quotient(z, g)
         i += 1
+    if len(w) == 2:
+        w = _primitive(w if w[-1] > 0 else [-a for a in w])
+        out.append((w, len(f) - 1 - sum(k * (len(g) - 1) for g, k in out)))
     return out
 
 
@@ -493,16 +498,6 @@ def _sign_changes(values: list[int]) -> int:
     return count
 
 
-def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
-    """Whether p/q is a root of sum ints[i] t^i, tested in integers as
-    sum ints[i] p^i q^(deg - i) == 0 by homogeneous Horner."""
-    acc, q_power = 0, 1
-    for c in reversed(ints):
-        acc = acc * p + c * q_power
-        q_power *= q
-    return acc == 0
-
-
 def _deflate(ints: list[int], p: int, q: int) -> list[int]:
     """The quotient of sum ints[i] t^i by (q t - p), for a root p/q in
     lowest terms, by synthetic division from the top.  Every step is
@@ -536,8 +531,9 @@ def _quadratic_roots(h: Poly) -> list[QuadExt]:
 
 
 def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
-    """Complete root multiset of a monic denominator, or raise: rational
-    root isolation, then the quadratic formula on what is left."""
+    """Complete root multiset of a monic denominator, or raise: one pass
+    over its squarefree factors, each giving its rational roots and then
+    the quadratic formula on what is left."""
     if f.degree < 1:
         raise ValueError("denominator must have degree >= 1")
     if not f.is_monic:
@@ -548,28 +544,17 @@ def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
         zeros += 1
     if zeros:
         found[_ZERO] = zeros
-    ints = _integer_coefficients(f)[zeros:]
-    rest: list[tuple[list[int], int]] = []
-    if len(ints) > 1:
-        # the rational roots of the squarefree core, each divided out of
-        # ints as often as it divides
-        repeated = _integer_gcd(ints, _derivative(ints))
-        core = _exact_quotient(ints, repeated) if len(repeated) > 1 else ints
-        for p, q in _rational_roots(core):
-            m = 0
-            while _vanishes_at(ints, p, q):
-                ints = _deflate(ints, p, q)
-                m += 1
-            if m:
-                found[QuadExt.of(Fraction(p, q))] = m
-        # what has no rational root; squarefree already when ints was
-        if len(ints) > 1:
-            rest = _yun(ints) if len(repeated) > 1 else [(ints, 1)]
-    for g, mult in rest:
+    for g, mult in _yun(_integer_coefficients(f)[zeros:]):
+        # g is squarefree, so each rational root divides it once
+        for p, q in _rational_roots(g):
+            g = _deflate(g, p, q)
+            found[QuadExt.of(Fraction(p, q))] = mult
+        if len(g) == 1:
+            continue
         h = _monic_poly(g)
         if h.degree == 2:
             for root in _quadratic_roots(h):
-                found[root] = found.get(root, 0) + mult
+                found[root] = mult
         elif h.degree == 3:     # no rational root, so irreducible over Q
             raise UnsupportedFactorization(
                 f"irreducible factor of degree 3: {h}")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -435,6 +436,8 @@ def test_json_verify_steps_root_powers_instead_of_powering(capsys,
     # numerator and denominator of the transform overflow at t = e^400
     ["verify", "a[n+3] = 6*a[n+2] - 11*a[n+1] + 6*a[n]; a[1] = 1; "
      "a[2] = 0; a[3] = 0", "--s-grid", "400"],
+    # the root 10^400 itself is past the double range
+    ["verify", f"a[n+1] = {10 ** 400}*a[n]; a[1] = 1"],
 ])
 def test_values_past_the_double_range_are_refused(argv, capsys):
     assert main(argv) == 2
@@ -513,13 +516,17 @@ def test_values_past_the_digit_limit_are_refused(extra, capsys):
 
 
 def _run_in_child(argv):
-    """The CLI run on argv in a child with a 20 s limit."""
+    """The CLI run on argv in a child with a 20 s limit and 1 GiB of
+    address space, so a runaway child fails its test instead of
+    exhausting the host's memory."""
     src = str(Path(dlaplace.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "dlaplace", *argv],
         capture_output=True, text=True, timeout=20,
-        env={**os.environ, "PYTHONPATH": path})
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (1 << 30, 1 << 30)))
 
 
 def _solve_json_in_child(text):
@@ -588,6 +595,66 @@ def test_unsplittable_radicand_is_refused_in_bounded_time():
     assert result.stderr == (
         f"error: cannot split the radicand {10 ** 30 + 57}: it has no prime "
         "factor below 65537 and is too large to classify\n")
+
+
+def _error_in_child(argv, code, message):
+    result = _run_in_child(argv)
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_radicand_past_the_digit_limit_is_refused():
+    # the roots (c +- sqrt(c^2 + 4))/2 for c = 10^2200 + 1 need the
+    # 4,401-digit radicand c^2 + 4, 5 times a factor with no prime below
+    # 2^16, which the refusal cannot print
+    c = 10 ** 2200 + 1
+    d = c * c + 4
+    _error_in_child(
+        ["solve", "--json", f"a[n+2] = {c}*a[n+1] + a[n]; a[1] = 1; a[2] = 1"],
+        2, f"cannot split the radicand of {d.bit_length()} bits: its factor of "
+        f"{(d // 5).bit_length()} bits has no prime factor below 65537 and "
+        "is too large to classify")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_closed_form_past_the_digit_limit_is_refused(extra):
+    # the coefficients at the root 10^1500 have about 6,000 digits, while
+    # the values printed are short
+    _error_in_child(
+        ["solve", *extra, "--terms", "1",
+         f"a[n+1] = {10 ** 1500}*a[n] + n^3; a[1] = 1"],
+        2, "the answer is too large to print: it has a number with more than "
+        f"{sys.get_int_max_str_digits()} digits")
+
+
+def test_order_past_the_input_is_refused_in_bounded_time():
+    # the missing initial values are named from the given ones, not by a
+    # scan of 1..k
+    _error_in_child(
+        ["solve", "a[n+12345678901234567890] = a[n]; a[1] = 1"],
+        1, "missing initial values: a[2], ..., a[12345678901234567890]")
+
+
+LONG = "1" + "0" * sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"a[n+1] = a[n]; a[1] = {LONG}", 23),
+    (f"a[n+1] = a[n]; a[1] = 1/{LONG}", 25),
+    (f"a[n+1] = a[n]; a[{LONG}] = 1", 18),
+    (f"a[n+{LONG}] = a[n]; a[1] = 1", 5),
+    (f"a[n+1] = a[n+{LONG}]; a[1] = 1", 14),
+    (f"a[n+1] = a[n] + n^{LONG}; a[1] = 1", 19),
+], ids=["value", "denominator", "index", "shift", "right-shift", "exponent"])
+def test_number_literals_past_the_digit_limit_are_refused(text, column,
+                                                          capsys):
+    assert main(["solve", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: number with {len(LONG)} digits is past the limit of "
+        f"{sys.get_int_max_str_digits()} digits (line 1, column {column})\n")
 
 
 def test_module_entry_point():

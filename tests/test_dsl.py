@@ -128,6 +128,19 @@ def test_semantic_errors():
         parse_program("a[n+2] = a[n]; a[1] = 1")
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("a[n+2] = a[n]; a[1] = 1", "a[2]"),
+    ("a[n+3] = a[n]; a[2] = 1", "a[1], a[3]"),
+    ("a[n+6] = a[n]; a[2] = 1; a[5] = 1", "a[1], a[3], a[4], a[6]"),
+    # a run of three or more missing indices is elided
+    ("a[n+6] = a[n]; a[3] = 1", "a[1], a[2], a[4], ..., a[6]"),
+])
+def test_missing_initial_values_are_named_by_runs(text, missing):
+    with pytest.raises(SemanticError) as caught:
+        parse_program(text)
+    assert str(caught.value) == f"missing initial values: {missing}"
+
+
 def test_solves_through_spec():
     from dlaplace.solver import solve_ivp
     report = solve_ivp(parse_program(FIB_TEXT).to_spec())

@@ -122,9 +122,9 @@ def test_gcd():
         from_roots(QuadExt(0, 1, 2), 1, 1)
 
 
-def test_squarefree_decomposition():
-    # Yun's factorization in Z[t], which factor_roots runs on what has no
-    # rational root: primitive parts with a positive leading coefficient
+def test_squarefree_decomposition(monkeypatch):
+    # Yun's factorization in Z[t], which factor_roots runs on every
+    # denominator: primitive parts with a positive leading coefficient
     def ints(*roots):
         return polys._integer_coefficients(from_roots(*roots))
 
@@ -137,6 +137,18 @@ def test_squarefree_decomposition():
     scaled = [-6 * c for c in ints(Fraction(1, 2), Fraction(-2, 3),
                                    Fraction(-2, 3))]
     assert polys._yun(scaled) == [([-1, 2], 1), ([2, 3], 2)]
+    # a linear last factor takes the degree left as its multiplicity, in
+    # one gcd after gcd(f, f') rather than one per power
+    gcds = []
+    integer_gcd = polys._integer_gcd
+    monkeypatch.setattr(polys, "_integer_gcd",
+                        lambda f, g: gcds.append(f) or integer_gcd(f, g))
+    assert polys._yun(ints(*[1] * 14, 2, 3)) == [
+        (ints(2, 3), 1), (ints(1), 14)]
+    assert len(gcds) == 2
+    # a squarefree input is its own one factor, and so is a linear one
+    assert polys._yun(ints(-1, 2, 5)) == [(ints(-1, 2, 5), 1)]
+    assert polys._yun(ints(Fraction(2, 3))) == [([-2, 3], 1)]
 
 
 def test_eval_and_derivative():
@@ -187,13 +199,23 @@ def _divisors(n):
     return sorted(divs)
 
 
+def _vanishes_at(ints, p, q):
+    """Whether p/q is a root of sum ints[i] t^i, tested in integers as
+    sum ints[i] p^i q^(deg - i) == 0 by homogeneous Horner."""
+    acc, q_power = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc == 0
+
+
 def _divisor_search(ints):
     """The rational roots of an integer vector by the search factor_roots
     ran before root isolation: every +-p/q in lowest terms with
     p | ints[0] and q | ints[-1], tested in integers."""
     return {Fraction(sign * p, q) for p in _divisors(ints[0])
             for q in _divisors(ints[-1]) if gcd(p, q) == 1
-            for sign in (1, -1) if polys._vanishes_at(ints, sign * p, q)}
+            for sign in (1, -1) if _vanishes_at(ints, sign * p, q)}
 
 
 def test_root_isolation_matches_the_divisor_search_randomized():
@@ -276,25 +298,6 @@ def test_factor_roots_returns_planted_roots(time_limit):
                 with pytest.raises(UnsupportedFactorization) as caught:
                     factor_roots(den)
                 assert str(caught.value) == message
-
-
-def test_integer_root_test_agrees_with_evaluation_randomized():
-    rng = random.Random(6174)
-
-    def rational():
-        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-
-    for _ in range(200):
-        roots = [rational() for _ in range(rng.randint(0, 3))]
-        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
-        f = Poly(cofactor + [rng.choice([-3, -1, 1, 2, 5])]) * \
-            from_roots(*roots)
-        if f.degree < 1:
-            continue
-        ints = polys._integer_coefficients(f)
-        for r in roots + [rational() for _ in range(4)]:
-            assert polys._vanishes_at(ints, r.numerator, r.denominator) == \
-                (not f(r))
 
 
 def test_rational_factoring_tests_candidates_in_integers(monkeypatch):
