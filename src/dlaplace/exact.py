@@ -5,9 +5,10 @@ Rationals are plain ``fractions.Fraction``.  ``QuadExt`` represents
 ``d >= 0``, made squarefree by the constructor and trusted by arithmetic
 on normalised operands; pure rationals normalize to ``d == 0``, so roots,
 closed-form coefficients and values have one type whether or not they
-are radical.  Polynomial coefficients are plain ``Fraction``s.  A
-radicand whose square part bounded trial division cannot settle is
-refused with ``CapabilityError``.  All field operations, exact
+are radical.  Polynomial coefficients are rationals, which
+``polys.Poly`` holds as a content times integers.  A radicand whose
+square part bounded trial division cannot settle is refused with
+``CapabilityError``.  All field operations, exact
 comparison and an exact sign are available, plus a float conversion that
 brackets sqrt(d) tightly enough to land within a couple of ulps.
 

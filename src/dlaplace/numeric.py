@@ -17,11 +17,13 @@ from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
 from .polys import RatFunc
-from .sequences import ClosedFormSequence
+from .sequences import _MEMO_LIMIT, ClosedFormSequence
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
-SERIES_CAP = 10 ** 6
+# the horizon limit: past the closed form's memo every value is a power
+# of ever larger numbers, so one limit bounds every value the engine reads
+SERIES_CAP = _MEMO_LIMIT
 # A gap within 16 ulps (2^-52 each) of the values compared is double
 # rounding, which no tolerance below it can resolve.
 _ROUNDING = 2.0 ** -48

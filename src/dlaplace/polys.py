@@ -2,39 +2,41 @@
 
 Every transform in scope is a rational function of integers: radicals
 appear only in its roots and in its partial-fraction coefficients.  So
-``Poly`` stores rational coefficients only, lowest degree first, as
-``Fraction``s: its construction and arithmetic are ``Fraction``
-arithmetic; a radical coefficient raises ``ValueError``.  ``coefficients``
-reads them as rational ``QuadExt`` values, for JSON and other readers
-that also meet radical values.  The zero polynomial is the empty tuple
-and reports degree -1.  ``RatFunc`` keeps a quotient normalized: gcd
-cancelled and the denominator monic, so equality is plain coefficient
-comparison.
+``Poly`` holds rational coefficients only, in the standard form content
+times primitive part: a positive ``Fraction`` and a tuple of integers with
+gcd 1, lowest degree first (Cohen, *A Course in Computational Algebraic
+Number Theory*, 3.2).  A radical coefficient raises ``ValueError``.  By
+Gauss's lemma a product of primitive vectors is primitive, so a product
+is one integer convolution and one product of contents.  ``fractions``
+and ``coefficients`` read the coefficients as ``Fraction``s and as
+rational ``QuadExt`` values, for JSON and other readers that also meet
+radical values.  The zero polynomial has no integers and reports degree
+-1.  ``RatFunc`` keeps a quotient normalized: gcd cancelled and the
+denominator monic, so equality is plain comparison of the parts.
 
-``poly_gcd`` scales each operand to a primitive integer vector and runs a
-primitive remainder sequence in Z[t]: each pseudo-remainder is divided by
-its content, so no ``Fraction`` arithmetic runs until the monic gcd is
-built (Cohen, *A Course in Computational Algebraic Number Theory*, 3.3).
-``RatFunc`` reduces a quotient the same way: the gcd, the exact division
-by it and the monic scaling run on the primitive integer vectors of its
-two sides, and the ``Poly``s are built once, from the reduced vectors.
+Every exact algorithm below reads the primitive parts directly.
+``poly_gcd`` runs a primitive remainder sequence in Z[t]: each
+pseudo-remainder is divided by its content, so no ``Fraction`` arithmetic
+runs until the monic gcd is built (Cohen, 3.3).  ``RatFunc`` divides both
+primitive parts by that gcd exactly, and the contents only set the
+numerator's content once the denominator is made monic.
 
 ``factor_roots`` finds the complete root multiset of a monic denominator
 when it splits over Q or over real quadratic extensions, each quadratic
 factor in its own; anything deeper raises ``UnsupportedFactorization``.
-The denominator is scaled to a primitive integer vector f and read in one
-pass over its squarefree factors g, from Yun's squarefree factorization
-in Z[t] (Yun, SYMSAC 1976), whose gcds run the remainder sequence
-``poly_gcd`` runs.  A factor of degree 1 or 2 gives its rational roots by
-formula; a larger one has its real roots isolated by a Sturm sequence in
-integers, so the time grows with the degree and the coefficients' bit
-lengths, not with their divisors (Basu, Pollack and Roy, *Algorithms in
-Real Algebraic Geometry*, ch. 2).  As g is squarefree, each root p/q
-divides it once: it takes g's multiplicity and is divided out by
-synthetic division by (q t - p), which is exact and keeps the vector
-primitive by Gauss's lemma (Cohen, *A Course in Computational Algebraic
-Number Theory*, 3.4).  What is left of g has no rational root, and a
-quadratic left is solved by the quadratic formula.
+The denominator's primitive part f is read in one pass over its
+squarefree factors g, from Yun's squarefree factorization in Z[t] (Yun,
+SYMSAC 1976), whose gcds run the remainder sequence ``poly_gcd`` runs.  A
+quadratic g is solved from its one integer discriminant.  Any other g
+gives its rational roots by formula when linear; a larger one has its
+real roots isolated by a Sturm sequence in integers, so the time grows
+with the degree and the coefficients' bit lengths, not with their
+divisors (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
+ch. 2).  As g is squarefree, each root p/q divides it once: it takes g's
+multiplicity and is divided out by synthetic division by (q t - p), which
+is exact and keeps the vector primitive by Gauss's lemma (Cohen, 3.4).
+What is left of g has no rational root, and a quadratic left is solved
+from its discriminant.
 
 ``partial_fractions`` expands a strictly proper quotient over those roots
 into ``Term``s c/(t - r)^m, the records a closed form reads as its
@@ -65,34 +67,54 @@ Scalar = Union[int, Fraction, QuadExt]
 _ZERO = QuadExt(0)
 
 
-def _rational_values(values: Iterable[Scalar]) -> list[RationalLike]:
-    """The values as ints and Fractions, trailing zeros dropped; a radical
-    one raises ValueError and an inexact one TypeError."""
-    out: list[RationalLike] = []
-    for c in values:
-        if isinstance(c, QuadExt):
-            if c.radicand:
-                raise ValueError(f"radical coefficient {c}: "
-                                 "polynomials are over Q")
-            c = c.rational_part
-        elif not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot interpret {c!r} as an exact value")
-        out.append(c)
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _rational(c: Scalar) -> RationalLike:
+    """c as an int or a Fraction; a radical c raises ValueError and an
+    inexact one TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if not isinstance(c, QuadExt):
+        raise TypeError(f"cannot interpret {c!r} as an exact value")
+    if c.radicand:
+        raise ValueError(f"radical coefficient {c}: polynomials are over Q")
+    return c.rational_part
 
 
 class Poly:
-    """A dense univariate polynomial over Q, stored as Fractions; it is
-    built from ints, Fractions or rational QuadExt values, and a radical
-    coefficient raises ValueError and an inexact one TypeError."""
+    """A dense univariate polynomial over Q, held as its content times its
+    primitive part: a positive ``Fraction`` and a tuple of integers with
+    gcd 1, lowest degree first (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 3.2).  This form is unique, so equal polynomials have
+    equal parts.  It is built from ints, Fractions or rational QuadExt
+    values; a radical coefficient raises ValueError and an inexact one
+    TypeError."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_content", "_ints", "_fractions")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        self._coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                             for c in _rational_values(coeffs))
+        values = [_rational(c) for c in coeffs]
+        scale = lcm(*(x.denominator for x in values))
+        p = Poly._normal([x.numerator * (scale // x.denominator)
+                          for x in values], 1, scale)
+        self._content, self._ints, self._fractions = p._content, p._ints, None
+
+    @classmethod
+    def _of(cls, content: Fraction, ints: tuple[int, ...]) -> "Poly":
+        """content * ints, already in the canonical form."""
+        p = object.__new__(cls)
+        p._content, p._ints, p._fractions = content, ints, None
+        return p
+
+    @classmethod
+    def _normal(cls, ints: list[int], top: int, bottom: int) -> "Poly":
+        """(top/bottom) * ints for any integer vector and top, bottom > 0."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return _ZERO_POLY
+        common = gcd(*ints)
+        if common > 1:
+            ints = [v // common for v in ints]
+        return cls._of(Fraction(top * common, bottom), tuple(ints))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Poly":
@@ -101,29 +123,36 @@ class Poly:
     @property
     def fractions(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first."""
-        return self._coeffs
+        if self._fractions is None:
+            c = self._content
+            self._fractions = tuple(c * v for v in self._ints) if c != 1 \
+                else tuple(map(Fraction, self._ints))
+        return self._fractions
 
     @property
     def coefficients(self) -> tuple[QuadExt, ...]:
         """The coefficients as rational QuadExt values, lowest degree
         first, for readers that also meet radical values."""
-        return tuple(map(QuadExt.of, self._coeffs))
+        return tuple(map(QuadExt.of, self.fractions))
 
     @property
     def degree(self) -> int:
         # -1 flags the zero polynomial.
-        return len(self._coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
+        c = self._content
+        return bool(self._ints) and c.numerator == 1 and \
+            self._ints[-1] == c.denominator
 
     def coefficient(self, k: int) -> QuadExt:
-        return QuadExt.of(self._coeffs[k] if 0 <= k < len(self._coeffs) else 0)
+        return QuadExt.of(self.fractions[k] if 0 <= k < len(self._ints)
+                          else 0)
 
     def _coerce(self, other: object) -> "Poly | None":
         if isinstance(other, Poly):
@@ -132,12 +161,23 @@ class Poly:
             return Poly((other,))
         return None
 
+    def _plus(self, o: "Poly", sign: int) -> "Poly":
+        """self + sign * o, over the lcm of the contents' denominators."""
+        a, b = self._content, o._content
+        bottom = lcm(a.denominator, b.denominator)
+        x = a.numerator * (bottom // a.denominator)
+        y = b.numerator * (bottom // b.denominator)
+        top = gcd(x, y)
+        x, y = x // top, sign * y // top
+        return Poly._normal([x * u + y * v for u, v in
+                             zip_longest(self._ints, o._ints, fillvalue=0)],
+                            top, bottom)
+
     def __add__(self, other: object) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(a + b for a, b in
-                    zip_longest(self._coeffs, o._coeffs, fillvalue=0))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -145,38 +185,44 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(a - b for a, b in
-                    zip_longest(self._coeffs, o._coeffs, fillvalue=0))
+        return self._plus(o, -1)
 
     def __rsub__(self, other: object) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._plus(self, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly((-c for c in self._coeffs))
+        return Poly._of(self._content, tuple(-v for v in self._ints))
 
     def __mul__(self, other: object) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly()
-        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction, QuadExt)):
+                return NotImplemented
+            c = _rational(other)
+            if not (c and self._ints):
+                return _ZERO_POLY
+            ints = self._ints if c > 0 else tuple(-v for v in self._ints)
+            return Poly._of(self._content * abs(c), ints)
+        f, g = self._ints, other._ints
+        if not (f and g):
+            return _ZERO_POLY
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        # a product of primitive vectors is primitive (Gauss's lemma)
+        a, b = self._content, other._content
+        return Poly._of(b if a == 1 else a if b == 1 else a * b, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = Poly((1,))
+        result = _ONE_POLY
         base = self
         e = exponent
         while e:
@@ -190,27 +236,29 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return self._ints == o._ints and self._content == o._content
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._content, self._ints))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def derivative(self) -> "Poly":
-        return Poly((i * c for i, c in enumerate(self._coeffs) if i))
+        c = self._content
+        return Poly._normal([i * v for i, v in enumerate(self._ints) if i],
+                            c.numerator, c.denominator)
 
     def __call__(self, x: Scalar) -> QuadExt:
         point = QuadExt.of(x)
         acc = _ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(self.fractions):
             acc = acc * point + c
         return acc
 
     def eval_float(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self._coeffs):
+        for c in reversed(self.fractions):
             acc = acc * x + float(c)
         return acc
 
@@ -218,13 +266,13 @@ class Poly:
         if self.is_zero:
             return "0"
         return _sum_text([_term_text(c, k, var) for k, c in
-                          reversed(list(enumerate(self._coeffs))) if c])
+                          reversed(list(enumerate(self.fractions))) if c])
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self._coeffs]})"
+        return f"Poly({[str(c) for c in self.fractions]})"
 
 
 def _sum_text(parts: list[str]) -> str:
@@ -253,23 +301,21 @@ def _term_text(c: Fraction, k: int, var: str) -> str:
 
 
 # the formal variable, importable as a building block
+_ZERO_POLY = Poly._of(Fraction(1), ())
 T = Poly((0, 1))
 _ONE_POLY = Poly((1,))
 
 
-def poly_gcd(a: Poly | list[int], b: Poly | list[int]) -> Poly:
-    """Monic gcd; gcd(p, 0) is monic(p).  The operands are both Polys or
-    both integer vectors, lowest degree first; the remainder sequence runs
-    on primitive integer vectors."""
-    if isinstance(a, Poly):
-        a, b = _integer_coefficients(a), _integer_coefficients(b)
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd; gcd(p, 0) is monic(p).  The remainder sequence runs on
+    the primitive parts."""
     if not (a or b):
         raise ValueError("gcd(0, 0) is undefined")
-    h = _integer_gcd(a, b)
+    h = _integer_gcd(a._ints, b._ints)
     return _monic_poly(h) if len(h) > 1 else _ONE_POLY
 
 
-def _integer_gcd(f: list[int], g: list[int]) -> list[int]:
+def _integer_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """gcd(f, g) in Z[t] as a primitive vector with a positive leading
     coefficient, [1] when f and g are coprime; not both zero."""
     if len(f) < len(g):
@@ -300,8 +346,9 @@ def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
 
 
 def _monic_poly(ints: list[int]) -> Poly:
-    """The monic Poly with the integer coefficients ints, up to a scalar."""
-    return Poly(Fraction(c, ints[-1]) for c in ints)
+    """ints / ints[-1], for a primitive ints with a positive leading
+    coefficient."""
+    return Poly._of(Fraction(1, ints[-1]), tuple(ints))
 
 
 def _derivative(ints: list[int]) -> list[int]:
@@ -348,7 +395,7 @@ def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+def _yun(f: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun's squarefree factorization of f in Z[t]: the pairs (g_i, i)
     with f = c * prod g_i^i, each g_i nonconstant, squarefree, primitive
     and with a positive leading coefficient; none for a constant f.  Every
@@ -375,20 +422,6 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _integer_coefficients(f: Poly) -> list[int]:
-    """Scale a polynomial to primitive integers."""
-    return _primitive_part(f._coeffs)[0]
-
-
-def _primitive_part(values: Sequence[RationalLike],
-                    ) -> tuple[list[int], Fraction]:
-    """(f, c) with values == c * f and f a primitive integer vector."""
-    scale = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
-    content = gcd(*ints) or 1
-    return [v // content for v in ints], Fraction(content, scale)
-
-
 def _rational_roots(core: list[int]) -> list[tuple[int, int]]:
     """The rational roots of a squarefree integer vector with a nonzero
     constant term, as coprime pairs (p, q) with q > 0.
@@ -396,18 +429,14 @@ def _rational_roots(core: list[int]) -> list[tuple[int, int]]:
     With lead = lc(core) > 0 and n = deg(core), G(u) = lead^(n-1) *
     core(u/lead) is monic in Z[u], and p/q is a root of the core exactly
     when lead*p/q is an integer root of G (Gauss's lemma: q | lead).  A
-    linear core reads its root off, a quadratic one tests its
-    discriminant for a square, and a larger one goes to
-    ``_integer_roots``."""
+    linear core reads its root off, and a larger one goes to
+    ``_integer_roots``; ``factor_roots`` solves a quadratic from its
+    discriminant instead."""
     if core[-1] < 0:
         core = [-c for c in core]
     n, lead = len(core) - 1, core[-1]
     if n == 1:
         us = [-core[0]]
-    elif n == 2:
-        c, b = core[0], core[1]
-        s = _exact_sqrt(b * b - 4 * lead * c)
-        us = [] if s is None else [(s - b) // 2, (-s - b) // 2]
     else:
         us = _integer_roots(
             [c * lead ** (n - 1 - i) for i, c in enumerate(core[:-1])] + [1])
@@ -510,24 +539,24 @@ def _deflate(ints: list[int], p: int, q: int) -> list[int]:
     return out
 
 
-def _quadratic_roots(h: Poly) -> list[QuadExt]:
-    """Roots of a monic rational quadratic, exact over Q(sqrt(d))."""
-    c, b, _ = h._coeffs
-    disc = b * b - 4 * c
+def _quadratic_roots(g: list[int]) -> list[QuadExt]:
+    """Roots of a squarefree integer quadratic c + b t + a t^2 with a > 0,
+    exact over Q(sqrt(d)): (-b +- sqrt(D))/(2a) for the one integer
+    discriminant D = b^2 - 4ac.  A square D gives two rational roots, and
+    otherwise D = m^2 d with d squarefree."""
+    c, b, a = g
+    disc = b * b - 4 * a * c
     if disc < 0:
         raise UnsupportedFactorization(
-            f"quadratic factor {h} has complex roots")
-    assert disc != 0, "repeated root escaped squarefree splitting"
-    half = Fraction(1, 2)
-    top, bottom = _exact_sqrt(disc.numerator), _exact_sqrt(disc.denominator)
-    if top is not None and bottom is not None:
-        root = Fraction(top, bottom)
-        return [QuadExt(half * (-b + root)), QuadExt(half * (-b - root))]
-    # the product is not a square, so d0 > 1 and is squarefree already
-    m, d0 = _squarefree_split(disc.numerator * disc.denominator)
-    root_rad = Fraction(m, disc.denominator)  # sqrt(disc) = root_rad*sqrt(d0)
-    return [QuadExt._normalised(-b * half, half * root_rad, d0),
-            QuadExt._normalised(-b * half, -half * root_rad, d0)]
+            f"quadratic factor {_monic_poly(g)} has complex roots")
+    assert disc, "repeated root escaped squarefree splitting"
+    s = _exact_sqrt(disc)
+    if s is not None:
+        return [QuadExt.of(Fraction(-b + s, 2 * a)),
+                QuadExt.of(Fraction(-b - s, 2 * a))]
+    m, d = _squarefree_split(disc)
+    x, y = Fraction(-b, 2 * a), Fraction(m, 2 * a)
+    return [QuadExt._normalised(x, y, d), QuadExt._normalised(x, -y, d)]
 
 
 def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
@@ -539,43 +568,40 @@ def factor_roots(f: Poly) -> list[tuple[QuadExt, int]]:
     if not f.is_monic:
         raise ValueError("denominator must be monic")
     found: dict[QuadExt, int] = {}
+    ints = f._ints
     zeros = 0
-    while not f._coeffs[zeros]:
+    while not ints[zeros]:
         zeros += 1
     if zeros:
         found[_ZERO] = zeros
-    for g, mult in _yun(_integer_coefficients(f)[zeros:]):
-        # g is squarefree, so each rational root divides it once
-        for p, q in _rational_roots(g):
-            g = _deflate(g, p, q)
-            found[QuadExt.of(Fraction(p, q))] = mult
-        if len(g) == 1:
-            continue
-        h = _monic_poly(g)
-        if h.degree == 2:
-            for root in _quadratic_roots(h):
+    for g, mult in _yun(ints[zeros:]):
+        if len(g) != 3:
+            # g is squarefree, so each rational root divides it once
+            for p, q in _rational_roots(g):
+                g = _deflate(g, p, q)
+                found[QuadExt.of(Fraction(p, q))] = mult
+        degree = len(g) - 1
+        if degree == 2:
+            for root in _quadratic_roots(g):
                 found[root] = mult
-        elif h.degree == 3:     # no rational root, so irreducible over Q
+        elif degree == 3:     # no rational root, so irreducible over Q
             raise UnsupportedFactorization(
-                f"irreducible factor of degree 3: {h}")
-        else:
+                f"irreducible factor of degree 3: {_monic_poly(g)}")
+        elif degree > 3:
             _, at_minus, at_plus = _sturm_chain(g)
-            if at_minus - at_plus < h.degree:
+            if at_minus - at_plus < degree:
                 raise UnsupportedFactorization(
-                    f"factor {h} has complex roots")
+                    f"factor {_monic_poly(g)} has complex roots")
             raise UnsupportedFactorization(
-                f"no rational root, and factors of degree {h.degree} "
-                f"are not split: {h}")
+                f"no rational root, and factors of degree {degree} "
+                f"are not split: {_monic_poly(g)}")
     return sorted(found.items(), key=lambda item: sort_key(item[0]))
 
 
-def _coefficient_list(value: "Poly | Scalar | Sequence[Scalar]",
-                      ) -> Sequence[Scalar]:
+def _as_poly(value: "Poly | Scalar | Sequence[Scalar]") -> Poly:
     if isinstance(value, Poly):
-        return value._coeffs
-    if isinstance(value, (tuple, list)):
         return value
-    return (value,)
+    return Poly(value if isinstance(value, (tuple, list)) else (value,))
 
 
 class RatFunc:
@@ -583,31 +609,32 @@ class RatFunc:
 
     Numerator and denominator are each a ``Poly``, a scalar or a
     coefficient sequence, lowest degree first, with rational coefficients;
-    a radical one raises ValueError.  The gcd, the exact division by it and
-    the monic scaling run on their primitive integer vectors."""
+    a radical one raises ValueError.  The gcd and the exact division by it
+    run on the primitive parts, and the contents only set the numerator's
+    content once the denominator is made monic."""
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: Poly | Scalar | Sequence[Scalar] = 0,
                  den: Poly | Scalar | Sequence[Scalar] = 1) -> None:
-        num, den = _coefficient_list(num), _coefficient_list(den)
-        top, bottom = _rational_values(num), _rational_values(den)
-        if not bottom:
+        num, den = _as_poly(num), _as_poly(den)
+        if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not top:
-            self._num, self._den = Poly(), _ONE_POLY
+        if num.is_zero:
+            self._num, self._den = num, _ONE_POLY
             return
-        (f, f_content), (g, g_content) = \
-            _primitive_part(top), _primitive_part(bottom)
-        common = poly_gcd(f, g)
+        f, g = num._ints, den._ints
+        common = poly_gcd(num, den)
         if common.degree > 0:
-            h = _integer_coefficients(common)
-            f, g = _exact_quotient(f, h), _exact_quotient(g, h)
-        lead = g[-1]
-        scale = f_content / (g_content * lead)
-        top, bottom = scale.numerator, scale.denominator
-        self._num = Poly(Fraction(x * top, bottom) for x in f)
-        self._den = Poly(Fraction(x, lead) for x in g)
+            f = tuple(_exact_quotient(f, common._ints))
+            g = tuple(_exact_quotient(g, common._ints))
+        # num/den = (a/b) f/g, and the monic denominator is g/lead
+        lead, a, b = g[-1], num._content, den._content
+        if lead < 0:
+            lead, f, g = -lead, tuple(-x for x in f), tuple(-x for x in g)
+        self._num = Poly._of(Fraction(a.numerator * b.denominator,
+                                      a.denominator * b.numerator * lead), f)
+        self._den = Poly._of(Fraction(1, lead), g)
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -718,10 +745,10 @@ class RatFunc:
         num_text = self._num.render(var)
         if self._den == _ONE_POLY:
             return num_text
-        if sum(1 for c in self._num._coeffs if c) > 1:
+        if sum(1 for c in self._num._ints if c) > 1:
             num_text = f"({num_text})"
         den_text = self._den.render(var)
-        if sum(1 for c in self._den._coeffs if c) > 1 or \
+        if sum(1 for c in self._den._ints if c) > 1 or \
                 not self._den.is_monic:
             den_text = f"({den_text})"
         return f"{num_text}/{den_text}"
@@ -752,22 +779,22 @@ def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
     """First count coefficients of p(r + u): Fractions when r is rational,
     QuadExt otherwise.
 
-    With d the radicand of r, r = R/Q and p = P/L for R in Z[sqrt(d)] and
-    the P_i in Z, p(r + u) = H(R + Q u)/(L Q^deg) for H_i = P_i Q^(deg - i).
-    Synthetic division by (z - R) on integer pairs (x, y), standing for
-    x + y sqrt(d), gives the Taylor coefficients h_k of H at R, and the
-    coefficient of u^k is h_k/(L Q^(deg - k))."""
+    With d the radicand of r, r = R/Q and p = (a/b) P for R in Z[sqrt(d)]
+    and P the primitive part of p, p(r + u) = a H(R + Q u)/(b Q^deg) for
+    H_i = P_i Q^(deg - i).  Synthetic division by (z - R) on integer pairs
+    (x, y), standing for x + y sqrt(d), gives the Taylor coefficients h_k
+    of H at R, and the coefficient of u^k is a h_k/(b Q^(deg - k))."""
     d = r.radicand
     q = lcm(r.rational_part.denominator, r.radical_part.denominator)
     u, v = _integer_pair(r, q)
     vd = v * d
-    scale = lcm(*(c.denominator for c in p._coeffs))
     xs, q_power = [], 1     # H, highest degree first
-    for c in reversed(p._coeffs):
-        xs.append(c.numerator * (scale // c.denominator) * q_power)
+    for c in reversed(p._ints):
+        xs.append(c * q_power)
         q_power *= q
     ys = [0] * len(xs)
-    den, out = scale * q_power // q, []
+    top, den, out = (p._content.numerator,
+                     p._content.denominator * q_power // q, [])
     for _ in range(min(count, len(xs))):
         acc_x = acc_y = 0
         quo_x, quo_y = [], []
@@ -776,7 +803,7 @@ def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
                             acc_x * v + acc_y * u + cy)
             quo_x.append(acc_x)
             quo_y.append(acc_y)
-        hx, hy = quo_x.pop(), quo_y.pop()
+        hx, hy = top * quo_x.pop(), top * quo_y.pop()
         out.append(QuadExt._normalised(Fraction(hx, den), Fraction(hy, den),
                                        d) if d else Fraction(hx, den))
         xs, ys, den = quo_x, quo_y, den // q

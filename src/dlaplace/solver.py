@@ -13,8 +13,7 @@ solving for the unknown transform L gives
     L = (initial polynomial + forcing transform) / characteristic polynomial
 
 which the sequence engine then inverts into a closed form.  Numerator and
-denominator are assembled as integer vectors, each pole (v t - u)^k of a
-base u/v built from binomials, and reduced once.
+denominator are assembled in ``Poly`` arithmetic and reduced once.
 
 Every solve re-checks its own answer against direct recursion before
 returning; a mismatch raises ``VerificationFailed`` and means a bug, never
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import comb, lcm
+from functools import cached_property
+from math import lcm, prod
 from typing import Callable, Iterable, Optional, Union
 
 from ._record import Record
@@ -225,66 +224,28 @@ def _quadext_json(value: QuadExt) -> dict:
     }
 
 
-def _int_mul(p: list[int], q: list[int]) -> list[int]:
-    """The product of two integer vectors, lowest degree first."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q, i):
-                out[j] += x * y
-    return out
-
-
-def _pole(base: Fraction, k: int) -> list[int]:
-    """(v t - u)^k for base u/v, from binomials."""
-    u, v = base.numerator, base.denominator
-    return [comb(k, i) * v ** i * (-u) ** (k - i) for i in range(k + 1)]
-
-
-def _integer_vector(fracs: list[Fraction]) -> tuple[list[int], int]:
-    """(fracs * L, L) for L the lcm of the denominators."""
-    scale = lcm(*(x.denominator for x in fracs))
-    return [_scaled(x, scale) for x in fracs], scale
-
-
 def transform_of(spec: RecurrenceSpec) -> RatFunc:
     """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
     fnum/fden is the forcing over one common denominator: the product of
-    (v t - u)^k over the bases u/v, each k the highest pole order there.
-
-    Both sides are assembled as integer vectors and reduced once."""
-    # (numerator, coefficient, base, order) of each c*num/(t - b)^k; a
-    # pole shared with char only raises that root's multiplicity
-    pieces = [(n_power(term.exponent, term.base).num,
-               term.coefficient, term.base, term.exponent + 1)
-              for term in spec.forcing]
-    orders: dict[Fraction, int] = {}
-    for _, _, b, k in pieces:
-        orders[b] = max(orders.get(b, 0), k)
-    poles = {b: _pole(b, k) for b, k in orders.items()}
-    fden = reduce(_int_mul, poles.values(), [1])
-    # fnum * coeff_scale in integers, the lcm of the forcing coefficients'
-    # denominators; num/(t - b)^k = v^k num/(v t - u)^k, v^k num integral
-    coeff_scale = lcm(*(c.denominator for _, c, _, _ in pieces))
-    fnum = [0] * len(fden)
-    for num, c, b, k in pieces:
-        vk = b.denominator ** k
-        top = [_scaled(x, vk) * _scaled(c, coeff_scale)
-               for x in num.fractions]
-        cofactor = reduce(_int_mul, (p for other, p in poles.items()
-                                     if other != b),
-                          _pole(b, orders[b] - k))
-        for i, x in enumerate(_int_mul(top, cofactor)):
-            fnum[i] += x
-    init, init_scale = _integer_vector(_initial_polynomial(spec))
-    char, char_scale = _integer_vector(
-        [-c for c in spec.coefficients] + [Fraction(1)])
-    # both sides times init_scale * coeff_scale * char_scale
-    num = [x * char_scale * coeff_scale for x in _int_mul(init, fden)]
-    for i, x in enumerate(fnum):
-        num[i] += x * char_scale * init_scale
-    den = [x * init_scale * coeff_scale for x in _int_mul(char, fden)]
-    return RatFunc(num, den)
+    (t - b)^k over the bases b, each k the highest pole order there."""
+    # each forcing quotient c*num/(t - b)^k; a pole shared with char only
+    # raises that root's multiplicity
+    pieces = sorted(((n_power(term.exponent, term.base), term)
+                     for term in spec.forcing),
+                    key=lambda piece: piece[0].den.degree)
+    # each base's highest pole (t - b)^k, the last of its pieces
+    poles = {term.base: quotient.den for quotient, term in pieces}
+    fden = prod(poles.values())
+    fnum = Poly()
+    for quotient, term in pieces:
+        b = term.base
+        cofactor = [p for other, p in poles.items() if other != b]
+        gap = poles[b].degree - quotient.den.degree
+        if gap:
+            cofactor.append(Poly((-b, 1)) ** gap)
+        fnum = fnum + prod(cofactor, start=quotient.num * term.coefficient)
+    init = Poly(_initial_polynomial(spec))
+    return RatFunc(init * fden + fnum, spec.characteristic() * fden)
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,

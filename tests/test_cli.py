@@ -584,6 +584,23 @@ def test_double_pair_with_a_large_radicand_solves_in_bounded_time():
     assert values == [str(reference(n)) for n in range(1, 11)]
 
 
+@pytest.mark.parametrize("text", [
+    "a[n+2] = 1/1000003*a[n+1] + 2*a[n]; a[1] = 1; a[2] = 1",
+    "a[n+2] = 1/2147483647*a[n+1] + 1/2147483647*a[n]; a[1] = 1; a[2] = 1",
+], ids=["1000003", "2147483647"])
+def test_large_prime_in_the_leading_coefficient_is_not_a_radicand(text,
+                                                                   capsys):
+    # the integer quadratic p t^2 - t - 2p (and p t^2 - t - 1) has the
+    # discriminant 1 + 8p^2 (and 1 + 4p), split at once; the rational
+    # discriminant's numerator times its denominator also carries p^2
+    assert main(["solve", "--json", text]) == 0
+    out = json.loads(capsys.readouterr().out)
+    reference = solver.RecursiveSequence(parse_program(text).to_spec())
+    assert out["values"] == [str(reference(n)) for n in range(1, 11)]
+    assert main(["verify", text]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
 def test_unsplittable_radicand_is_refused_in_bounded_time():
     # the roots (1 +- sqrt(10^30 + 57))/2 need the prime radicand
     # 10^30 + 57 split into a square and a squarefree part
@@ -602,6 +619,19 @@ def _error_in_child(argv, code, message):
     assert result.returncode == code
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, s, terms", [
+    ("a[n+2] = 1/3*a[n+1] + 1/5*a[n]; a[1]=1; a[2]=0", "0.0105", 59401),
+    ("a[n+1] = 1/2*a[n]; a[1]=1", "0.011", 29007),
+], ids=["radical", "halving"])
+def test_series_past_the_horizon_limit_is_refused_at_once(text, s, terms):
+    # a sample point just above the growth rate needs tens of thousands of
+    # terms; values past the horizon limit are powers of ever larger
+    # numbers, so the series is capped at the same limit
+    _error_in_child(["verify", text, "--s-grid", s], 2,
+                    f"{terms} terms needed at s = {float(s)}, "
+                    f"cap is {_MEMO_LIMIT}")
 
 
 def test_radicand_past_the_digit_limit_is_refused():

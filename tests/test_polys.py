@@ -36,6 +36,54 @@ def test_arithmetic_basics():
     assert from_roots(1, 3) == Poly((3, -4, 1))
 
 
+def test_poly_arithmetic_matches_fraction_lists_randomized():
+    # Poly holds a positive content times a primitive integer vector; every
+    # operation must agree with plain Fraction-list arithmetic, and equal
+    # polynomials built different ways must agree in ==, hash and fractions
+    rng = random.Random(1832)
+
+    def draw():
+        scale = Fraction(rng.randint(1, 40), rng.randint(1, 30))
+        return _strip([scale * Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                       for _ in range(rng.randint(0, 5))])
+
+    def summed(a, b, sign=1):
+        width = max(len(a), len(b))
+        a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+        return _strip([x + sign * y for x, y in zip(a, b)])
+
+    seen_zero = 0
+    for _ in range(300):
+        a, b = draw(), draw()
+        p, q = Poly(a), Poly(b)
+        c = Fraction(rng.randint(-20, 20), rng.randint(1, 15))
+        k, e = rng.randint(-6, 6), rng.randint(0, 4)
+        cases = [
+            (p + q, summed(a, b)),
+            (p - q, summed(a, b, -1)),
+            (q - p, summed(b, a, -1)),
+            (p * q, _strip(_fraction_product(a, b))),
+            (-p, [-x for x in a]),
+            (p ** e, _strip(_fraction_product(*[a] * e))),
+            (p.derivative(), _strip([i * x for i, x in enumerate(a) if i])),
+            (p * c, _strip([x * c for x in a])),
+            (k * p, _strip([k * x for x in a])),
+            (p + c, summed(a, [c])),
+            ((p + q) - q, a),
+            (p * q * c + p, summed(_strip([x * c for x in
+                                           _fraction_product(a, b)]), a)),
+        ]
+        for got, want in cases:
+            rebuilt = Poly(want)
+            assert got.fractions == tuple(want), (a, b)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert got.degree == len(want) - 1
+            assert got._content > 0
+            assert gcd(*got._ints) == (1 if want else 0)
+            seen_zero += not want
+    assert seen_zero > 50
+
+
 def _strip(p):
     while p and not p[-1]:
         p.pop()
@@ -126,7 +174,7 @@ def test_squarefree_decomposition(monkeypatch):
     # Yun's factorization in Z[t], which factor_roots runs on every
     # denominator: primitive parts with a positive leading coefficient
     def ints(*roots):
-        return polys._integer_coefficients(from_roots(*roots))
+        return list(from_roots(*roots)._ints)
 
     assert polys._yun(ints(1, 1, 1, 1)) == [(ints(1), 4)]
     assert polys._yun(ints(1, 2, 2, 3, 3, 3)) == [
@@ -338,12 +386,12 @@ def test_integer_deflation_matches_polynomial_division_randomized():
         cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
         f = Poly(cofactor + [rng.choice([-3, -1, 1, 2, 5])]) * \
             from_roots(*roots)
-        ints = polys._integer_coefficients(f)
+        ints = list(f._ints)
         for r in roots:
             quotient, rest = _fraction_divmod(f.fractions, [-r, 1])
             assert not rest
             ints = polys._deflate(ints, r.numerator, r.denominator)
-            assert ints == polys._integer_coefficients(Poly(quotient))
+            assert ints == list(Poly(quotient)._ints)
             f = Poly(quotient)
 
 

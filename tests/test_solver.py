@@ -315,6 +315,60 @@ def test_forcing_over_one_denominator_matches_the_termwise_sum():
         assert transform_of(spec) == expected
 
 
+def _series_in_inverse_powers(num, den, count):
+    """The first count coefficients c_1, c_2, ... of num/den = sum c_n
+    t^(-n), for Fraction lists lowest degree first and deg num < deg den:
+    with x = 1/t both sides reversed to degree deg den, by power series
+    division in plain Fractions."""
+    width = len(den)
+    top = list(reversed(num + [Fraction(0)] * (width - len(num))))
+    bottom = list(reversed(den))
+    out = []
+    for n in range(1, count + 1):
+        acc = top[n] if n < width else Fraction(0)
+        acc -= sum(bottom[j] * out[n - j - 1]
+                   for j in range(1, min(n, width)))
+        out.append(acc / bottom[0])
+    return out
+
+
+def test_transform_matches_the_recursion_randomized():
+    # seeded specs with rational coefficients, bases and initial values;
+    # the bases repeat across terms and land on characteristic roots, so
+    # poles are shared and resonant.  Read in powers of 1/t with plain
+    # Fraction lists, the transform must give the recursion's values.
+    rng = random.Random(2014)
+
+    def rational(top, bottom):
+        return Fraction(rng.randint(-top, top), rng.randint(1, bottom))
+
+    resonant = shared = 0
+    for _ in range(60):
+        order = rng.randint(1, 3)
+        roots = [rational(4, 3) or Fraction(1) for _ in range(order)]
+        char = [Fraction(1)]
+        for r in roots:     # times (t - r)
+            char = [a - r * b for a, b in
+                    zip([Fraction(0)] + char, char + [Fraction(0)])]
+        pool = roots + [Fraction(1), rational(5, 4) or Fraction(-1, 2)]
+        forcing = [ForcingTerm(rational(9, 7) or 1, rng.randint(0, 5),
+                               rng.choice(pool))
+                   for _ in range(rng.randint(0, 4))]
+        bases = [term.base for term in forcing]
+        resonant += any(b in roots for b in bases)
+        shared += len(set(bases)) < len(bases)
+        spec = RecurrenceSpec(order, [-c for c in char[:-1]],
+                              [rational(9, 5) for _ in range(order)],
+                              forcing)
+        expr = transform_of(spec)
+        assert expr.is_strictly_proper
+        reference = RecursiveSequence(spec)
+        assert _series_in_inverse_powers(
+            list(expr.num.fractions), list(expr.den.fractions), 40) == \
+            [reference(n) for n in range(1, 41)], spec
+    assert resonant > 10 and shared > 10
+
+
 def test_forced_transform_is_reduced_once(monkeypatch):
     # the forcing pieces and the initial polynomial share one denominator,
     # so only the final quotient needs a gcd
