@@ -35,7 +35,7 @@ def main():
 
     # the radicals cancel: every value is a plain integer
     f40 = report.closed_form(40)
-    print("f(40) =", f40.as_fraction(), "(radical parts cancel exactly)")
+    print("f(40) =", f40, "(radical parts cancel exactly)")
 
     print()
     print("numeric cross-check of the defining series:")

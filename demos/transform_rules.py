@@ -28,7 +28,7 @@ def main():
 
     # n^3 comes out with the Eulerian numerator 1, 4, 1
     cubes = inverse_transform(n_power(3))
-    print("n^3 at n = 1..6:", [int(cubes(n).as_fraction()) for n in range(1, 7)])
+    print("n^3 at n = 1..6:", [int(cubes(n)) for n in range(1, 7)])
 
     print()
     print("== shift rule ==")
@@ -37,14 +37,14 @@ def main():
     pushed = shift(five, 2, [1, 5])
     show("f(n+2) for f = 5^(n-1)", pushed)
     moved = inverse_transform(pushed)
-    print("f(n+2) at n = 1..4:", [int(moved(n).as_fraction()) for n in range(1, 5)])
+    print("f(n+2) at n = 1..4:", [int(moved(n)) for n in range(1, 5)])
 
     print()
     print("== times-n rule ==")
     weighted = times_n(geometric(2))
     show("n*2^(n-1)", weighted)
     seq = inverse_transform(weighted)
-    print("n*2^(n-1) at n = 1..5:", [int(seq(n).as_fraction()) for n in range(1, 6)])
+    print("n*2^(n-1) at n = 1..5:", [int(seq(n)) for n in range(1, 6)])
 
     print()
     print("== convolution theorem ==")

@@ -30,7 +30,7 @@ silently working in a larger field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 from .errors import CapabilityError, RadicandMismatch
@@ -268,15 +268,20 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(1)
-        base = self
-        e = exponent
+        if not self._d:
+            return QuadExt._normalised(self._a ** exponent, _NO_RADICAL, 0)
+        # square the integer pair (u, v) = q*self and divide once by q^e
+        q = lcm(self._a.denominator, self._b.denominator)
+        u, v = _integer_pair(self, q)
+        d, x, y, e = self._d, 1, 0, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                x, y = x * u + y * v * d, x * v + y * u
             e >>= 1
-        return result
+            if e:
+                u, v = u * u + v * v * d, 2 * u * v
+        den = q ** exponent
+        return QuadExt._normalised(Fraction(x, den), Fraction(y, den), d)
 
     def __neg__(self) -> "QuadExt":
         return QuadExt._normalised(-self._a, -self._b, self._d)

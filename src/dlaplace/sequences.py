@@ -17,13 +17,17 @@ as 1).
 A radical term c*r^(n-m) and its partner conj(c)*conj(r)^(n-m) form a
 conjugate orbit, one real object: one rational quotient of the transform,
 one printed quotient such as ((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5)).
+A closed form is built from rational terms and such orbits only, so every
+value it takes is a ``Fraction``; any other term is refused when the form
+is built.
 
-A closed form memoises its values a(1), a(2), ... as they are read in
-order, so the self-check, the growth estimate and every series sum of one
-request share a single pass.  The pass runs in integers: with Q the lcm
-of the root parts' denominators and C that of the coefficient parts',
-R = Q*root and K = C*Q^(m-1)*coefficient lie in Z[sqrt(d)], d the term's
-radicand, and
+A closed form memoises its values a(1), a(2), ... up to n = 4096: a read
+past the memo first fills it up to n, so the self-check, the growth
+estimate and every series sum of one request share a single pass, and a
+value past n = 4096 is summed term by term and not kept.  The pass runs
+in integers: with Q the lcm of the root parts' denominators and
+C that of the coefficient parts', R = Q*root and K = C*Q^(m-1)*coefficient
+lie in Z[sqrt(d)], d the term's radicand (0 for a rational term), and
 
     C*Q^(n-1) * a(n) = sum K * C(n-1, m-1) * R^(n-m),
 
@@ -58,7 +62,7 @@ _EXACT = (int, Fraction, QuadExt)
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_memo", "_steps")
+    __slots__ = ("_terms", "_orbits", "_memo", "_steps")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -75,15 +79,16 @@ class ClosedFormSequence:
             else:
                 c, r, m = item
             c, r = QuadExt.of(c), QuadExt.of(r)
-            if m < 1:
-                raise ValueError(f"multiplicity must be positive: {m}")
+            if not isinstance(m, int) or m < 1:
+                raise ValueError(f"multiplicity must be a positive int: {m}")
             key = (r, m)
             collected[key] = collected.get(key, QuadExt(0)) + c
         kept = [Term(c, r, m) for (r, m), c in collected.items() if c]
         kept.sort(key=lambda term: (sort_key(term.root), term.multiplicity))
         self._terms = tuple(kept)
+        self._orbits = _orbits(self._terms)
         # a cache only: _terms alone defines the sequence
-        self._memo: list[QuadExt] = []
+        self._memo: list[Fraction] = []
         self._steps: _IntegerSteps | None = None
 
     @property
@@ -101,29 +106,30 @@ class ClosedFormSequence:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __call__(self, n: int) -> QuadExt:
+    def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("sequences start at n = 1")
         memo = self._memo
         if n <= len(memo):
             return memo[n - 1]
-        if n > len(memo) + 1 or n > _MEMO_LIMIT:
+        if n > _MEMO_LIMIT:
             return self._term_by_term(n)
         if not memo:
-            self._steps = _IntegerSteps.of(self._terms)
-        steps = self._steps
-        # lone radicals in two fields raise RadicandMismatch where they meet
-        value = steps.next() if steps is not None else self._term_by_term(n)
-        memo.append(value)
-        return value
+            self._steps = _IntegerSteps(self._orbits)
+        step = self._steps.next
+        while len(memo) < n:
+            memo.append(step())
+        return memo[n - 1]
 
-    def _term_by_term(self, n: int) -> QuadExt:
-        total = QuadExt(0)
-        for term in self._terms:
+    def _term_by_term(self, n: int) -> Fraction:
+        """a(n) as the rational part of each term, twice over an orbit."""
+        total = Fraction(0)
+        for term, partner in self._orbits:
             weight = comb(n - 1, term.multiplicity - 1)
             if weight:
-                total = total + term.coefficient * weight * \
-                    term.root ** (n - term.multiplicity)
+                value = (term.coefficient * weight * term.root **
+                         (n - term.multiplicity)).rational_part
+                total += value if partner is None else 2 * value
         return total
 
     def __add__(self, other: object) -> "ClosedFormSequence":
@@ -149,28 +155,16 @@ class ClosedFormSequence:
         """Forward transform, one rational quotient per conjugate orbit.
 
         A term is the partial fraction c/(t - r)^m that inverse_transform
-        turns back into it; at a rational root c must be rational.  An
-        orbit sums to 2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m,
-        with Re the rational part and N(r) = r conj(r), so every quotient
-        is over Q (Bronstein and Salvy, ISSAC 1993).  A term that breaks
-        this raises ValueError naming it."""
+        turns back into it, with c and r rational.  An orbit sums to
+        2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m, with Re the
+        rational part and N(r) = r conj(r), so every quotient is over Q
+        (Bronstein and Salvy, ISSAC 1993)."""
         total = RatFunc()
-        for term, partner, _ in _orbits(self._terms):
+        for term, partner in self._orbits:
             c, r, m = term.coefficient, term.root, term.multiplicity
             if partner is None:
-                if not r.is_rational:
-                    raise ValueError(f"term {_term_text(term)} has no "
-                                     "conjugate partner")
-                if not c.is_rational:
-                    raise ValueError(f"term {_term_text(term)} has a "
-                                     "radical coefficient on a rational root")
                 quotient = RatFunc(c, Poly((-r, 1)) ** m)
             else:
-                # the partner sorts first, so it is the term named
-                if partner.coefficient != c.conjugate():
-                    raise ValueError(
-                        f"term {_term_text(partner)} has the partner "
-                        f"coefficient {c}, not its conjugate")
                 conj = partner.root
                 num = [2 * (c * comb(m, k) * (-conj) ** (m - k)).rational_part
                        for k in range(m + 1)]
@@ -182,12 +176,8 @@ class ClosedFormSequence:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for term, partner, orbit in _orbits(self._terms):
-            if orbit:
-                parts.append(_orbit_text(term))
-            elif term.root:
-                parts += [_term_text(t) for t in (partner, term) if t]
+        parts = [_orbit_text(term) if partner else _term_text(term)
+                 for term, partner in self._orbits if term.root]
         return _sum_text(
             parts + [_spike_text(j, c) for j, c in self.deltas.items()])
 
@@ -195,25 +185,41 @@ class ClosedFormSequence:
         return f"ClosedFormSequence({list(self.terms)!r}, {self.deltas!r})"
 
 
-def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None, bool]]:
-    """The sorted terms grouped by conjugate root, in order.
+def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None]]:
+    """The sorted terms grouped by conjugate orbit, in order.
 
     A radical term and the term at its conjugate root with the same
-    multiplicity are listed once, as (term, partner, orbit) with term the
-    one of positive radical part, at the place of the partner, which sorts
-    first; orbit says whether their coefficients are conjugate within the
-    root's field.  Any other term is listed as (term, None, False)."""
+    multiplicity, whose coefficients are conjugate within the root's
+    field, are listed once, as (term, partner) with term the one of
+    positive radical part, at the place of the partner, which sorts
+    first.  A rational root or a spike with a rational coefficient is
+    listed as (term, None).  Any other term has no transform over Q and
+    raises ValueError naming it: a radical root with no partner, a pair
+    whose coefficients are not conjugate, or a radical coefficient on a
+    rational root."""
     by_key = {(t.root, t.multiplicity): t for t in terms}
     grouped = []
     for term in terms:
         r, c = term.root, term.coefficient
-        partner = None if r.is_rational else \
-            by_key.get((r.conjugate(), term.multiplicity))
+        if r.is_rational:
+            if not c.is_rational:
+                raise ValueError(f"term {_term_text(term)} has a "
+                                 "radical coefficient on a rational root")
+            grouped.append((term, None))
+            continue
+        partner = by_key.get((r.conjugate(), term.multiplicity))
         if partner is None:
-            grouped.append((term, None, False))
-        elif r.radical_part < 0:
-            grouped.append((partner, term, c.radicand in (0, r.radicand)
-                            and c == partner.coefficient.conjugate()))
+            raise ValueError(f"term {_term_text(term)} has no conjugate "
+                             "partner")
+        if r.radical_part < 0:
+            # the partner sorts first, so it is the term named
+            c = partner.coefficient
+            if c.radicand not in (0, r.radicand) or \
+                    term.coefficient != c.conjugate():
+                raise ValueError(
+                    f"term {_term_text(term)} has the partner "
+                    f"coefficient {c}, not its conjugate")
+            grouped.append((partner, term))
     return grouped
 
 
@@ -223,63 +229,47 @@ class _IntegerSteps:
     Each stepped term is kept as (K, R, m) with K and R integer pairs
     (x, y) standing for x + y*sqrt(d), and its running power K*R^(n-m)
     starts at K when n = m (0^0 = 1 for a spike) and is then multiplied
-    by R once per n; a rational term steps x alone.  An orbit adds x, and
-    lone radical terms add x + y*sqrt(d) in the one field d they share."""
+    by R once per n; a rational term steps x alone.  Each value adds the
+    x of every term: an orbit steps one member, from twice its K."""
 
-    __slots__ = ("_d", "_q", "_scaled", "_powers", "_n", "_den")
+    __slots__ = ("_q", "_scaled", "_powers", "_n", "_den")
 
-    def __init__(self, stepped: list[tuple[Term, bool]], d: int) -> None:
-        q = lcm(*(x.denominator for t, _ in stepped
+    def __init__(self, orbits: list[tuple[Term, Term | None]]) -> None:
+        q = lcm(*(x.denominator for t, _ in orbits
                   for x in (t.root.rational_part, t.root.radical_part)))
-        c = lcm(*(x.denominator for t, _ in stepped
+        c = lcm(*(x.denominator for t, _ in orbits
                   for x in (t.coefficient.rational_part,
                             t.coefficient.radical_part)))
         self._scaled = []
-        for t, orbit in stepped:
+        for t, partner in orbits:
             u, v = _integer_pair(t.root, q)
-            x, y = _integer_pair(t.coefficient, (1 + orbit) * c *
-                                 q ** (t.multiplicity - 1))
-            self._scaled.append(((x, y), u, v, v * t.root.radicand,
-                                 t.multiplicity, not orbit and bool(y or v)))
-        self._d, self._q = d, q
-        self._powers = [(0, 0)] * len(stepped)
+            start = _integer_pair(t.coefficient, (2 if partner else 1) *
+                                  c * q ** (t.multiplicity - 1))
+            self._scaled.append((start, u, v, v * t.root.radicand,
+                                 t.multiplicity))
+        self._q = q
+        self._powers = [(0, 0)] * len(orbits)
         self._n, self._den = 0, c      # den = C*Q^(n-1) for the next n
 
-    @classmethod
-    def of(cls, terms: tuple[Term, ...]) -> "_IntegerSteps | None":
-        """Scale the terms once; None when lone radical terms span two
-        fields."""
-        stepped = [(t, orbit) for term, partner, orbit in _orbits(terms)
-                   for t in (term, None if orbit else partner) if t]
-        fields = {x.radicand for t, orbit in stepped if not orbit
-                  for x in (t.coefficient, t.root)} - {0}
-        if len(fields) > 1:
-            return None
-        return cls(stepped, fields.pop() if fields else 0)
-
-    def next(self) -> QuadExt:
+    def next(self) -> Fraction:
         n = self._n = self._n + 1
         powers = self._powers
-        x_sum = y_sum = 0
-        for i, (start, u, v, vd, m, lone) in enumerate(self._scaled):
+        total = 0
+        for i, (start, u, v, vd, m) in enumerate(self._scaled):
             if n < m:
                 continue
             if n == m:
                 x, y = start
             else:
                 x, y = powers[i]
-                if v or y:
+                if v:
                     x, y = x * u + y * vd, x * v + y * u
                 else:
                     x *= u
             powers[i] = (x, y)
-            weight = comb(n - 1, m - 1)
-            x_sum += weight * x
-            if lone:
-                y_sum += weight * y
+            total += comb(n - 1, m - 1) * x
         den, self._den = self._den, self._den * self._q
-        radical = Fraction(y_sum, den) if y_sum else _NO_RADICAL
-        return QuadExt._normalised(Fraction(x_sum, den), radical, self._d)
+        return Fraction(total, den)
 
 
 def _coeff_text(c: QuadExt) -> str:

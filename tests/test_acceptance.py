@@ -248,8 +248,6 @@ def test_criterion_10_randomized_property_suites(with_partners, recombines):
                                    Fraction(rng.randint(-3, 3))))
             report = solve_ivp(spec, verify_upto=20)
             for n in range(1, 21):
-                value = report.closed_form(n)
-                assert value.is_rational
-                assert value.as_fraction().denominator >= 1
+                assert isinstance(report.closed_form(n), Fraction)
 
         assert time.perf_counter() - start < 60.0

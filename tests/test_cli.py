@@ -252,7 +252,8 @@ def test_unsplit_quartics_are_not_called_irreducible(text, reason, capsys):
     assert err == f"error: {reason}\n"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.xfail(strict=True, reason="ROADMAP: a certified numeric "
+                   "check in exact arithmetic")
 @pytest.mark.parametrize("argv", [
     ["verify", "a[n+1] = a[n] + n^12; a[1] = 1"],
     ["verify", "a[n+2] = 2*a[n+1] - a[n] + n^6; a[1]=1; a[2]=2",

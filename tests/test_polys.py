@@ -663,16 +663,16 @@ def test_taylor_shift_matches_quadext_reference_randomized():
                 _assert_taylor_matches(num, root, 3)
     for _ in range(20):
         # a closed form whose conjugate roots carry coefficients that are
-        # not conjugate has no transform over Q: it is refused
+        # not conjugate has no transform over Q: it is refused when built
         r, s = radical_pair()
         q = QuadExt(rational(5, 4))
-        seq = ClosedFormSequence([
+        terms = [
             (QuadExt(rational(), rational(), r.radicand), r, 1),
             (QuadExt(rational(), rational(), r.radicand), s, 1),
             (rational() or 1, q, rng.randint(1, 3)),
-            (rational() or 1, 0, rng.randint(1, 2))])
+            (rational() or 1, 0, rng.randint(1, 2))]
         with pytest.raises(ValueError, match="not its conjugate"):
-            seq.transform()
+            ClosedFormSequence(terms)
     # a polynomial with a radical coefficient is refused, so the shift
     # never meets two radicands
     with pytest.raises(ValueError, match="radical coefficient"):

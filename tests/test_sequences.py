@@ -9,7 +9,6 @@ import pytest
 
 from dlaplace.cli import main
 from dlaplace.dsl import parse_program
-from dlaplace.errors import RadicandMismatch
 from dlaplace.exact import QuadExt
 from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
@@ -140,7 +139,7 @@ def test_inverse_transform_fibonacci():
     fib = inverse_transform(RatFunc((0, 1), (-1, -1, 1)))
     values = [fib(n) for n in range(1, 10)]
     assert values == [1, 1, 2, 3, 5, 8, 13, 21, 34]
-    assert all(v.is_rational for v in values)
+    assert all(isinstance(v, Fraction) for v in values)
     assert {t.root for t in fib.terms} == {PHI, PSI}
 
 
@@ -263,7 +262,7 @@ def test_orbit_forms_step_to_rational_values_randomized():
         seq = ClosedFormSequence(terms, deltas)
         values = [seq(n) for n in range(1, 201)]
         assert values == _values_by_definition(terms, deltas, 200)
-        assert all(v.radicand == 0 for v in values)
+        assert all(isinstance(v, Fraction) for v in values)
         fields.add(len({t.root.radicand for t in seq.terms} - {0}))
         # the printed form, each orbit one quotient, has the same values
         text = str(seq)
@@ -286,13 +285,34 @@ def test_orbit_forms_step_to_rational_values_randomized():
     ([(QuadExt(0, 1, 2), 0, 2)],
      "term (sqrt(2))*delta(n,2) has a radical coefficient on a rational "
      "root"),
+    ([(QuadExt(0, 1, 2), PHI, 1), (QuadExt(0, -1, 2), PSI, 1)],
+     "term (-sqrt(2))*(1/2 - 1/2*sqrt(5))^(n-1) has the partner "
+     "coefficient sqrt(2), not its conjugate"),
 ], ids=["lone root", "unmatched order", "unconjugated coefficient",
-        "radical coefficient", "radical spike"])
+        "radical coefficient", "radical spike",
+        "coefficient in another field"])
 def test_forward_transform_refuses_a_term_outside_a_rational_orbit(
         terms, message):
+    # such a term has no transform over Q and no rational values, so the
+    # closed form is refused when it is built
     with pytest.raises(ValueError) as caught:
-        ClosedFormSequence(terms).transform()
+        ClosedFormSequence(terms)
     assert str(caught.value) == message
+
+
+def test_a_radical_scale_factor_is_refused():
+    with pytest.raises(ValueError) as caught:
+        ClosedFormSequence([(1, 2, 1)]).scale(QuadExt(0, 1, 2))
+    assert str(caught.value) == \
+        "term (sqrt(2))*2^(n-1) has a radical coefficient on a rational root"
+
+
+@pytest.mark.parametrize("m", [2.0, "1", Fraction(2)],
+                         ids=["float", "str", "Fraction"])
+def test_a_multiplicity_that_is_not_an_int_is_refused(m):
+    with pytest.raises(ValueError) as caught:
+        ClosedFormSequence([(1, 2, m)])
+    assert str(caught.value) == f"multiplicity must be a positive int: {m}"
 
 
 def test_rationality_of_rational_data():
@@ -303,7 +323,7 @@ def test_rationality_of_rational_data():
              rng.randint(1, 2)),
         ])
         for n in range(1, 30):
-            assert seq(n).is_rational
+            assert isinstance(seq(n), Fraction)
 
 
 def test_orbit_rendering():
@@ -333,12 +353,12 @@ def test_orbit_rendering():
     assert str(ClosedFormSequence(binet + [(1, 2, 1)], {2: 3})) == (
         "2^(n-1) + ((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5))"
         " + 3*delta(n,2)")
-    # a lone term, or a pair whose coefficients are not conjugate, keeps
-    # the term-by-term form
-    assert str(ClosedFormSequence([(1, PHI, 1)])) == \
-        "(1/2 + 1/2*sqrt(5))^(n-1)"
-    assert str(ClosedFormSequence([(1, PHI, 1), (2, PSI, 1)])) == \
-        "2*(1/2 - 1/2*sqrt(5))^(n-1) + (1/2 + 1/2*sqrt(5))^(n-1)"
+    # a lone term, or a pair whose coefficients are not conjugate, has no
+    # rational values and is refused when the form is built
+    with pytest.raises(ValueError, match="no conjugate partner"):
+        ClosedFormSequence([(1, PHI, 1)])
+    with pytest.raises(ValueError, match="not its conjugate"):
+        ClosedFormSequence([(1, PHI, 1), (2, PSI, 1)])
 
 
 def test_str_rendering():
@@ -353,8 +373,17 @@ def test_str_rendering():
     assert str(ClosedFormSequence()) == "0"
 
 
-def _random_closed_form(rng, d):
-    """Terms (c, r, m) and spikes over Q (d = 0) or Q(sqrt d)."""
+def _rational_orbits(terms, close):
+    """Terms (c, r, m) made orbit-closed by close: a rational root keeps
+    the rational part of its coefficient (1 if that is 0) and a radical
+    root brings its conjugate partner."""
+    return close([(c if r.radicand else c.rational_part or 1, r, m)
+                  for c, r, m in terms])
+
+
+def _random_closed_form(rng, d, close):
+    """Terms (c, r, m) and rational spikes over Q (d = 0) or of conjugate
+    orbits in Q(sqrt d)."""
     def value(top, den):
         rational = Fraction(rng.randint(-top, top), rng.randint(1, den))
         radical = Fraction(rng.randint(-top, top), rng.randint(1, den))
@@ -362,9 +391,9 @@ def _random_closed_form(rng, d):
 
     terms = [(value(5, 4) or QuadExt(1), value(2, 2), rng.randint(1, 4))
              for _ in range(rng.randint(1, 4))]
-    deltas = {rng.randint(1, 6): value(5, 4)
+    deltas = {rng.randint(1, 6): value(5, 4).rational_part
               for _ in range(rng.randint(0, 2))}
-    return terms, deltas
+    return _rational_orbits(terms, close), deltas
 
 
 def _by_definition(terms, deltas, n):
@@ -375,22 +404,25 @@ def _by_definition(terms, deltas, n):
     return total + deltas.get(n, 0)
 
 
-def test_memoised_values_match_the_term_by_term_definition():
+def test_memoised_values_match_the_term_by_term_definition(with_partners):
     rng = random.Random(20260)
     for d in (0, 0, 2, 3, 5, 7) * 2:
-        terms, deltas = _random_closed_form(rng, d)
+        terms, deltas = _random_closed_form(rng, d, with_partners)
         expected = [_by_definition(terms, deltas, n) for n in range(1, 81)]
         in_order = ClosedFormSequence(terms, deltas)
         assert [in_order(n) for n in range(1, 81)] == expected
         assert [in_order(n) for n in range(80, 0, -1)] == expected[::-1]
+        # a first read of a(80) fills the memo up to it
         reverse = ClosedFormSequence(terms, deltas)
+        assert reverse(80) == expected[79] and len(reverse._memo) == 80
         assert [reverse(n) for n in range(80, 0, -1)] == expected[::-1]
         assert [reverse(n) for n in range(1, 81)] == expected
         # the memo is a cache: a filled sequence equals a fresh one
         fresh = ClosedFormSequence(terms, deltas)
         assert in_order == fresh and hash(in_order) == hash(fresh)
         assert repr(in_order) == repr(fresh)
-        other_terms, other_deltas = _random_closed_form(rng, d)
+        other_terms, other_deltas = _random_closed_form(rng, d,
+                                                        with_partners)
         other = ClosedFormSequence(other_terms, other_deltas)
         other(1), other(2)
         factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
@@ -423,9 +455,10 @@ def test_values_past_the_memo_limit_are_not_kept():
     assert len(doubling._memo) == _MEMO_LIMIT
 
 
-def _wide_closed_form(rng, d):
-    """Terms and spikes whose parts have denominators up to 10^6 and whose
-    multiplicities reach 13, over Q (d = 0) or Q(sqrt d)."""
+def _wide_closed_form(rng, d, close):
+    """Terms and rational spikes whose parts have denominators up to 10^6
+    and whose multiplicities reach 13, over Q (d = 0) or of conjugate
+    orbits in Q(sqrt d)."""
     sqrt_d = QuadExt(0, 1, d) if d else QuadExt(0)
 
     def part(top):
@@ -437,22 +470,23 @@ def _wide_closed_form(rng, d):
 
     terms = [(value(9) or QuadExt(1), value(3), m)
              for m in [1, 13] + rng.sample([1, 2, 5], rng.randint(0, 2))]
-    deltas = {rng.randint(1, 15): value(9) or QuadExt(1)
+    deltas = {rng.randint(1, 15): (value(9) or QuadExt(1)).rational_part
               for _ in range(rng.randint(1, 2))}
-    return terms, deltas
+    return _rational_orbits(terms, close), deltas
 
 
-def test_integer_stepping_matches_the_definition_on_wide_denominators():
+def test_integer_stepping_matches_the_definition_on_wide_denominators(
+        with_partners):
     rng = random.Random(8128)
     for d in (0, 0, 5, 1000000007):
-        terms, deltas = _wide_closed_form(rng, d)
+        terms, deltas = _wide_closed_form(rng, d, with_partners)
         expected = [_by_definition(terms, deltas, n) for n in range(1, 201)]
         in_order = ClosedFormSequence(terms, deltas)
         assert [in_order(n) for n in range(1, 201)] == expected
         reverse = ClosedFormSequence(terms, deltas)
         assert [reverse(n) for n in range(200, 0, -1)] == expected[::-1]
         assert [reverse(n) for n in range(1, 201)] == expected
-        other_terms, other_deltas = _wide_closed_form(rng, d)
+        other_terms, other_deltas = _wide_closed_form(rng, d, with_partners)
         factor = Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** 6))
         combined = ClosedFormSequence(terms, deltas) + \
             ClosedFormSequence(other_terms, other_deltas).scale(factor)
@@ -460,24 +494,6 @@ def test_integer_stepping_matches_the_definition_on_wide_denominators():
             expected[n - 1] + factor *
             _by_definition(other_terms, other_deltas, n)
             for n in range(1, 201)]
-
-
-def test_mixed_radicands_raise_where_the_arithmetic_meets_them():
-    sqrt2, sqrt3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
-    seq = ClosedFormSequence([(1, sqrt2, 1), (1, sqrt3, 1)])
-    assert seq(1) == 2
-    with pytest.raises(RadicandMismatch):
-        seq(2)
-    with pytest.raises(RadicandMismatch):
-        seq(2)
-    assert seq(3) == 5
-    # the two radicals never meet at one n: every value is defined
-    apart = ClosedFormSequence([(1, sqrt2, 1), (1, sqrt3, 2)])
-    assert [apart(n) for n in range(1, 7)] == [
-        _by_definition([(1, sqrt2, 1), (1, sqrt3, 2)], {}, n)
-        for n in range(1, 7)]
-    with pytest.raises(RadicandMismatch):
-        ClosedFormSequence([(sqrt2, sqrt3, 1)])(2)
 
 
 @pytest.mark.parametrize("text", [
