@@ -25,23 +25,24 @@ A closed form memoises its values a(1), a(2), ... up to n = 4096: a read
 past the memo first fills it up to n, so the self-check, the growth
 estimate and every series sum of one request share a single pass, and a
 value past n = 4096 is summed term by term and not kept.  The pass runs
-in integers: with Q the lcm of the root parts' denominators and
-C that of the coefficient parts', R = Q*root and K = C*Q^(m-1)*coefficient
-lie in Z[sqrt(d)], d the term's radicand (0 for a rational term), and
+in integers (Cohen, *A Course in Computational Algebraic Number Theory*,
+3.4): with Q and C the lcm of the root and coefficient parts'
+denominators, R = Q*root and K_m = C*Q^(m-1)*coefficient lie in
+Z[sqrt(d)], and at a stepped root (rational, or one member of an orbit,
+from 2*K_m) of highest multiplicity M, C*Q^(n-1) times its terms is
 
-    C*Q^(n-1) * a(n) = sum K * C(n-1, m-1) * R^(n-m),
+    sum_m K_m * C(n-1, m-1) * R^(n-m) = R^(n-M) * P(n),
 
-so each term's running power K*R^(n-m) is stepped by one product per n,
-and each value is divided once by the running denominator C*Q^(n-1)
-(Cohen, *A Course in Computational Algebraic Number Theory*, 3.4: clear
-the denominators, then work in Z).  An orbit steps one member, from 2*K,
-and adds its rational part, so its values are rational in any field.
+one running power for every m, with P stepped by forward differences
+(Knuth, *TAOCP* 2, 4.6.4).  A value is kept over C*Q^(n-1), reduced only
+when read, and compared with direct recursion by cross-products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
@@ -62,7 +63,7 @@ _EXACT = (int, Fraction, QuadExt)
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_orbits", "_memo", "_steps")
+    __slots__ = ("_terms", "_orbits", "_memo", "_steps", "_values")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -88,8 +89,9 @@ class ClosedFormSequence:
         self._terms = tuple(kept)
         self._orbits = _orbits(self._terms)
         # a cache only: _terms alone defines the sequence
-        self._memo: list[Fraction] = []
+        self._memo: list[tuple[int, int]] = []
         self._steps: _IntegerSteps | None = None
+        self._values: dict[int, Fraction] = {}
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -109,17 +111,22 @@ class ClosedFormSequence:
     def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("sequences start at n = 1")
-        memo = self._memo
-        if n <= len(memo):
-            return memo[n - 1]
         if n > _MEMO_LIMIT:
             return self._term_by_term(n)
-        if not memo:
-            self._steps = _IntegerSteps(self._orbits)
-        step = self._steps.next
-        while len(memo) < n:
-            memo.append(step())
-        return memo[n - 1]
+        if n not in self._values:
+            self._values[n] = Fraction(*self.ratios(n)[n - 1])
+        return self._values[n]
+
+    def ratios(self, upto: int) -> list[tuple[int, int]]:
+        """The memo stepped at least to n = upto: each a(n) an integer over
+        C*Q^(n-1), not reduced; past the memo limit, reduced."""
+        memo, stop = self._memo, min(upto, _MEMO_LIMIT)
+        self._steps = self._steps or _IntegerSteps(self._orbits)
+        while len(memo) < stop:
+            memo.append(self._steps.next())
+        return memo if upto <= _MEMO_LIMIT else memo + [
+            (v.numerator, v.denominator) for v in map(
+                self._term_by_term, range(_MEMO_LIMIT + 1, upto + 1))]
 
     def _term_by_term(self, n: int) -> Fraction:
         """a(n) as the rational part of each term, twice over an orbit."""
@@ -224,15 +231,13 @@ def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None]]:
 
 
 class _IntegerSteps:
-    """The values a(1), a(2), ... of a closed form, stepped in integers.
+    """The values of a closed form, stepped in integers per distinct root.
 
-    Each stepped term is kept as (K, R, m) with K and R integer pairs
-    (x, y) standing for x + y*sqrt(d), and its running power K*R^(n-m)
-    starts at K when n = m (0^0 = 1 for a spike) and is then multiplied
-    by R once per n; a rational term steps x alone.  Each value adds the
-    x of every term: an orbit steps one member, from twice its K."""
+    The k-th difference of C(n-1, m-1) is C(n-1, m-1-k), so P's table at
+    n = 1 is K_m * R^(M-m), m = 1..M, and a step is M-1 additions.  Values
+    below n = M, and spikes, are summed when the steps are set up."""
 
-    __slots__ = ("_q", "_scaled", "_powers", "_n", "_den")
+    __slots__ = ("_head", "_roots", "_n", "_q", "_den")
 
     def __init__(self, orbits: list[tuple[Term, Term | None]]) -> None:
         q = lcm(*(x.denominator for t, _ in orbits
@@ -240,36 +245,47 @@ class _IntegerSteps:
         c = lcm(*(x.denominator for t, _ in orbits
                   for x in (t.coefficient.rational_part,
                             t.coefficient.radical_part)))
-        self._scaled = []
+        by_root: dict[QuadExt, dict[int, tuple[int, int]]] = {}
         for t, partner in orbits:
-            u, v = _integer_pair(t.root, q)
-            start = _integer_pair(t.coefficient, (2 if partner else 1) *
-                                  c * q ** (t.multiplicity - 1))
-            self._scaled.append((start, u, v, v * t.root.radicand,
-                                 t.multiplicity))
-        self._q = q
-        self._powers = [(0, 0)] * len(orbits)
-        self._n, self._den = 0, c      # den = C*Q^(n-1) for the next n
+            by_root.setdefault(t.root, {})[t.multiplicity] = _integer_pair(
+                t.coefficient,
+                (2 if partner else 1) * c * q ** (t.multiplicity - 1))
+        self._head: dict[int, int] = {}
+        # [M, u, v, d, x, y, tables]: R = u+v*sqrt(d), R^(n-M) = x+y*sqrt(d)
+        self._roots = []
+        for root, ks in by_root.items():
+            top, d = max(ks), root.radicand
+            u, v = _integer_pair(root, q)
+            runs = {m: [k] for m, k in ks.items()}  # K_m * R^e, e < top
+            for run in runs.values():
+                while len(run) < top:
+                    x, y = run[-1]
+                    run.append((x * u + y * v * d, x * v + y * u))
+            # a spike, root 0, is K_m at n = m alone
+            for n in range(1, top + (not root)):
+                self._head[n] = self._head.get(n, 0) + sum(
+                    comb(n - 1, m - 1) * run[n - m][0]
+                    for m, run in runs.items() if m <= n)
+            if root:
+                table = [runs[m][top - m] if m in runs else (0, 0)
+                         for m in range(1, top + 1)]
+                self._roots.append([top, u, v, d, 1, 0, [
+                    list(part) for part in zip(*table)][:1 + bool(d)]])
+        self._q, self._n, self._den = q, 0, c  # den = C*Q^(n-1), next n
 
-    def next(self) -> Fraction:
+    def next(self) -> tuple[int, int]:
         n = self._n = self._n + 1
-        powers = self._powers
-        total = 0
-        for i, (start, u, v, vd, m) in enumerate(self._scaled):
-            if n < m:
-                continue
-            if n == m:
-                x, y = start
-            else:
-                x, y = powers[i]
-                if v:
-                    x, y = x * u + y * vd, x * v + y * u
-                else:
-                    x *= u
-            powers[i] = (x, y)
-            total += comb(n - 1, m - 1) * x
+        total = self._head.get(n, 0)
+        for root in self._roots:
+            m, u, v, d, x, y, tables = root
+            if m > 1 < n:
+                for table in tables:
+                    table[:-1] = map(add, table, table[1:])
+            if n >= m:
+                total += x * tables[0][0] + y * tables[-1][0] * d
+                root[4:6] = x * u + y * v * d, x * v + y * u
         den, self._den = self._den, self._den * self._q
-        return Fraction(total, den)
+        return total, den
 
 
 def _coeff_text(c: QuadExt) -> str:
@@ -361,13 +377,15 @@ def partial_sums(f: Sequence1) -> Sequence1:
 def equal_prefix(f: Sequence1, g: Sequence1, upto: int,
                  ) -> tuple[bool, int | None]:
     """Compare two sequences for n = 1..upto; report the first mismatch.
-    Values may be ints, Fractions or QuadExt, compared as they come."""
-    for n in range(1, upto + 1):
-        left, right = f(n), g(n)
-        for value in (left, right):
+    Values are integers over integers from a ``ratios`` method, compared
+    by cross-products, or else ints, Fractions or QuadExt as they come."""
+    sides = [seq.ratios(upto) if hasattr(seq, "ratios") else
+             ((v, 1) for v in map(seq, range(1, upto + 1))) for seq in (f, g)]
+    for n, (a, b), (c, d) in zip(range(1, upto + 1), *sides):
+        for value in (a, c):
             if not isinstance(value, _EXACT):
                 raise TypeError(
                     f"cannot interpret {value!r} as an exact value")
-        if left != right:
+        if a * d != c * b:
             return False, n
     return True, None

@@ -18,8 +18,9 @@ denominator are assembled in ``Poly`` arithmetic and reduced once.
 Every solve re-checks its own answer against direct recursion before
 returning; a mismatch raises ``VerificationFailed`` and means a bug, never
 bad input.  The recursion steps in integers: it keeps a(n) times one
-common denominator M S^n, advances each b^n by one multiplication, and
-makes one ``Fraction`` per value read.
+common denominator M S^n and advances each b^n by one multiplication.  The
+check compares that integer with the closed form's, over C Q^(n-1), by
+cross-products, so it takes no gcd and makes no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import lcm, prod
-from typing import Callable, Iterable, Optional, Union
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record
 from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
@@ -100,8 +103,8 @@ class RecursiveSequence:
     With S the lcm of the coefficient and base denominators and M that of
     the initial and forcing-coefficient denominators, A(n) = a(n) M S^n
     obeys A(m+k) = sum_j c_j S^(k-j) A(m+j) + sum_i M S^k c_i m^p_i (S b_i)^m
-    in integers.  Each (S b_i)^m advances by one multiplication, and a read
-    divides by M S^n once.
+    in integers.  Each (S b_i)^m advances by one multiplication; a read
+    divides by M S^n once, and ``ratios`` gives A(n) and M S^n as they are.
     """
 
     def __init__(self, spec: RecurrenceSpec) -> None:
@@ -111,8 +114,8 @@ class RecursiveSequence:
         m = lcm(*(v.denominator for v in spec.initials),
                 *(term.coefficient.denominator for term in forcing))
         self.spec, self._scale, self._clear = spec, s, m
-        self._steps = [(j, _scaled(c, s) * s ** (k - 1 - j))
-                       for j, c in enumerate(spec.coefficients) if c]
+        self._weights = [_scaled(c, s) * s ** (k - 1 - j)
+                         for j, c in enumerate(spec.coefficients)]
         self._forcing = [(_scaled(term.coefficient, m) * s ** k,
                           term.exponent, _scaled(term.base, s))
                          for term in forcing]
@@ -124,15 +127,24 @@ class RecursiveSequence:
     def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("sequences start at n = 1")
-        values, powers = self._values, self._powers
+        return Fraction(self._fill(n)[n - 1], self._clear * self._scale ** n)
+
+    def ratios(self, upto: int) -> Iterator[tuple[int, int]]:
+        """a(n) as A(n) over M S^n, not reduced, at least to n = upto."""
+        s = self._scale
+        return zip(self._fill(upto), accumulate(repeat(s), mul,
+                                                initial=self._clear * s))
+
+    def _fill(self, n: int) -> list[int]:
+        values, powers, k = self._values, self._powers, self.spec.order
         while len(values) < n:
-            m = len(values) - self.spec.order + 1
-            nxt = sum(c * values[m - 1 + j] for j, c in self._steps)
+            m = len(values) - k + 1
+            nxt = sum(map(mul, self._weights, values[-k:]))
             for i, (c, p, sb) in enumerate(self._forcing):
                 nxt += c * m ** p * powers[i]
                 powers[i] *= sb
             values.append(nxt)
-        return Fraction(values[n - 1], self._clear * self._scale ** n)
+        return values
 
 
 def _initial_polynomial(spec: RecurrenceSpec) -> list[Fraction]:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import dlaplace
-from dlaplace import cli, exact, polys, solver
+from dlaplace import cli, exact, polys, sequences, solver
 from dlaplace.cli import build_parser, main
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
@@ -380,49 +380,47 @@ def test_usage_errors_keep_the_usage_line_and_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: dlaplace")
 
 
+def _count_calls(monkeypatch, calls):
+    """Count the calls named in calls: verify_solution, the closed form's
+    integer steps, its reduced values and QuadExt powers."""
+    targets = {"verify_solution": (solver, "verify_solution"),
+               "steps": (sequences._IntegerSteps, "next"),
+               "closed_form": (ClosedFormSequence, "__call__"),
+               "pow": (QuadExt, "__pow__")}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        owner, attr = targets[name]
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+
+
 def test_json_solve_checks_the_closed_form_once(capsys, monkeypatch):
-    # one exact check, through verify_solution; the printed values come
-    # from the recursion, so only that check evaluates the closed form
-    calls = {"verify_solution": 0, "closed_form": 0}
-    real_verify = solver.verify_solution
-    real_call = ClosedFormSequence.__call__
-
-    def verify(*args):
-        calls["verify_solution"] += 1
-        return real_verify(*args)
-
-    def evaluate(self, n):
-        calls["closed_form"] += 1
-        return real_call(self, n)
-
-    monkeypatch.setattr(solver, "verify_solution", verify)
-    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    # one exact check, through verify_solution, in one integer pass to
+    # n = 64; the printed values come from the recursion, and the check
+    # compares integers, so no closed-form value is reduced
+    calls = dict.fromkeys(("verify_solution", "steps", "closed_form"), 0)
+    _count_calls(monkeypatch, calls)
     assert main(["solve", FIB_TEXT, "--json"]) == 0
     capsys.readouterr()
-    assert calls == {"verify_solution": 1, "closed_form": 64}
+    assert calls == {"verify_solution": 1, "steps": 64, "closed_form": 0}
 
 
 def test_json_verify_steps_root_powers_instead_of_powering(capsys,
                                                           monkeypatch):
-    # the self-check, the growth estimate and the series sums read the
-    # closed form's memoised values; no value is re-powered from its root
-    calls = {"pow": 0, "closed_form": 0}
-    real_pow = QuadExt.__pow__
-    real_call = ClosedFormSequence.__call__
-
-    def power(self, exponent):
-        calls["pow"] += 1
-        return real_pow(self, exponent)
-
-    def evaluate(self, n):
-        calls["closed_form"] += 1
-        return real_call(self, n)
-
-    monkeypatch.setattr(QuadExt, "__pow__", power)
-    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    # the self-check (to n = 64), the growth estimate (50 values) and the
+    # series sums (44 terms at most) read one pass of the closed form; no
+    # value is re-powered from its root, and each read is a reduced value
+    calls = dict.fromkeys(("steps", "closed_form", "pow"), 0)
+    _count_calls(monkeypatch, calls)
     assert main(["verify", FIB_TEXT, "--json"]) == 0
-    capsys.readouterr()
-    assert calls == {"pow": 0, "closed_form": 193}
+    checks = json.loads(capsys.readouterr().out)["numeric"]["checks"]
+    assert [check["terms"] for check in checks] == [44, 21, 14]
+    assert calls == {"steps": 64, "closed_form": 50 + 44 + 21 + 14, "pow": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,6 +571,16 @@ def test_large_constant_term_solves_in_bounded_time():
     values = _solve_json_in_child(
         "a[n+1] = 2*a[n] + 3/1000000000000000000000^n; a[1] = 1")
     assert values[:2] == ["1", "2000000000000000000003/1000000000000000000000"]
+
+
+def test_a_two_hundred_digit_coefficient_solves():
+    # a(n) has a numerator and a denominator of some 200*n digits: the
+    # self-check compares integer cross-products, with no gcd either side
+    p, q = "7" * 200, "3" * 199 + "1"
+    text = f"a[n+1] = {p}/{q}*a[n] + n^3; a[1] = 1"
+    values = _solve_json_in_child(text)
+    reference = solver.RecursiveSequence(parse_program(text).to_spec())
+    assert values == [str(reference(n)) for n in range(1, 11)]
 
 
 def test_double_pair_with_a_large_radicand_solves_in_bounded_time():

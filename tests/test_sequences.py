@@ -13,7 +13,9 @@ from dlaplace.exact import QuadExt
 from dlaplace.sequences import (_MEMO_LIMIT, ClosedFormSequence, Term,
                                 convolve, delta, equal_prefix,
                                 inverse_transform, partial_sums)
-from dlaplace.solver import RecursiveSequence, transform_of, verify_solution
+from dlaplace import sequences, solver
+from dlaplace.solver import (RecurrenceSpec, RecursiveSequence, transform_of,
+                             verify_solution)
 from dlaplace.polys import RatFunc
 from dlaplace.transforms import convolve as xf_convolve, geometric, n_power
 from fibonacci import PHI, PSI, fibonacci
@@ -118,6 +120,29 @@ def test_equal_prefix_on_mixed_value_types():
         equal_prefix(lambda n: n * n / 2, values, 5)
     with pytest.raises(TypeError):
         equal_prefix(values, lambda n: float(values(n)), 5)
+
+
+def test_the_self_check_makes_no_fraction_per_value(monkeypatch):
+    # a Fraction per checked value costs a gcd of numbers that grow with
+    # n; the check's count must not grow with its horizon
+    made = [0]
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made[0] += 1
+            return Fraction(*args)
+
+    spec = parse_program("a[n+1] = 7/3*a[n] + n^3; a[1] = 1").to_spec()
+    counts = []
+    for upto in (64, 256):
+        closed = inverse_transform(transform_of(spec))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "Fraction", Counted)
+            patch.setattr(sequences, "Fraction", Counted)
+            made[0] = 0
+            assert verify_solution(spec, closed, upto).passed
+        counts.append(made[0])
+    assert counts[0] == counts[1]
 
 
 def test_verify_solution_details_are_unchanged():
@@ -496,6 +521,56 @@ def test_integer_stepping_matches_the_definition_on_wide_denominators(
             for n in range(1, 201)]
 
 
+def _shared_roots(rng):
+    """Terms (c, r, m) with several multiplicities per root: up to 14 at
+    root 1, one or two at a rational root with a denominator, up to 3 on
+    an orbit in Q(sqrt d), each radical term with its conjugate partner;
+    and rational spikes."""
+    def part(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 7))
+
+    d = rng.choice([2, 3, 5, 7])
+    root = QuadExt(part(3), part(3) or 1, d)
+    terms = [(part(9) or 1, 1, m) for m in
+             {14, *rng.sample(range(1, 14), rng.randint(0, 5))}]
+    terms += [(part(9) or 1, Fraction(rng.choice([-5, -3, 3, 5]),
+                                      rng.choice([2, 4])), m)
+              for m in range(1, rng.randint(1, 2) + 1)]
+    for m in {3, *rng.sample([1, 2], rng.randint(0, 2))}:
+        c = QuadExt(part(9), part(9) or 1, d)
+        terms += [(c, root, m), (c.conjugate(), root.conjugate(), m)]
+    deltas = {j: part(9) or 1 for j in rng.sample(range(1, 6), 2)}
+    return terms, deltas
+
+
+def test_per_root_stepping_matches_the_definition_and_its_recurrence():
+    rng = random.Random(2025)
+    for _ in range(4):
+        terms, deltas = _shared_roots(rng)
+        expected = [_by_definition(terms, deltas, n) for n in range(1, 201)]
+        # the first read of a(200) runs every n >= M; the reads below M
+        # and the spikes come from the values summed when the steps start
+        reverse = ClosedFormSequence(terms, deltas)
+        assert [reverse(n) for n in range(200, 0, -1)] == expected[::-1]
+        in_order = ClosedFormSequence(terms, deltas)
+        assert [in_order(n) for n in range(1, 201)] == expected
+        # the form solves the recurrence of its transform's denominator
+        den = in_order.transform().den.fractions
+        k = len(den) - 1
+        spec = RecurrenceSpec(k, [-c / den[k] for c in den[:k]],
+                              [in_order(n) for n in range(1, k + 1)])
+        assert verify_solution(spec, in_order, 200).passed
+        # an error planted at n is reported at n, with today's texts
+        for at in (1, k + 1, 64):
+            planted = in_order + ClosedFormSequence(deltas={at: 1})
+            report = verify_solution(spec, planted, 64)
+            detail = (f"initial value a(1) is {QuadExt.of(in_order(1) + 1)}"
+                      f", expected {spec.initials[0]}" if at == 1 else
+                      f"recurrence fails producing a({at})")
+            assert (report.passed, report.first_failure, report.detail) \
+                == (False, at, detail)
+
+
 @pytest.mark.parametrize("text", [
     "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1",
     "a[n+2] = 2*a[n+1] - a[n] + n^12; a[1] = 1; a[2] = 2",
@@ -508,13 +583,15 @@ def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
                                                       monkeypatch):
     inside = [0]
     counts = {"arithmetic": 0, "values": 0}
-    real_call = ClosedFormSequence.__call__
+    # the self-check reads the closed form's values through ratios
+    real_ratios = ClosedFormSequence.ratios
 
-    def evaluate(self, n):
+    def evaluate(self, upto):
         inside[0] += 1
         try:
-            counts["values"] += 1
-            return real_call(self, n)
+            values = real_ratios(self, upto)
+            counts["values"] += len(values)
+            return values
         finally:
             inside[0] -= 1
 
@@ -528,7 +605,7 @@ def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(QuadExt, name, counted(name))
-    monkeypatch.setattr(ClosedFormSequence, "__call__", evaluate)
+    monkeypatch.setattr(ClosedFormSequence, "ratios", evaluate)
     assert main(["solve", text, "--json"]) == 0
     capsys.readouterr()
     assert counts["values"] >= 64 and counts["arithmetic"] == 0
