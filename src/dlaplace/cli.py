@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dsl import parse_program
 from .errors import (CapabilityError, CheckFailed, DlaplaceError, ParseError,
@@ -87,6 +87,28 @@ def _display_var(display: str) -> str:
     return "e^s" if display == "exps" else "t"
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) of str-keyed dicts, lists and scalars,
+    byte for byte, without the pure-Python encoder that indent selects."""
+    if isinstance(value, (dict, list)):
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()] if isinstance(value, dict) else \
+            [_json_text(v, inner) for v in value]
+        start, end = "{}" if isinstance(value, dict) else "[]"
+        return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" \
+            if items else start + end
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "Infinity" if value > 0 else "-Infinity" if value < 0 else "NaN"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_horizon("--terms", args.terms)
     _check_horizon("--verify-upto", args.verify_upto)
@@ -96,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     basis = None if args.json else report.coefficient_decomposition
     try:
         if args.json:
-            text = json.dumps(report.to_json_dict(args.terms), indent=2)
+            text = _json_text(report.to_json_dict(args.terms))
         else:
             var = _display_var(args.display)
             values = ", ".join(report.value_texts(args.terms))
@@ -126,11 +148,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     numeric = check_closed_form_pair(report.closed_form, report.transform,
                                      args.s_grid, args.tol)
     if args.json:
-        payload = {
-            "exact": {"passed": True, "upto": args.upto},
-            "numeric": numeric.to_json_dict(),
-        }
-        print(json.dumps(payload, indent=2))
+        print(_json_text({"exact": {"passed": True, "upto": args.upto},
+                          "numeric": numeric.to_json_dict()}))
         return EXIT_OK
     print(f"exact:   recurrence and initial values hold for "
           f"n <= {args.upto}")

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
 from .polys import RatFunc
-from .sequences import _MEMO_LIMIT, ClosedFormSequence
+from .sequences import _MEMO_LIMIT, ClosedFormSequence, value_pairs
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
@@ -30,22 +30,26 @@ _ROUNDING = 2.0 ** -48
 
 
 def series_eval(f: Callable[[int], object], s: float, terms: int) -> float:
-    """Partial sum sum_{n=1}^{terms} f(n) e^{-sn} in double precision."""
-    stage = f"series at s = {s}"
-    return math.fsum(_float_term(f, n, stage, terms) * math.exp(-s * n)
-                     for n in range(1, terms + 1))
+    """Partial sum sum_{n=1}^{terms} f(n) e^{-sn} in double precision, over
+    the values of f read once, as the integer pairs of a closed form."""
+    values = _float_terms(f, terms, f"series at s = {s}")
+    return math.fsum([v * math.exp(-s * n) for n, v in enumerate(values, 1)])
 
 
-def _float_term(f: Callable[[int], object], n: int, stage: str,
-                terms: int) -> float:
-    """f(n) as a double, refusing a value past the double range."""
-    value = f(n)
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except OverflowError:
-        raise SeriesCapExceeded(
-            f"{stage}: term {n} of {terms} is past the double range"
-        ) from None
+def _float_terms(f: Callable[[int], object], terms: int,
+                 stage: str) -> list[float]:
+    """f(1)..f(terms) as doubles, refusing the first past the double range.
+    A value held as integers a over b is a / b, which rounds correctly as
+    float() of the reduced Fraction does: the same double, with no gcd.
+    Any other value is float(f(n))."""
+    values = []
+    for n, (a, b) in enumerate(value_pairs(f, terms), 1):
+        try:
+            values.append(a / b if b != 1 else float(a))  # type: ignore
+        except OverflowError:
+            raise SeriesCapExceeded(f"{stage}: term {n} of {terms} is past "
+                                    "the double range") from None
+    return values
 
 
 def tail_bound(alpha: float, s0: float, s: float, terms: int) -> float:
@@ -91,10 +95,8 @@ def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
                 "growth estimate: a root of the closed form is past the "
                 "double range") from None
     s0 = math.log(largest) + 0.01
-    alpha = 0.0
-    for n in range(1, 51):
-        value = _float_term(seq, n, f"growth estimate at s0 = {s0:.3f}", 50)
-        alpha = max(alpha, abs(value) * math.exp(-s0 * n))
+    values = _float_terms(seq, 50, f"growth estimate at s0 = {s0:.3f}")
+    alpha = max([abs(v) * math.exp(-s0 * n) for n, v in enumerate(values, 1)])
     return max(alpha, 1e-30) * 2.0, s0
 
 

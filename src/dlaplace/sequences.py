@@ -21,29 +21,30 @@ A closed form is built from rational terms and such orbits only, so every
 value it takes is a ``Fraction``; any other term is refused when the form
 is built.
 
-A closed form memoises its values a(1), a(2), ... up to n = 4096: a read
-past the memo first fills it up to n, so the self-check, the growth
-estimate and every series sum of one request share a single pass, and a
-value past n = 4096 is summed term by term and not kept.  The pass runs
-in integers (Cohen, *A Course in Computational Algebraic Number Theory*,
-3.4): with Q and C the lcm of the root and coefficient parts'
-denominators, R = Q*root and K_m = C*Q^(m-1)*coefficient lie in
-Z[sqrt(d)], and at a stepped root (rational, or one member of an orbit,
-from 2*K_m) of highest multiplicity M, C*Q^(n-1) times its terms is
+A closed form memoises a(1), a(2), ... up to n = 4096 as unreduced integer
+pairs over C*Q^(n-1): a read past the memo fills it up to n, so the
+self-check, the growth estimate and every series sum of one request read the
+pairs of one pass; past n = 4096 a value is summed term by term and not
+kept.  The pass runs in integers (Cohen, *A Course in Computational Algebraic
+Number Theory*, 3.4): with Q and C the lcm of the root and coefficient
+parts' denominators, R = Q*root and K_m = C*Q^(m-1)*coefficient lie in
+Z[sqrt(d)], and at a stepped root (rational, or one member of an orbit, from
+2*K_m) of highest multiplicity M, C*Q^(n-1) times its terms is
 
     sum_m K_m * C(n-1, m-1) * R^(n-m) = R^(n-M) * P(n),
 
 one running power for every m, with P stepped by forward differences
-(Knuth, *TAOCP* 2, 4.6.4).  A value is kept over C*Q^(n-1), reduced only
-when read, and compared with direct recursion by cross-products.
+(Knuth, *TAOCP* 2, 4.6.4).  The self-check compares the pairs with direct
+recursion by cross-products, the numeric check divides each into a double.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
 from .polys import Poly, RatFunc, Term, _sum_text, partial_fractions
@@ -63,7 +64,7 @@ _EXACT = (int, Fraction, QuadExt)
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_orbits", "_memo", "_steps", "_values")
+    __slots__ = ("_terms", "_orbits", "_memo", "_steps")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -91,7 +92,6 @@ class ClosedFormSequence:
         # a cache only: _terms alone defines the sequence
         self._memo: list[tuple[int, int]] = []
         self._steps: _IntegerSteps | None = None
-        self._values: dict[int, Fraction] = {}
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -113,9 +113,7 @@ class ClosedFormSequence:
             raise ValueError("sequences start at n = 1")
         if n > _MEMO_LIMIT:
             return self._term_by_term(n)
-        if n not in self._values:
-            self._values[n] = Fraction(*self.ratios(n)[n - 1])
-        return self._values[n]
+        return Fraction(*self.ratios(n)[n - 1])
 
     def ratios(self, upto: int) -> list[tuple[int, int]]:
         """The memo stepped at least to n = upto: each a(n) an integer over
@@ -374,14 +372,21 @@ def partial_sums(f: Sequence1) -> Sequence1:
     return summed
 
 
+def value_pairs(seq: Sequence1, upto: int) -> Iterator[tuple[object, int]]:
+    """seq(1)..seq(upto) as (numerator, denominator) pairs: the unreduced
+    integers of a ``ratios`` method, or else each value as it comes over 1."""
+    if hasattr(seq, "ratios"):
+        return islice(seq.ratios(upto), upto)
+    return ((v, 1) for v in map(seq, range(1, upto + 1)))
+
+
 def equal_prefix(f: Sequence1, g: Sequence1, upto: int,
                  ) -> tuple[bool, int | None]:
     """Compare two sequences for n = 1..upto; report the first mismatch.
-    Values are integers over integers from a ``ratios`` method, compared
-    by cross-products, or else ints, Fractions or QuadExt as they come."""
-    sides = [seq.ratios(upto) if hasattr(seq, "ratios") else
-             ((v, 1) for v in map(seq, range(1, upto + 1))) for seq in (f, g)]
-    for n, (a, b), (c, d) in zip(range(1, upto + 1), *sides):
+    Integer pairs are compared by cross-products, and other values, ints,
+    Fractions or QuadExt, as they come."""
+    sides = (value_pairs(f, upto), value_pairs(g, upto))
+    for n, ((a, b), (c, d)) in enumerate(zip(*sides), 1):
         for value in (a, c):
             if not isinstance(value, _EXACT):
                 raise TypeError(

@@ -168,11 +168,12 @@ class SolutionReport:
 
     def __init__(self, spec: RecurrenceSpec, transform: RatFunc,
                  closed_form: ClosedFormSequence, verified_upto: int,
-                 ) -> None:
+                 recursion: RecursiveSequence) -> None:
         self.spec = spec
         self.transform = transform
         self.closed_form = closed_form
         self.verified_upto = verified_upto
+        self.recursion = recursion
 
     @cached_property
     def coefficient_decomposition(self) -> Optional[
@@ -187,9 +188,8 @@ class SolutionReport:
                      for start in ((1, 0), (0, 1)))
 
     def values(self, count: int = 10) -> list[Fraction]:
-        """a(1)..a(count), read off the recursion the closed form matches."""
-        reference = RecursiveSequence(self.spec)
-        return [reference(n) for n in range(1, count + 1)]
+        """a(1)..a(count), read off the recursion the self-check stepped."""
+        return [self.recursion(n) for n in range(1, count + 1)]
 
     def value_texts(self, count: int = 10) -> list[str]:
         """The values as text; one with more digits than the interpreter
@@ -209,31 +209,28 @@ class SolutionReport:
             "closed_form": {
                 "text": str(self.closed_form),
                 "terms": [{
-                    "coefficient": _quadext_json(t.coefficient),
-                    "root": _quadext_json(t.root),
+                    "coefficient": _exact_json(t.coefficient),
+                    "root": _exact_json(t.root),
                     "multiplicity": t.multiplicity,
                 } for t in self.closed_form.terms],
-                "deltas": {str(j): _quadext_json(c)
+                "deltas": {str(j): _exact_json(c)
                            for j, c in self.closed_form.deltas.items()},
             },
             "transform": {
                 "text": self.transform.render("e^s"),
-                "num": [_quadext_json(c)
-                        for c in self.transform.num.coefficients],
-                "den": [_quadext_json(c)
-                        for c in self.transform.den.coefficients],
+                "num": list(map(_exact_json, self.transform.num.fractions)),
+                "den": list(map(_exact_json, self.transform.den.fractions)),
             },
             "values": self.value_texts(count),
             "verified_upto": self.verified_upto,
         }
 
 
-def _quadext_json(value: QuadExt) -> dict:
-    return {
-        "rational": str(value.rational_part),
-        "radical": str(value.radical_part),
-        "radicand": value.radicand,
-    }
+def _exact_json(value: QuadExt | Fraction) -> dict:
+    if isinstance(value, Fraction):
+        return {"rational": str(value), "radical": "0", "radicand": 0}
+    return {"rational": str(value.rational_part),
+            "radical": str(value.radical_part), "radicand": value.radicand}
 
 
 def transform_of(spec: RecurrenceSpec) -> RatFunc:
@@ -269,31 +266,33 @@ def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
     if not check.passed:
         raise VerificationFailed(
             f"closed form disagrees with recursion: {check.detail}")
-    return SolutionReport(spec, expr, closed, verify_upto)
+    return SolutionReport(spec, expr, closed, verify_upto, check.recursion)
 
 
 class VerificationReport:
     """Outcome of checking a proposed solution against its spec."""
 
-    __slots__ = ("passed", "checked_upto", "first_failure", "detail")
+    __slots__ = ("passed", "checked_upto", "first_failure", "detail",
+                 "recursion")
 
     def __init__(self, passed: bool, checked_upto: int,
                  first_failure: Optional[int] = None, detail: str = "",
-                 ) -> None:
+                 recursion: Optional[RecursiveSequence] = None) -> None:
         self.passed = passed
         self.checked_upto = checked_upto
         self.first_failure = first_failure
         self.detail = detail
+        self.recursion = recursion
 
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
                     upto: int = 64) -> VerificationReport:
     """Check the initial values and the recurrence for n + order <= upto:
     both hold exactly when seq agrees with direct recursion that far."""
-    k = spec.order
-    passed, n = equal_prefix(seq, RecursiveSequence(spec), max(upto, k))
+    k, reference = spec.order, RecursiveSequence(spec)
+    passed, n = equal_prefix(seq, reference, max(upto, k))
     if passed:
-        return VerificationReport(True, upto)
+        return VerificationReport(True, upto, recursion=reference)
     if n <= k:
         got = QuadExt.of(seq(n))  # type: ignore[arg-type]
         return VerificationReport(

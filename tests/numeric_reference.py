@@ -1,0 +1,46 @@
+"""A reference for the numeric check that reads a closed form as float()
+reads it, one reduced Fraction per value, kept beside the package's read
+of the integer pairs the closed form holds; the package itself never
+needs it."""
+
+import math
+
+from dlaplace.numeric import tail_bound, terms_needed
+
+
+def float_values(seq, count):
+    """float(seq(n)) for n = 1..count, stopping before the first value
+    past the double range; the second item is that n, or None."""
+    values = []
+    for n in range(1, count + 1):
+        try:
+            values.append(float(seq(n)))
+        except OverflowError:
+            return values, n
+    return values, None
+
+
+def check_entries(seq, expr, s_values, tolerance):
+    """The entries (s, terms, series, transform, discrepancy, tail bound,
+    passed) of the grid check of seq against expr, over float(seq(n)),
+    up to the first that fails; the values must be in the double range."""
+    largest = max([1.0] + [abs(t.root).to_float() for t in seq.terms])
+    s0 = math.log(largest) + 0.01
+    values, past = float_values(seq, 50)
+    assert past is None
+    alpha = 2.0 * max([1e-30] + [abs(v) * math.exp(-s0 * n)
+                                 for n, v in enumerate(values, 1)])
+    entries = []
+    for s in (s for s in s_values if s > s0):
+        terms = terms_needed(alpha, s0, s, tolerance / 2.0)
+        values, past = float_values(seq, terms)
+        assert past is None
+        total = math.fsum(v * math.exp(-s * n)
+                          for n, v in enumerate(values, 1))
+        reference = expr.eval_float(math.exp(s))
+        gap = abs(total - reference)
+        entries.append((s, terms, total, reference, gap,
+                        tail_bound(alpha, s0, s, terms), gap <= tolerance))
+        if gap > tolerance:
+            break
+    return entries

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -413,14 +415,36 @@ def test_json_solve_checks_the_closed_form_once(capsys, monkeypatch):
 def test_json_verify_steps_root_powers_instead_of_powering(capsys,
                                                           monkeypatch):
     # the self-check (to n = 64), the growth estimate (50 values) and the
-    # series sums (44 terms at most) read one pass of the closed form; no
-    # value is re-powered from its root, and each read is a reduced value
+    # series sums (44 terms at most) read the integer pairs of one pass of
+    # the closed form; no value is re-powered from its root or reduced
     calls = dict.fromkeys(("steps", "closed_form", "pow"), 0)
     _count_calls(monkeypatch, calls)
     assert main(["verify", FIB_TEXT, "--json"]) == 0
     checks = json.loads(capsys.readouterr().out)["numeric"]["checks"]
     assert [check["terms"] for check in checks] == [44, 21, 14]
-    assert calls == {"steps": 64, "closed_form": 50 + 44 + 21 + 14, "pow": 0}
+    assert calls == {"steps": 64, "closed_form": 0, "pow": 0}
+
+
+@pytest.mark.parametrize("flags, count", [
+    ([], 10), (["--verify-upto", "0", "--terms", "10"], 10),
+    (["--terms", "80"], 80)])
+def test_json_solve_steps_one_recursion(capsys, monkeypatch, flags, count):
+    # the printed values are read off the recursion the self-check
+    # stepped, which steps on past the check when --terms asks for more
+    built, real = [], solver.RecursiveSequence
+
+    class Counted(real):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    text = "a[n+2] = a[n+1] + 2*a[n] + n^2*3^n; a[1] = 1/2; a[2] = -3"
+    monkeypatch.setattr(solver, "RecursiveSequence", Counted)
+    assert main(["solve", text, "--json", *flags]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert len(built) == 1
+    fresh = real(built[0])
+    assert values == [str(fresh(n)) for n in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,3 +735,38 @@ def test_module_entry_point():
 def test_parser_is_built_once_per_process():
     # parse_args does not change the parser, so main reuses one
     assert build_parser() is build_parser()
+
+
+JSON_LEAVES = ["", "plain", "\u00e9\u00fc \u2211 \U0001f600",
+               "\x00\x1f\t\n\r\x7f", 'say "hi"', "back\\slash", "\u2028/",
+               True, False, 0, 1, None,
+               10 ** 299 + 7, -10 ** 299, math.nan, math.inf, -math.inf,
+               -0.0, 5e-324, 1e16, 0.1, 2.5, -17]
+JSON_KEYS = ["", "k", "num", "\u00e9\u2211", "a\"b", "c\\d", "\n"]
+
+
+def _json_tree(rng, depth):
+    """A random tree of dicts and lists over JSON_LEAVES, empty ones
+    included."""
+    roll = rng.random()
+    if not depth or roll < 0.35:
+        return rng.choice(JSON_LEAVES)
+    size = rng.choice((0, 0, 1, 2, 3, 5))
+    if roll < 0.7:
+        return [_json_tree(rng, depth - 1) for _ in range(size)]
+    return {rng.choice(JSON_KEYS) + str(i): _json_tree(rng, depth - 1)
+            for i in range(size)}
+
+
+def test_json_writer_gives_the_bytes_of_json_dumps():
+    rng = random.Random(1618)
+    trees = [{}, [], {"": {}}, [[], {}, [[]], {"x": []}], JSON_LEAVES,
+             dict(zip(JSON_KEYS, JSON_LEAVES))]
+    trees += [_json_tree(rng, 5) for _ in range(400)]
+    for tree in trees:
+        assert cli._json_text(tree) == json.dumps(tree, indent=2)
+    # an int past the digit limit raises ValueError in both
+    past = {"radicand": [10 ** sys.get_int_max_str_digits()]}
+    for write in (cli._json_text, lambda tree: json.dumps(tree, indent=2)):
+        with pytest.raises(ValueError):
+            write(past)

@@ -1,14 +1,19 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from dlaplace import numeric
 from dlaplace.errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
+from dlaplace.exact import QuadExt
 from dlaplace.numeric import (check_closed_form_pair, growth_bound,
                               series_eval, tail_bound, terms_needed)
 from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import RecursiveSequence, solve_ivp
 from dlaplace.transforms import geometric
 from fibonacci import fibonacci
+from numeric_reference import check_entries, float_values
 
 FIB_REPORT = solve_ivp(fibonacci())
 FIB = RecursiveSequence(fibonacci())
@@ -139,3 +144,76 @@ def test_check_report_json():
     assert entry["s"] == 1.2
     assert entry["discrepancy"] < 1e-9
     assert entry["tail_bound"] <= 1e-9 / 2
+
+
+def _closed_form(rng, big=False):
+    """A seeded closed form: rational roots with denominators, conjugate
+    orbits in Q(sqrt(d)) and spikes, poles of order up to 6, roots of
+    size up to 5.7; with big, one more rational root of 11 to 10^9 or a
+    coefficient past the double range."""
+    def rational(top, den):
+        return Fraction(rng.randint(-top, top), rng.randint(1, den))
+
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            terms.append((rational(9, 7) or 1, rational(5, 4) or 1, m))
+            continue
+        d = rng.choice([2, 3, 5, 7, 10, 13])
+        r = QuadExt(rational(2, 3), rational(1, 3) or 1, d)
+        c = QuadExt(rational(9, 7), rational(9, 7), d) or QuadExt(1)
+        terms += [(c, r, m), (c.conjugate(), r.conjugate(), m)]
+    if big and rng.random() < 0.5:
+        k = rng.randint(2, 8)
+        terms.append((1, Fraction(rng.randint(10 ** k, 10 ** (k + 1)),
+                                  rng.randint(1, 9)), rng.randint(1, 6)))
+    elif big:
+        terms.append((Fraction(10 ** rng.randint(310, 400),
+                               rng.randint(1, 9)), rational(2, 3) or 1, 1))
+    deltas = {rng.randint(1, 8): rational(9, 7) or 1
+              for _ in range(rng.randint(0, 2))}
+    return ClosedFormSequence(terms, deltas)
+
+
+def test_pair_reads_give_the_doubles_of_the_fractions():
+    # a / b of a closed form's integer pairs is float(seq(n)) bit for bit
+    rng = random.Random(2024)
+    for _ in range(60):
+        seq = _closed_form(rng)
+        doubles = list(numeric._float_terms(seq, 300, "series"))
+        expected, past = float_values(seq, 300)
+        assert past is None
+        assert [v.hex() for v in doubles] == [v.hex() for v in expected]
+
+
+def test_pair_reads_refuse_the_same_term_as_the_fractions():
+    rng = random.Random(2025)
+    for _ in range(40):
+        seq = _closed_form(rng, big=True)
+        _, past = float_values(seq, 300)
+        assert past is not None
+        with pytest.raises(SeriesCapExceeded) as info:
+            series_eval(seq, 2.0, 300)
+        assert str(info.value) == \
+            f"series at s = 2.0: term {past} of 300 is past the double range"
+        if past <= 50:
+            with pytest.raises(SeriesCapExceeded) as info:
+                growth_bound(seq)
+            assert str(info.value).endswith(
+                f": term {past} of 50 is past the double range")
+
+
+def test_check_entries_match_the_fraction_reads():
+    # the grid check over pair reads gives the entries that the same
+    # check gives over float(seq(n))
+    rng = random.Random(2026)
+    grid = (2.0, 2.5, 3.0)
+    for _ in range(40):
+        seq = _closed_form(rng)
+        expr = seq.transform()
+        report = check_closed_form_pair(seq, expr, grid)
+        assert [(e.s, e.terms, e.series_value, e.transform_value,
+                 e.discrepancy, e.bound, e.passed)
+                for e in report.entries] == check_entries(seq, expr, grid,
+                                                          1e-9)
