@@ -41,14 +41,20 @@ def _float_terms(f: Callable[[int], object], terms: int,
     """f(1)..f(terms) as doubles, refusing the first past the double range.
     A value held as integers a over b is a / b, which rounds correctly as
     float() of the reduced Fraction does: the same double, with no gcd.
-    Any other value is float(f(n))."""
-    values = []
-    for n, (a, b) in enumerate(value_pairs(f, terms), 1):
-        try:
-            values.append(a / b if b != 1 else float(a))  # type: ignore
-        except OverflowError:
-            raise SeriesCapExceeded(f"{stage}: term {n} of {terms} is past "
-                                    "the double range") from None
+    Any other value is float(f(n)).  The values are read in chunks that
+    double from 64, so a refusal at term n steps f no further than
+    max(64, 2n)."""
+    values: list[float] = []
+    while len(values) < terms:
+        start = len(values) + 1
+        stop = min(terms, max(64, 2 * len(values)))
+        for n, (a, b) in enumerate(value_pairs(f, stop, start), start):
+            try:
+                values.append(a / b if b != 1 else float(a))  # type: ignore
+            except OverflowError:
+                raise SeriesCapExceeded(
+                    f"{stage}: term {n} of {terms} is past the double "
+                    "range") from None
     return values
 
 

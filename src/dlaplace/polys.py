@@ -368,6 +368,23 @@ def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
     return out
 
 
+def _quotient(f: list[int], h: list[int]) -> list[int] | None:
+    """f/h in Z[t] for a primitive h, or None when h does not divide f.
+    By Gauss's lemma a division in Q[t] by a primitive h is one in Z[t],
+    so the first step that leaves a remainder settles it."""
+    r, lead, top = list(f), h[-1], len(h) - 1
+    out = [0] * max(len(f) - top, 0)
+    for k in range(len(out) - 1, -1, -1):
+        c, left = divmod(r[k + top], lead)
+        if left:
+            return None
+        out[k] = c
+        if c:
+            for i in range(top):
+                r[k + i] -= c * h[i]
+    return None if any(r[:top]) else out
+
+
 def _primitive(ints: list[int]) -> list[int]:
     """ints divided by their content (the gcd of the entries)."""
     content = gcd(*ints)

@@ -36,13 +36,16 @@ Z[sqrt(d)], and at a stepped root (rational, or one member of an orbit, from
 one running power for every m, with P stepped by forward differences
 (Knuth, *TAOCP* 2, 4.6.4).  The self-check compares the pairs with direct
 recursion by cross-products, the numeric check divides each into a double.
+``root_factors`` names each distinct root's minimal polynomial and top
+multiplicity, so the self-check can prove from few values that the form
+solves a recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import comb, lcm
+from itertools import groupby, islice
+from math import comb, gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -107,6 +110,19 @@ class ClosedFormSequence:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def root_factors(self) -> list[tuple[list[int], int]]:
+        """Each distinct root's minimal polynomial f over Q, a primitive
+        integer vector lowest degree first, with the root's top
+        multiplicity M: q*t - p for a rational root p/q (t for the spikes'
+        root 0) and the quadratic of an orbit's two roots.  f(E)^M kills
+        every term at the root for n >= 1, so the product of the f^M
+        annihilates the sequence.  The orbits come sorted by root, so the
+        terms at one root are adjacent."""
+        return [(_minimal_polynomial(root),
+                 max(term.multiplicity for term, _ in group))
+                for root, group in groupby(self._orbits,
+                                           key=lambda pair: pair[0].root)]
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
@@ -226,6 +242,19 @@ def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None]]:
                     f"coefficient {c}, not its conjugate")
             grouped.append((partner, term))
     return grouped
+
+
+def _minimal_polynomial(r: QuadExt) -> list[int]:
+    """r's minimal polynomial over Q as a primitive integer vector: for
+    q*r = x + y*sqrt(d), (q*t)^2 - 2*x*(q*t) + x^2 - d*y^2 over its
+    content."""
+    if r.is_rational:
+        return [-r.rational_part.numerator, r.rational_part.denominator]
+    q = lcm(r.rational_part.denominator, r.radical_part.denominator)
+    x, y = _integer_pair(r, q)
+    ints = [x * x - r.radicand * y * y, -2 * x * q, q * q]
+    content = gcd(*ints)
+    return [v // content for v in ints]
 
 
 class _IntegerSteps:
@@ -372,12 +401,14 @@ def partial_sums(f: Sequence1) -> Sequence1:
     return summed
 
 
-def value_pairs(seq: Sequence1, upto: int) -> Iterator[tuple[object, int]]:
-    """seq(1)..seq(upto) as (numerator, denominator) pairs: the unreduced
-    integers of a ``ratios`` method, or else each value as it comes over 1."""
+def value_pairs(seq: Sequence1, upto: int,
+                start: int = 1) -> Iterator[tuple[object, int]]:
+    """seq(start)..seq(upto) as (numerator, denominator) pairs: the
+    unreduced integers of a ``ratios`` method, or else each value as it
+    comes over 1."""
     if hasattr(seq, "ratios"):
-        return islice(seq.ratios(upto), upto)
-    return ((v, 1) for v in map(seq, range(1, upto + 1)))
+        return islice(seq.ratios(upto), start - 1, upto)
+    return ((v, 1) for v in map(seq, range(start, upto + 1)))
 
 
 def equal_prefix(f: Sequence1, g: Sequence1, upto: int,

@@ -21,6 +21,16 @@ bad input.  The recursion steps in integers: it keeps a(n) times one
 common denominator M S^n and advances each b^n by one multiplication.  The
 check compares that integer with the closed form's, over C Q^(n-1), by
 cross-products, so it takes no gcd and makes no ``Fraction``.
+
+The check proves its whole horizon from deg P values.  P = char * fden,
+the denominator of L before any cancellation, is monic, and P(E) kills the
+recursion; when each root of the closed form, to its multiplicity, is a
+root of P, which is checked by exact division in Z[t], P(E) kills the
+closed form too.  Their difference then vanishes for all n once it
+vanishes for n = 1..deg P (Kauers and Paule, *The Concrete Tetrahedron*,
+ch. 4; Petkovsek, Wilf and Zeilberger, *A = B*), so a first mismatch lies
+at n <= deg P and the comparison stops there.  When a division fails, it
+runs over the whole horizon.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from ._record import Record
 from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _quotient
 from .transforms import MAX_N_POWER, n_power
 from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
 
@@ -285,12 +295,55 @@ class VerificationReport:
         self.recursion = recursion
 
 
+def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
+                   ) -> Optional[int]:
+    """deg P when P(E) provably annihilates seq, else None.
+
+    P = char * prod_b (t - b)^(e_b), e_b one more than the top power of n
+    at the forcing base b, annihilates the recursion; it is read off the
+    spec, never the transform.  seq is annihilated by the product of its
+    root factors f^M (``ClosedFormSequence.root_factors``), which are
+    prime to each other, so P(E) annihilates seq when each f^M divides P.
+    P's factors other than char are the t - b, so that holds when
+    f^(M - e_b) divides char at f = q t - p for a base b = p/q, and f^M
+    does at every other f.  Each division runs on the quotient the last
+    one left, and the first that leaves a remainder settles it.
+    """
+    # e_b keyed by b as the pair (p, q) that q t - p lists as (-p, q)
+    poles: dict[tuple[int, int], int] = {}
+    for term in spec.forcing:
+        b = (term.base.numerator, term.base.denominator)
+        poles[b] = max(poles.get(b, 0), term.exponent + 1)
+    scale = lcm(*(c.denominator for c in spec.coefficients))
+    char: Optional[list[int]] = [-_scaled(c, scale)
+                                 for c in spec.coefficients] + [scale]
+    for factor, top in seq.root_factors():
+        if len(factor) == 2:
+            top -= poles.get((-factor[0], factor[1]), 0)
+        for _ in range(top):
+            char = _quotient(char, factor)
+            if char is None:
+                return None
+    return spec.order + sum(poles.values())
+
+
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
                     upto: int = 64) -> VerificationReport:
     """Check the initial values and the recurrence for n + order <= upto:
-    both hold exactly when seq agrees with direct recursion that far."""
+    both hold exactly when seq agrees with direct recursion that far.
+
+    For a closed form annihilated by the recursion's annihilator P (see
+    ``_proof_horizon``), seq minus the recursion is annihilated by the
+    monic P(E), so it vanishes for all n once it vanishes for
+    n = 1..deg P, and a first mismatch, if any, lies at n <= deg P: the
+    comparison stops there, with the same report as over the whole
+    horizon (Kauers and Paule, *The Concrete Tetrahedron*, ch. 4).  Any
+    other seq is compared over the whole horizon."""
     k, reference = spec.order, RecursiveSequence(spec)
-    passed, n = equal_prefix(seq, reference, max(upto, k))
+    horizon = max(upto, k)
+    if isinstance(seq, ClosedFormSequence):
+        horizon = min(horizon, _proof_horizon(spec, seq) or horizon)
+    passed, n = equal_prefix(seq, reference, horizon)
     if passed:
         return VerificationReport(True, upto, recursion=reference)
     if n <= k:

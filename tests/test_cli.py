@@ -403,26 +403,58 @@ def _count_calls(monkeypatch, calls):
 
 def test_json_solve_checks_the_closed_form_once(capsys, monkeypatch):
     # one exact check, through verify_solution, in one integer pass to
-    # n = 64; the printed values come from the recursion, and the check
-    # compares integers, so no closed-form value is reduced
+    # n = 2: t^2 - t - 1 annihilates the recursion and the closed form, so
+    # agreement on deg P = 2 values proves n <= 64; the printed values come
+    # from the recursion, and the check compares integers, so no
+    # closed-form value is reduced
     calls = dict.fromkeys(("verify_solution", "steps", "closed_form"), 0)
     _count_calls(monkeypatch, calls)
     assert main(["solve", FIB_TEXT, "--json"]) == 0
     capsys.readouterr()
-    assert calls == {"verify_solution": 1, "steps": 64, "closed_form": 0}
+    assert calls == {"verify_solution": 1, "steps": 2, "closed_form": 0}
 
 
 def test_json_verify_steps_root_powers_instead_of_powering(capsys,
                                                           monkeypatch):
-    # the self-check (to n = 64), the growth estimate (50 values) and the
-    # series sums (44 terms at most) read the integer pairs of one pass of
-    # the closed form; no value is re-powered from its root or reduced
+    # the self-check (to deg P = 2), the growth estimate (50 values) and
+    # the series sums (44 terms at most) read the integer pairs of one pass
+    # of the closed form; no value is re-powered from its root or reduced
     calls = dict.fromkeys(("steps", "closed_form", "pow"), 0)
     _count_calls(monkeypatch, calls)
     assert main(["verify", FIB_TEXT, "--json"]) == 0
     checks = json.loads(capsys.readouterr().out)["numeric"]["checks"]
     assert [check["terms"] for check in checks] == [44, 21, 14]
-    assert calls == {"steps": 64, "closed_form": 0, "pow": 0}
+    assert calls == {"steps": 50, "closed_form": 0, "pow": 0}
+
+
+def test_series_refused_early_steps_no_further_than_its_chunk(capsys,
+                                                              monkeypatch):
+    # term 52 of 3,738 is past the double range; the series reads the
+    # closed form in chunks doubling from 64, so the refusal comes before
+    # the horizon is stepped
+    calls = dict.fromkeys(("steps",), 0)
+    _count_calls(monkeypatch, calls)
+    assert main(["verify", "a[n+1] = 1200000*a[n]; a[1] = 1",
+                 "--s-grid", "14.0115", "--json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: series at s = 14.0115: term 52 of 3738 is past the double "
+        "range\n")
+    assert calls["steps"] <= 128
+
+
+def test_huge_rational_root_is_checked_on_deg_p_values(capsys, monkeypatch):
+    # 1,500-digit P and Q: the closed form's coefficients pass the digit
+    # limit, so the answer is refused after a check on deg P = 5 values,
+    # P = (t - P/Q)(t - 1)^4, not on 64 values of ever larger numbers
+    big_p, big_q = int("7" * 1500), int("3" * 1499 + "1")
+    calls = dict.fromkeys(("steps",), 0)
+    _count_calls(monkeypatch, calls)
+    assert main(["solve", "--json", "--terms", "1",
+                 f"a[n+1] = {big_p}/{big_q}*a[n] + n^3; a[1] = 1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the answer is too large to print: it has a number with more "
+        f"than {sys.get_int_max_str_digits()} digits\n")
+    assert calls == {"steps": 5}
 
 
 @pytest.mark.parametrize("flags, count", [

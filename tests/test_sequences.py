@@ -571,16 +571,21 @@ def test_per_root_stepping_matches_the_definition_and_its_recurrence():
                 == (False, at, detail)
 
 
-@pytest.mark.parametrize("text", [
-    "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1",
-    "a[n+2] = 2*a[n+1] - a[n] + n^12; a[1] = 1; a[2] = 2",
-    "a[n+2] = 2*a[n+1] + a[n]; a[1] = 1; a[2] = 2",
+# each text with deg P, P = char * (t - 1)^(p + 1)
+ANNIHILATOR_DEGREES = {
+    "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1": 2,
+    "a[n+2] = 2*a[n+1] - a[n] + n^12; a[1] = 1; a[2] = 2": 15,
+    "a[n+2] = 2*a[n+1] + a[n]; a[1] = 1; a[2] = 2": 2,
     # orbits in Q(sqrt(2)) and Q(sqrt(3))
     "a[n+6] = 8*a[n+4] - 21*a[n+2] + 18*a[n]; a[1]=1; a[2]=0; a[3]=0; "
-    "a[4]=0; a[5]=0; a[6]=0",
-])
+    "a[4]=0; a[5]=0; a[6]=0": 6,
+}
+
+
+@pytest.mark.parametrize("text", list(ANNIHILATOR_DEGREES))
 def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
                                                       monkeypatch):
+    # the self-check reads the deg P values that prove it
     inside = [0]
     counts = {"arithmetic": 0, "values": 0}
     # the self-check reads the closed form's values through ratios
@@ -608,4 +613,5 @@ def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
     monkeypatch.setattr(ClosedFormSequence, "ratios", evaluate)
     assert main(["solve", text, "--json"]) == 0
     capsys.readouterr()
-    assert counts["values"] >= 64 and counts["arithmetic"] == 0
+    assert counts["values"] == ANNIHILATOR_DEGREES[text]
+    assert counts["arithmetic"] == 0

@@ -7,9 +7,11 @@ from dlaplace import polys
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
 from dlaplace.polys import Poly, RatFunc
-from dlaplace.sequences import ClosedFormSequence, delta, partial_sums
+from dlaplace.sequences import (ClosedFormSequence, delta, equal_prefix,
+                                inverse_transform, partial_sums)
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
-                             solve_ivp, transform_of, verify_solution)
+                             _proof_horizon, solve_ivp, transform_of,
+                             verify_solution)
 from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
                              VerificationFailed)
@@ -484,6 +486,108 @@ def test_verify_solution_checks_difference_identity():
     report = solve_ivp(FIB)
     result = verify_solution(FIB, report.closed_form, upto=40)
     assert result.passed
+
+
+def _planted_annihilator(rng):
+    """A spec with its annihilator P = char * fden planted: rational roots
+    with multiplicity, zero roots, at most one orbit in Q(sqrt d), and
+    forcing at resonant, negative and other bases.  Returns the spec, P's
+    roots as {root: multiplicity in P} (the orbit by its positive radical
+    member) and deg P."""
+    def ratio(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 3))
+
+    roots = {}
+    for _ in range(rng.randint(0, 3)):
+        r = rng.choice([ratio(4), Fraction(0)])
+        roots[r] = roots.get(r, 0) + rng.randint(1, 2)
+    char = Poly((1,))
+    for r, m in roots.items():
+        char = char * Poly((-r, 1)) ** m
+    roots = {QuadExt(r): m for r, m in roots.items()}
+    if rng.random() < 0.4 or not roots:
+        u, v, d = ratio(3), Fraction(rng.choice([-2, -1, 1, 2]),
+                                     rng.randint(1, 2)), rng.choice([2, 3, 5])
+        m = rng.randint(1, 2)
+        char = char * Poly((u * u - d * v * v, -2 * u, 1)) ** m
+        roots[QuadExt(u, abs(v), d)] = m
+    resonant = [r.rational_part for r in roots if r.is_rational and r]
+    poles = {}
+    forcing = []
+    for _ in range(rng.randint(0, 2)):
+        base = rng.choice(resonant + [Fraction(-1), Fraction(-2, 3),
+                                      Fraction(3, 2), Fraction(1)])
+        p = rng.randint(0, 3)
+        forcing.append(ForcingTerm(rng.randint(1, 4), p, base))
+        poles[base] = max(poles.get(base, 0), p + 1)
+    for b, e in poles.items():
+        roots[QuadExt(b)] = roots.get(QuadExt(b), 0) + e
+    k = char.degree
+    spec = RecurrenceSpec(k, [-c for c in char.fractions[:k]],
+                          [ratio(5) for _ in range(k)], forcing)
+    return spec, roots, k + sum(poles.values())
+
+
+def _full_horizon_report(spec, seq, upto):
+    """verify_solution's fields from equal_prefix over the whole horizon."""
+    k = spec.order
+    passed, n = equal_prefix(seq, RecursiveSequence(spec), max(upto, k))
+    if passed:
+        return True, upto, None, ""
+    if n <= k:
+        return (False, upto, n, f"initial value a({n}) is "
+                f"{QuadExt.of(seq(n))}, expected {spec.initials[n - 1]}")
+    return False, upto, n, f"recurrence fails producing a({n})"
+
+
+def _with(closed, *terms, deltas=None):
+    """closed plus the given terms (a radical one with its conjugate)."""
+    extra = []
+    for c, r, m in terms:
+        extra.append((c, r, m))
+        if not r.is_rational:
+            extra.append((c, r.conjugate(), m))
+    return ClosedFormSequence(list(closed.terms) + extra,
+                              {**closed.deltas, **(deltas or {})})
+
+
+def test_proof_horizon_reports_what_the_full_horizon_reports():
+    # a closed form whose roots divide P, to their multiplicities, is
+    # compared on deg P values only; any other falls back to the whole
+    # horizon, and either way the report is the full horizon's
+    rng = random.Random(2028)
+    seen = dict.fromkeys(("zero root", "orbit", "resonant", "negative base",
+                          "upto below deg P", "failure past deg P"), 0)
+    for _ in range(40):
+        spec, roots, degree = _planted_annihilator(rng)
+        closed = inverse_transform(transform_of(spec))
+        r = rng.choice(list(roots))
+        top = roots[r]
+        outside = QuadExt(Fraction(rng.choice([5, 7, 11]), 13))
+        upto = rng.choice([0, 1, degree - 1, degree, degree + 1, 64])
+        cases = [
+            (closed, degree),
+            (_with(closed, (Fraction(1, 3), r, rng.randint(1, top))), degree),
+            (_with(closed, deltas={degree + 1: 1}), None),
+            (_with(closed, deltas={64: -2}), None),
+            (_with(closed, (1, outside, 1)), None),
+            (_with(closed, (1, r, top + 1)) if r else
+             _with(closed, deltas={top + 1: 1}), None),
+        ]
+        for seq, proof in cases:
+            assert _proof_horizon(spec, seq) == proof
+            report = verify_solution(spec, seq, upto)
+            expected = _full_horizon_report(spec, seq, upto)
+            assert (report.passed, report.checked_upto, report.first_failure,
+                    report.detail) == expected, (spec, upto)
+            seen["failure past deg P"] += (expected[2] or 0) > degree
+        seen["zero root"] += QuadExt(0) in roots
+        seen["orbit"] += any(not r.is_rational for r in roots)
+        seen["resonant"] += any(not spec.characteristic()(t.base)
+                                for t in spec.forcing)
+        seen["negative base"] += any(t.base < 0 for t in spec.forcing)
+        seen["upto below deg P"] += upto < degree
+    assert all(seen.values()), seen
 
 
 def test_inverse_square_ivp_partial_sums():
