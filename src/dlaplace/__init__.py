@@ -9,10 +9,9 @@ and cross-checks transforms numerically against their defining series.
 
 from .errors import (CapabilityError, CheckFailed, DegreeLimitExceeded,
                      DivergenceGuard, DlaplaceError, ImproperRational,
-                     ParseError, PoleEvaluation,
-                     RadicandMismatch, SemanticError, SeriesCapExceeded,
-                     UnsupportedFactorization, UnsupportedForcing,
-                     VerificationFailed)
+                     ParseError, RadicandMismatch, SemanticError,
+                     SeriesCapExceeded, UnsupportedFactorization,
+                     UnsupportedForcing, VerificationFailed)
 from .exact import QuadExt
 from .polys import (Poly, RatFunc, T, factor_roots, partial_fractions,
                     poly_gcd)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError", "CheckFailed", "DegreeLimitExceeded",
     "DivergenceGuard", "DlaplaceError", "ImproperRational",
-    "ParseError", "PoleEvaluation", "RadicandMismatch", "SemanticError",
+    "ParseError", "RadicandMismatch", "SemanticError",
     "SeriesCapExceeded", "UnsupportedFactorization", "UnsupportedForcing",
     "VerificationFailed",
     "QuadExt",

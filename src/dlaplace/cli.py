@@ -30,10 +30,6 @@ EXIT_PARSE = 1
 EXIT_CAPABILITY = 2
 EXIT_VERIFY = 3
 
-# Largest --terms, --verify-upto and --upto: closed-form values past it are
-# no longer memoised, so each one would cost a full evaluation.
-MAX_HORIZON = _MEMO_LIMIT
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on EXIT_PARSE, keeping 2 for refusals."""
@@ -78,9 +74,9 @@ _grid = _flag_value(lambda text: tuple(float(x) for x in text.split(",")),
 
 
 def _check_horizon(flag: str, value: int) -> None:
-    if value > MAX_HORIZON:
+    if value > _MEMO_LIMIT:
         raise CapabilityError(
-            f"{flag} {value} exceeds the horizon limit {MAX_HORIZON}")
+            f"{flag} {value} exceeds the horizon limit {_MEMO_LIMIT}")
 
 
 def _display_var(display: str) -> str:

@@ -100,12 +100,6 @@ class DslProgram:
         self.forcing = forcing          # (p, b) -> coefficient of n^p b^n
         self.initials = initials
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.shifts, self.forcing, self.initials) == \
-            (other.order, other.shifts, other.forcing, other.initials)
-
     def to_spec(self) -> RecurrenceSpec:
         coefficients = tuple(self.shifts.get(j, Fraction(0))
                              for j in range(self.order))
@@ -113,42 +107,6 @@ class DslProgram:
                         for key in sorted(self.forcing))
         initials = tuple(self.initials[i] for i in range(1, self.order + 1))
         return RecurrenceSpec(self.order, coefficients, initials, forcing)
-
-    def render(self) -> str:
-        """Canonical text that parses back to an equal program."""
-        terms: list[tuple[Fraction, str]] = []
-        for j in sorted(self.shifts, reverse=True):
-            terms.append((self.shifts[j], f"a[n+{j}]" if j else "a[n]"))
-        # falling powers of n, then rising bases, the constant last
-        for p, b in sorted(self.forcing,
-                           key=lambda key: (key == (0, 1), -key[0], key[1])):
-            terms.append((self.forcing[p, b], _forcing_text(p, b)))
-        rhs = ""
-        for coeff, body in terms:
-            text = _coeff_body_text(abs(coeff), body)
-            if not rhs:
-                rhs = f"-{text}" if coeff < 0 else text
-            else:
-                rhs += f" - {text}" if coeff < 0 else f" + {text}"
-        pieces = [f"a[n+{self.order}] = {rhs or '0'}"]
-        for i in sorted(self.initials):
-            pieces.append(f"a[{i}] = {self.initials[i]}")
-        return "; ".join(pieces)
-
-
-def _forcing_text(p: int, b: Fraction) -> str:
-    parts = [] if p == 0 else ["n" if p == 1 else f"n^{p}"]
-    if b != 1:
-        parts.append(f"{b}^n" if b > 0 else f"({b})^n")
-    return "*".join(parts)
-
-
-def _coeff_body_text(coeff: Fraction, body: str) -> str:
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    return f"{coeff}*{body}"
 
 
 class _RawTerm:

@@ -40,10 +40,6 @@ class ImproperRational(DlaplaceError):
     transforms, or partial fractions were asked of one."""
 
 
-class PoleEvaluation(DlaplaceError):
-    """Exact evaluation of a rational function at one of its poles."""
-
-
 class VerificationFailed(DlaplaceError):
     """A computed closed form disagreed with direct recursion.
 

@@ -8,16 +8,16 @@ closed-form coefficients and values have one type whether or not they
 are radical.  Polynomial coefficients are rationals, which
 ``polys.Poly`` holds as a content times integers.  A radicand whose
 square part bounded trial division cannot settle is refused with
-``CapabilityError``.  All field operations, exact
-comparison and an exact sign are available, plus a float conversion that
-brackets sqrt(d) tightly enough to land within a couple of ulps.
+``CapabilityError``.  All field operations and an exact
+sign are available, plus a float conversion that brackets sqrt(d)
+tightly enough to land within a couple of ulps.
 
 In normal form ``d == 0`` exactly when ``b == 0``.  So arithmetic on two
 rational operands, and the inverse of one, is a single ``Fraction``
 operation, and ints and Fractions are wrapped without the constructor.
 The constructor with a zero radical part makes one ``Fraction`` and
-never splits the radicand.  Equality and order between a rational value
-and an int, a ``Fraction`` or another rational value compare the
+never splits the radicand.  Equality between a rational value and an
+int, a ``Fraction`` or another rational value compares the
 ``Fraction`` directly, without wrapping the other side, and a rational
 value hashes as its ``Fraction``, so equal values find each other in a
 dict or set whichever type they have.
@@ -142,11 +142,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return not self._d
 
-    def as_fraction(self) -> Fraction:
-        if self._d:
-            raise ValueError(f"{self} has a nonzero radical part")
-        return self._a
-
     def conjugate(self) -> "QuadExt":
         """The image of the map sqrt(d) -> -sqrt(d)."""
         return QuadExt._normalised(self._a, -self._b, self._d)
@@ -233,12 +228,6 @@ class QuadExt:
         d = self._common_radicand(o)
         return QuadExt._normalised(self._a - o._a, self._b - o._b, d)
 
-    def __rsub__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other: object) -> "QuadExt":
         o = self._coerce(other)
         if o is None:
@@ -309,37 +298,6 @@ class QuadExt:
         # a rational value hashes as its Fraction, which it equals
         return hash((self._a, self._b, self._d)) if self._d else \
             hash(self._a)
-
-    def _compare(self, other: object) -> int | None:
-        """The sign of self - other; None when other is not exact."""
-        if isinstance(other, QuadExt):
-            if self._d or other._d:
-                return (self - other).sign()
-            other = other._a
-        elif not isinstance(other, (int, Fraction)):
-            return None
-        elif self._d:
-            return (self - other).sign()
-        a = self._a
-        diff = a.numerator * other.denominator - \
-            other.numerator * a.denominator
-        return (diff > 0) - (diff < 0)
-
-    def __lt__(self, other: object) -> bool:
-        c = self._compare(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other: object) -> bool:
-        c = self._compare(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other: object) -> bool:
-        c = self._compare(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other: object) -> bool:
-        c = self._compare(other)
-        return NotImplemented if c is None else c >= 0
 
     def __float__(self) -> float:
         return self.to_float()

@@ -21,9 +21,6 @@ from .sequences import _MEMO_LIMIT, ClosedFormSequence, value_pairs
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_S_GRID = (1.0, 1.5, 2.0)
-# the horizon limit: past the closed form's memo every value is a power
-# of ever larger numbers, so one limit bounds every value the engine reads
-SERIES_CAP = _MEMO_LIMIT
 # A gap within 16 ulps (2^-52 each) of the values compared is double
 # rounding, which no tolerance below it can resolve.
 _ROUNDING = 2.0 ** -48
@@ -79,9 +76,9 @@ def terms_needed(alpha: float, s0: float, s: float, target: float) -> int:
     # alpha q^(N+1)/(1-q) <= target
     need = math.log(target * (1.0 - q) / alpha) / math.log(q) - 1.0
     terms = max(1, math.ceil(need))
-    if terms > SERIES_CAP:
+    if terms > _MEMO_LIMIT:
         raise SeriesCapExceeded(
-            f"{terms} terms needed at s = {s}, cap is {SERIES_CAP}")
+            f"{terms} terms needed at s = {s}, cap is {_MEMO_LIMIT}")
     return terms
 
 

@@ -8,11 +8,12 @@ gcd 1, lowest degree first (Cohen, *A Course in Computational Algebraic
 Number Theory*, 3.2).  A radical coefficient raises ``ValueError``.  By
 Gauss's lemma a product of primitive vectors is primitive, so a product
 is one integer convolution and one product of contents.  ``fractions``
-and ``coefficients`` read the coefficients as ``Fraction``s and as
-rational ``QuadExt`` values, for JSON and other readers that also meet
-radical values.  The zero polynomial has no integers and reports degree
--1.  ``RatFunc`` keeps a quotient normalized: gcd cancelled and the
-denominator monic, so equality is plain comparison of the parts.
+reads the coefficients as ``Fraction``s, as the JSON output writes them,
+and ``coefficients`` as rational ``QuadExt`` values, for readers that
+also meet radical values.  The zero polynomial has no integers and
+reports degree -1.  ``RatFunc`` keeps a quotient normalized: gcd
+cancelled and the denominator monic, so equality is plain comparison of
+the parts.
 
 Every exact algorithm below reads the primitive parts directly.
 ``poly_gcd`` runs a primitive remainder sequence in Z[t]: each
@@ -59,7 +60,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ._record import Record
-from .errors import ImproperRational, PoleEvaluation, UnsupportedFactorization
+from .errors import ImproperRational, UnsupportedFactorization
 from .exact import (QuadExt, RationalLike, _exact_sqrt, _integer_pair,
                     _squarefree_split, sort_key)
 
@@ -150,10 +151,6 @@ class Poly:
         return bool(self._ints) and c.numerator == 1 and \
             self._ints[-1] == c.denominator
 
-    def coefficient(self, k: int) -> QuadExt:
-        return QuadExt.of(self.fractions[k] if 0 <= k < len(self._ints)
-                          else 0)
-
     def _coerce(self, other: object) -> "Poly | None":
         if isinstance(other, Poly):
             return other
@@ -186,12 +183,6 @@ class Poly:
         if o is None:
             return NotImplemented
         return self._plus(o, -1)
-
-    def __rsub__(self, other: object) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._plus(self, -1)
 
     def __neg__(self) -> "Poly":
         return Poly._of(self._content, tuple(-v for v in self._ints))
@@ -248,13 +239,6 @@ class Poly:
         c = self._content
         return Poly._normal([i * v for i, v in enumerate(self._ints) if i],
                             c.numerator, c.denominator)
-
-    def __call__(self, x: Scalar) -> QuadExt:
-        point = QuadExt.of(x)
-        acc = _ZERO
-        for c in reversed(self.fractions):
-            acc = acc * point + c
-        return acc
 
     def eval_float(self, x: float) -> float:
         acc = 0.0
@@ -355,19 +339,6 @@ def _derivative(ints: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(ints) if i]
 
 
-def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
-    """f/h for an integer vector h that divides f in Z[t], by long
-    division from the top; every step divides exactly."""
-    r, lead = list(f), h[-1]
-    out = [0] * (len(f) - len(h) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = out[k] = r[k + len(h) - 1] // lead
-        if c:
-            for i, x in enumerate(h, k):
-                r[i] -= c * x
-    return out
-
-
 def _quotient(f: list[int], h: list[int]) -> list[int] | None:
     """f/h in Z[t] for a primitive h, or None when h does not divide f.
     By Gauss's lemma a division in Q[t] by a primitive h is one in Z[t],
@@ -422,7 +393,7 @@ def _yun(f: Sequence[int]) -> list[tuple[list[int], int]]:
     takes one step, not fifteen."""
     df = _derivative(f)
     c = _integer_gcd(f, df)
-    w, y = _exact_quotient(f, c), _exact_quotient(df, c)
+    w, y = _quotient(f, c), _quotient(df, c)
     out, i = [], 1
     while len(w) > 2:
         z = [a - b for a, b in zip_longest(y, _derivative(w), fillvalue=0)]
@@ -431,7 +402,7 @@ def _yun(f: Sequence[int]) -> list[tuple[list[int], int]]:
         g = _integer_gcd(w, z)
         if len(g) > 1:
             out.append((g, i))
-        w, y = _exact_quotient(w, g), _exact_quotient(z, g)
+        w, y = _quotient(w, g), _quotient(z, g)
         i += 1
     if len(w) == 2:
         w = _primitive(w if w[-1] > 0 else [-a for a in w])
@@ -643,8 +614,8 @@ class RatFunc:
         f, g = num._ints, den._ints
         common = poly_gcd(num, den)
         if common.degree > 0:
-            f = tuple(_exact_quotient(f, common._ints))
-            g = tuple(_exact_quotient(g, common._ints))
+            f = tuple(_quotient(f, common._ints))
+            g = tuple(_quotient(g, common._ints))
         # num/den = (a/b) f/g, and the monic denominator is g/lead
         lead, a, b = g[-1], num._content, den._content
         if lead < 0:
@@ -699,12 +670,6 @@ class RatFunc:
         return RatFunc(self._num * o._den - o._num * self._den,
                        self._den * o._den)
 
-    def __rsub__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self._num, self._den)
 
@@ -724,12 +689,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self._num * o._den, self._den * o._num)
 
-    def __rtruediv__(self, other: object) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -739,19 +698,10 @@ class RatFunc:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def d_ds(self) -> "RatFunc":
         """d/ds of A(e^s), written back in t: t * dA/dt."""
         n, d = self._num, self._den
         return RatFunc(T * (n.derivative() * d - n * d.derivative()), d * d)
-
-    def __call__(self, x: Scalar) -> QuadExt:
-        bottom = self._den(x)
-        if not bottom:
-            raise PoleEvaluation(f"evaluation at pole t = {QuadExt.of(x)}")
-        return self._num(x) / bottom
 
     def eval_float(self, x: float) -> float:
         return self._num.eval_float(x) / self._den.eval_float(x)

@@ -56,7 +56,11 @@ Scalar = Union[int, Fraction, QuadExt]
 Sequence1 = Callable[[int], Scalar]
 
 # Values past this index are computed term by term and not kept, so the
-# memo's memory stays bounded however far a caller reads.
+# memo's memory stays bounded however far a caller reads.  It is also the
+# horizon limit of the CLI's --terms, --verify-upto and --upto and of the
+# numeric series: past the memo every value is a power of ever larger
+# numbers and costs a full evaluation, so one limit bounds every value the
+# engine reads.
 _MEMO_LIMIT = 4096
 
 _ONE = QuadExt(1)
@@ -152,17 +156,6 @@ class ClosedFormSequence:
                          (n - term.multiplicity)).rational_part
                 total += value if partner is None else 2 * value
         return total
-
-    def __add__(self, other: object) -> "ClosedFormSequence":
-        if not isinstance(other, ClosedFormSequence):
-            return NotImplemented
-        return ClosedFormSequence(self._terms + other._terms)
-
-    def scale(self, factor: Scalar) -> "ClosedFormSequence":
-        c = QuadExt.of(factor)
-        return ClosedFormSequence(
-            [Term(t.coefficient * c, t.root, t.multiplicity)
-             for t in self._terms])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClosedFormSequence):
@@ -316,7 +309,7 @@ class _IntegerSteps:
 
 
 def _coeff_text(c: QuadExt) -> str:
-    return str(c) if c.is_rational and c >= 0 else f"({c})"
+    return str(c) if c.is_rational and c.rational_part >= 0 else f"({c})"
 
 
 def _binomial_factors(m: int) -> list[str]:
@@ -341,7 +334,8 @@ def _term_text(term: Term) -> str:
         return _spike_text(m, c)
     factors = _binomial_factors(m)
     if r != _ONE:
-        plain = r.is_rational and r >= 0 and r.rational_part.denominator == 1
+        plain = r.is_rational and r.rational_part >= 0 and \
+            r.rational_part.denominator == 1
         factors.append((f"{r}" if plain else f"({r})") + f"^(n-{m})")
     if not factors:
         return str(c) if c.is_rational else f"({c})"

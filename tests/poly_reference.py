@@ -1,5 +1,8 @@
 """Reference polynomial constructions shared by the tests, built from
-``Poly`` multiplication alone; the package itself never needs them."""
+``Poly`` multiplication and coefficients alone; the package itself never
+needs them."""
+
+from fractions import Fraction
 
 from dlaplace.polys import Poly
 
@@ -12,3 +15,12 @@ def from_roots(*roots):
     for r in roots:
         p = p * Poly((-r, 1))
     return p
+
+
+def evaluate(p, x):
+    """p(x) by Horner's rule over p's Fraction coefficients, for an int or
+    a Fraction x."""
+    acc = Fraction(0)
+    for c in reversed(p.fractions):
+        acc = acc * x + c
+    return acc

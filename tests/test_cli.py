@@ -305,9 +305,13 @@ def test_verify_checks_initial_values_below_the_order(capsys, monkeypatch,
     # check to see, must fail the exact check even when --upto is below
     # the order of the recurrence
     real = solver.inverse_transform
-    spike = ClosedFormSequence(deltas={2: Fraction(1, 10 ** 30)})
-    monkeypatch.setattr(solver, "inverse_transform",
-                        lambda expr: real(expr) + spike)
+
+    def spiked(expr):
+        closed = real(expr)
+        return ClosedFormSequence(
+            closed.terms + ((Fraction(1, 10 ** 30), 0, 2),), closed.deltas)
+
+    monkeypatch.setattr(solver, "inverse_transform", spiked)
     assert main(["verify", FIB_TEXT, "--upto", upto]) == 3
     err = capsys.readouterr().err
     assert "error:" in err and "differ by" not in err
