@@ -246,12 +246,6 @@ class QuadExt:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other: object) -> "QuadExt":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> "QuadExt":
         if not isinstance(exponent, int):
             return NotImplemented

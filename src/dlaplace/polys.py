@@ -43,13 +43,14 @@ from its discriminant.
 into ``Term``s c/(t - r)^m, the records a closed form reads as its
 summands c C(n-1, m-1) r^(n-m), so inverting a transform copies nothing.
 It works by local expansion at each root, which needs no linear system
-and keeps repeated roots on the same code path as simple ones.  The
-Taylor shift to a root is one synthetic division on integer pairs (x, y),
-standing for x + y*sqrt(d), over one common denominator, with d the
-root's radicand (0 for a rational root); so at a rational root the
-quotient is expanded in integers and ``Fraction``s, without ``QuadExt``
-arithmetic.  The conjugate of a radical root takes the conjugate
-expansion.
+and keeps repeated roots on the same code path as simple ones, and it
+runs in integers: at a root r = (u + v*sqrt(d))/q the variable
+w = q(t - r) gives every Taylor coefficient of a ``Poly`` one
+denominator, its content times q^deg.  The Taylor shift is one
+synthetic division on integer pairs (x, y), standing for x + y*sqrt(d),
+with y = 0 at a rational root; the series quotient is divided
+fraction-free, and one value is made per returned coefficient.  The
+conjugate of a radical root takes the conjugate expansion.
 """
 
 from __future__ import annotations
@@ -611,18 +612,7 @@ class RatFunc:
         if num.is_zero:
             self._num, self._den = num, _ONE_POLY
             return
-        f, g = num._ints, den._ints
-        common = poly_gcd(num, den)
-        if common.degree > 0:
-            f = tuple(_quotient(f, common._ints))
-            g = tuple(_quotient(g, common._ints))
-        # num/den = (a/b) f/g, and the monic denominator is g/lead
-        lead, a, b = g[-1], num._content, den._content
-        if lead < 0:
-            lead, f, g = -lead, tuple(-x for x in f), tuple(-x for x in g)
-        self._num = Poly._of(Fraction(a.numerator * b.denominator,
-                                      a.denominator * b.numerator * lead), f)
-        self._den = Poly._of(Fraction(1, lead), g)
+        self._num, self._den = _cancel(num, den, poly_gcd(num, den))
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -727,6 +717,23 @@ class RatFunc:
         return f"RatFunc({self._num!r}, {self._den!r})"
 
 
+def _cancel(num: Poly, den: Poly, common: Poly) -> tuple[Poly, Poly]:
+    """num/den in lowest terms, for a nonzero num and the monic common =
+    gcd(num, den): both primitive parts divided by common exactly, and the
+    denominator made monic."""
+    f, g = num._ints, den._ints
+    if common.degree > 0:
+        f = tuple(_quotient(f, common._ints))
+        g = tuple(_quotient(g, common._ints))
+    # num/den = (a/b) f/g, and the monic denominator is g/lead
+    lead, a, b = g[-1], num._content, den._content
+    if lead < 0:
+        lead, f, g = -lead, tuple(-x for x in f), tuple(-x for x in g)
+    return (Poly._of(Fraction(a.numerator * b.denominator,
+                              a.denominator * b.numerator * lead), f),
+            Poly._of(Fraction(1, lead), g))
+
+
 class Term(Record):
     """One pole term, read on either side of the transform: the partial
     fraction coefficient/(t - root)^multiplicity, and the sequence summand
@@ -742,26 +749,19 @@ class Term(Record):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
-def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
-    """First count coefficients of p(r + u): Fractions when r is rational,
-    QuadExt otherwise.
-
-    With d the radicand of r, r = R/Q and p = (a/b) P for R in Z[sqrt(d)]
-    and P the primitive part of p, p(r + u) = a H(R + Q u)/(b Q^deg) for
-    H_i = P_i Q^(deg - i).  Synthetic division by (z - R) on integer pairs
-    (x, y), standing for x + y sqrt(d), gives the Taylor coefficients h_k
-    of H at R, and the coefficient of u^k is a h_k/(b Q^(deg - k))."""
-    d = r.radicand
-    q = lcm(r.rational_part.denominator, r.radical_part.denominator)
-    u, v = _integer_pair(r, q)
-    vd = v * d
+def _taylor_pairs(ints: Sequence[int], u: int, v: int, d: int, q: int,
+                  count: int) -> tuple[list[int], list[int]]:
+    """The first count Taylor coefficients h_k of H(R + w), where H_i =
+    P_i q^(deg - i) for the primitive P = ints: H(R + w) = q^deg P(r + w/q)
+    at the root r = R/q, R = u + v sqrt(d) (v = d = 0 at a rational root).
+    Synthetic division by (z - R) from the top on integer pairs: each h_k
+    is x_k + y_k sqrt(d), and the two integer lists come back."""
     xs, q_power = [], 1     # H, highest degree first
-    for c in reversed(p._ints):
+    for c in reversed(ints):
         xs.append(c * q_power)
         q_power *= q
-    ys = [0] * len(xs)
-    top, den, out = (p._content.numerator,
-                     p._content.denominator * q_power // q, [])
+    ys, vd = [0] * len(xs), v * d
+    out_x, out_y = [], []
     for _ in range(min(count, len(xs))):
         acc_x = acc_y = 0
         quo_x, quo_y = [], []
@@ -770,11 +770,48 @@ def _taylor(p: Poly, r: QuadExt, count: int) -> list[Fraction | QuadExt]:
                             acc_x * v + acc_y * u + cy)
             quo_x.append(acc_x)
             quo_y.append(acc_y)
-        hx, hy = top * quo_x.pop(), top * quo_y.pop()
-        out.append(QuadExt._normalised(Fraction(hx, den), Fraction(hy, den),
-                                       d) if d else Fraction(hx, den))
-        xs, ys, den = quo_x, quo_y, den // q
-    return out + [_ZERO if d else Fraction(0)] * (count - len(out))
+        out_x.append(quo_x.pop())
+        out_y.append(quo_y.pop())
+        xs, ys = quo_x, quo_y
+    pad = [0] * (count - len(out_x))
+    return out_x + pad, out_y + pad
+
+
+def _pair_product(ax: list[int], ay: list[int], bx: list[int],
+                  by: list[int], d: int) -> tuple[list[int], list[int]]:
+    """The product of the series ax + ay sqrt(d) and bx + by sqrt(d) in
+    Z[sqrt(d)][[w]], to the length of the first."""
+    cx, cy = [], []
+    for k in range(len(ax)):
+        sx = sy = 0
+        for j in range(k + 1):
+            sx += ax[j] * bx[k - j] + ay[j] * by[k - j] * d
+            sy += ax[j] * by[k - j] + ay[j] * bx[k - j]
+        cx.append(sx)
+        cy.append(sy)
+    return cx, cy
+
+
+def _series_quotient(x: list[int], y: list[int]) -> list[int]:
+    """Fraction-free series division: the s_i, i < len(x), for which
+    s_i/y_0^(i+1) is the coefficient of w^i in x(w)/y(w), for y_0 != 0 and
+    len(y) >= len(x).  s_i = x_i y_0^i - sum_(j=1..i) y_j s_(i-j)
+    y_0^(j-1), so no entry is ever divided (Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, ch. 2)."""
+    powers = [1]
+    for _ in range(len(x)):
+        powers.append(powers[-1] * y[0])
+    later = [(j, c) for j, c in enumerate(y[1:len(x)], 1) if c]
+    s: list[int] = []
+    for i, xi in enumerate(x):
+        acc = xi * powers[i]
+        for j, c in later:
+            if j > i:
+                break
+            if s[i - j]:
+                acc -= c * s[i - j] * powers[j - 1]
+        s.append(acc)
+    return s
 
 
 def partial_fractions(a: RatFunc) -> list[Term]:
@@ -783,11 +820,8 @@ def partial_fractions(a: RatFunc) -> list[Term]:
     polynomial part raises ``ImproperRational``.
 
     Local expansion at each root r of multiplicity m (Bronstein and Salvy,
-    ISSAC 1993): at t = r + u the first m terms of the series num/Q, where
-    Q = den/(t - r)^m, are the coefficients of 1/(t - r)^m .. 1/(t - r), and
-    the conjugate root takes their conjugates.  Zero coefficients are
-    dropped.  The Taylor shifts run in integers, and at a rational root the
-    series quotient runs in Fractions.
+    ISSAC 1993), in integers (``_local_series``); the conjugate root takes
+    the conjugate coefficients.  Zero coefficients are dropped.
     """
     if a.is_zero:
         return []
@@ -795,18 +829,59 @@ def partial_fractions(a: RatFunc) -> list[Term]:
         raise ImproperRational(
             f"degree {a.num.degree} over degree {a.den.degree}")
     local: dict[QuadExt, list[QuadExt]] = {}    # root -> series
-    for root, mult in factor_roots(a.den):
-        if root.conjugate() in local:
-            series = [c.conjugate() for c in local[root.conjugate()]]
-        else:
-            num = _taylor(a.num, root, mult)
-            den = _taylor(a.den, root, 2 * mult)
-            assert not any(den[:mult]), "root of lower multiplicity"
-            q, inv, series = den[mult:], 1 / den[mult], []
-            for i in range(mult):
-                series.append(inv * (num[i] - sum(
-                    q[j] * series[i - j] for j in range(1, i + 1))))
-            series = [QuadExt.of(c) for c in series]
-        local[root] = series
+    for root, m in factor_roots(a.den):
+        conj = root.conjugate()
+        local[root] = [c.conjugate() for c in local[conj]] \
+            if conj in local else _local_series(a, root, m)
     return [Term(c, root, j) for root, series in local.items()
             for j, c in enumerate(reversed(series), 1) if c]
+
+
+def _local_series(a: RatFunc, root: QuadExt, m: int) -> list[QuadExt]:
+    """The coefficients of 1/(t - r)^m .. 1/(t - r) in a at its root r of
+    multiplicity m.
+
+    With r = (u + v sqrt(d))/q and w = q(t - r), the primitive parts F of
+    the numerator and G of the denominator become the Taylor vectors x and
+    y in w of q^deg F and q^deg G (``_taylor_pairs``), in Z or in
+    Z[sqrt(d)];
+    y starts at w^m.  Their fraction-free series quotient s
+    (``_series_quotient``) gives the coefficient of 1/(t - r)^(m - i) as
+    K q^(i - m) s_i/y_0^(i+1), where K is the ratio of the contents times
+    q^(deg G - deg F), and that is the one value made per coefficient.  In
+    Z[sqrt(d)] the quotient x/y is first written x conj(y)/N(y), with the
+    norm series N(y) = y conj(y) in Z[[w]], so its rational and radical
+    parts are two quotients in Z and 1/y_0 is conj(y_0)/N(y_0)."""
+    f, g = a.num._ints, a.den._ints
+    d = root.radicand
+    q = lcm(root.rational_part.denominator, root.radical_part.denominator)
+    u, v = _integer_pair(root, q)
+    x, x_root = _taylor_pairs(f, u, v, d, q, m)
+    y, y_root = _taylor_pairs(g, u, v, d, q, 2 * m)
+    assert not any(y[:m] + y_root[:m]), "root of lower multiplicity"
+    if d:
+        conj = [-c for c in y_root[m:]]
+        x, x_root = _pair_product(x, x_root, y[m:], conj, d)
+        y = _pair_product(y[m:], y_root[m:], y[m:], conj, d)[0]
+        radical = _series_quotient(x_root, y)
+    else:
+        y = y[m:]
+    # a = K F/G, K = (top/bottom) q^(deg G - deg F)
+    cf, cg = a.num._content, a.den._content
+    top, bottom = cf.numerator * cg.denominator, cf.denominator * cg.numerator
+    series, y_power, shift = [], 1, len(g) - len(f) - m
+    for i, s in enumerate(_series_quotient(x, y)):
+        y_power *= y[0]
+        if not (s or d and radical[i]):
+            series.append(_ZERO)
+            continue
+        e = shift + i
+        upper, lower = (top * q ** e, bottom * y_power) if e >= 0 else \
+            (top, bottom * y_power * q ** -e)
+        if d:
+            series.append(QuadExt._normalised(
+                Fraction(upper * s, lower),
+                Fraction(upper * radical[i], lower), d))
+        else:
+            series.append(QuadExt.of(Fraction(upper * s, lower)))
+    return series

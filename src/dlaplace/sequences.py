@@ -75,7 +75,7 @@ class ClosedFormSequence:
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
-        collected: dict[tuple[QuadExt, int], QuadExt] = {}
+        collected: dict[tuple[QuadExt, int], Term] = {}
         items = list(terms)
         for j, c in (deltas or {}).items():
             if not isinstance(j, int) or j < 1:
@@ -87,12 +87,19 @@ class ClosedFormSequence:
                 c, r, m = item.coefficient, item.root, item.multiplicity
             else:
                 c, r, m = item
-            c, r = QuadExt.of(c), QuadExt.of(r)
+            value, root = QuadExt.of(c), QuadExt.of(r)
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"multiplicity must be a positive int: {m}")
-            key = (r, m)
-            collected[key] = collected.get(key, QuadExt(0)) + c
-        kept = [Term(c, r, m) for (r, m), c in collected.items() if c]
+            key = (root, m)
+            first = collected.get(key)
+            if first is not None:
+                collected[key] = Term(first.coefficient + value, first.root,
+                                      m)
+            elif value is c and root is r and isinstance(item, Term):
+                collected[key] = item   # already in QuadExt values
+            else:
+                collected[key] = Term(value, root, m)
+        kept = [term for term in collected.values() if term.coefficient]
         kept.sort(key=lambda term: (sort_key(term.root), term.multiplicity))
         self._terms = tuple(kept)
         self._orbits = _orbits(self._terms)

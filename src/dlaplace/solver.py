@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from ._record import Record
 from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
+from . import polys
 from .polys import Poly, RatFunc, _quotient
 from .transforms import MAX_N_POWER, n_power
 from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
@@ -244,9 +245,15 @@ def _exact_json(value: QuadExt | Fraction) -> dict:
 
 
 def transform_of(spec: RecurrenceSpec) -> RatFunc:
-    """The transform L = (init*fden + fnum)/(char*fden) of the IVP, where
-    fnum/fden is the forcing over one common denominator: the product of
-    (t - b)^k over the bases b, each k the highest pole order there."""
+    """The transform L = N/(char*fden), N = init*fden + fnum, of the IVP,
+    where fnum/fden is the forcing over one common denominator: the
+    product of (t - b)^k over the bases b, each k the highest pole order
+    there.
+
+    L is reduced by g = gcd(N, char) when N(b) != 0 at every base b: then
+    no t - b divides N, so g = gcd(N, char*fden), and the remainder
+    sequence runs on char, not on the longer char*fden.  Otherwise, and
+    for N = 0, ``RatFunc`` reduces by gcd(N, char*fden)."""
     # each forcing quotient c*num/(t - b)^k; a pole shared with char only
     # raises that root's multiplicity
     pieces = sorted(((n_power(term.exponent, term.base), term)
@@ -263,8 +270,15 @@ def transform_of(spec: RecurrenceSpec) -> RatFunc:
         if gap:
             cofactor.append(Poly((-b, 1)) ** gap)
         fnum = fnum + prod(cofactor, start=quotient.num * term.coefficient)
-    init = Poly(_initial_polynomial(spec))
-    return RatFunc(init * fden + fnum, spec.characteristic() * fden)
+    num = Poly(_initial_polynomial(spec)) * fden + fnum
+    char = spec.characteristic()
+    # N(p/q) = 0 exactly when q t - p divides N
+    if num.is_zero or any(_quotient(num._ints, [-b.numerator, b.denominator])
+                          is not None for b in poles):
+        return RatFunc(num, char * fden)
+    # through the module, so a wrapper set on polys.poly_gcd sees the call
+    return RatFunc._reduced(*polys._cancel(num, char * fden,
+                                           polys.poly_gcd(num, char)))
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -13,7 +13,8 @@ from dlaplace.errors import ImproperRational, UnsupportedFactorization
 from dlaplace.sequences import ClosedFormSequence
 from dlaplace.solver import transform_of
 from fibonacci import PHI, PSI
-from poly_reference import from_roots
+import poly_reference
+from poly_reference import from_roots, taylor
 
 FIB_DEN = Poly((-1, -1, 1))  # t^2 - t - 1
 
@@ -588,25 +589,18 @@ def test_rendering():
         from_roots(PHI)
 
 
-def _taylor_reference(p, r, count):
-    """The QuadExt synthetic division that the integer-pair shift
-    replaced: the first count coefficients of p(r + u)."""
-    coeffs, out = list(p.coefficients), []
-    for _ in range(count):
-        acc, quotient = QuadExt(0), []
-        for c in reversed(coeffs):
-            acc = acc * r + c
-            quotient.append(acc)
-        out.append(quotient.pop() if quotient else QuadExt(0))
-        coeffs = quotient[::-1]
-    return out
-
-
 def _assert_taylor_matches(p, r, count):
-    got = polys._taylor(p, r, count)
-    assert got == _taylor_reference(p, r, count), (p, r, count)
-    # a rational root stays in Fractions
-    assert all(isinstance(c, Fraction) == r.is_rational for c in got)
+    # the shift returns the h_k of H(R + w) = q^deg P(r + w/q), in Z at a
+    # rational root and as pairs in Z[sqrt(d)] at a radical one; p has the
+    # coefficient content * h_k * q^(k - deg) at (t - r)^k
+    d = r.radicand
+    q = lcm(r.rational_part.denominator, r.radical_part.denominator)
+    u, v = r.rational_part * q, r.radical_part * q
+    xs, ys = polys._taylor_pairs(p._ints, int(u), int(v), d, q, count)
+    assert all(type(h) is int for h in xs + ys)
+    got = [QuadExt(x, y, d) * p._content * Fraction(q) ** (k - p.degree)
+           for k, (x, y) in enumerate(zip(xs, ys))]
+    assert got == taylor(p, r, count), (p, r, count)
 
 
 def test_taylor_shift_matches_quadext_reference_randomized():
@@ -669,6 +663,82 @@ def test_taylor_shift_matches_quadext_reference_randomized():
         from_roots(QuadExt(0, 1, 2), 1)
 
 
+def test_partial_fractions_match_the_series_reference_randomized():
+    # the integer expansion returns, term for term and in order, what the
+    # series quotient in Fraction and QuadExt arithmetic returns: root 1 up
+    # to multiplicity 15, rational roots with denominators, zero roots,
+    # Q(sqrt d) orbits up to multiplicity 4, numerators with rational
+    # content
+    rng = random.Random(2718)
+
+    def rational(bound, den):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+    cases, seen = 0, {"fifteen": 0, "zero": 0, "orbit-4": 0}
+    while cases < 60:
+        top = 15 if cases % 4 == 0 else rng.randint(1, 14)
+        den = Poly((-1, 1)) ** top
+        chosen = {Fraction(1)}
+        for _ in range(rng.randint(0, 2)):
+            r = Fraction(rng.randint(-7, 7), rng.randint(2, 5))
+            if r not in chosen:
+                chosen.add(r)
+                den = den * Poly((-r, 1)) ** rng.randint(1, 3)
+        zeros = rng.randint(1, 3) if rng.random() < 0.5 else 0
+        den = den * T ** zeros
+        orbit = rng.randint(1, 4) if rng.random() < 0.6 else 0
+        if orbit:
+            while True:
+                d = rng.randint(2, 10 ** 4)
+                if polys._squarefree_split(d)[0] == 1:
+                    break
+            root = QuadExt(rational(6, 4), rational(3, 3) or 1, d)
+            den = den * _orbit_poly(root) ** orbit
+        num = Poly([rational(9, 7) for _ in range(den.degree)])
+        quotient = RatFunc(num, den)
+        if quotient.is_zero:
+            continue
+        assert partial_fractions(quotient) == \
+            poly_reference.partial_fractions(quotient), quotient
+        cases += 1
+        seen["fifteen"] += top == 15
+        seen["zero"] += zeros > 0
+        seen["orbit-4"] += orbit == 4
+    assert min(seen.values()) >= 3, seen
+
+
+def test_partial_fractions_match_the_reference_at_a_huge_rational_root():
+    # 1,500-digit P and Q: the pole P/Q beside (t - 1)^4
+    big_p, big_q = int("7" * 1500), int("3" * 1499 + "1")
+    quotient = transform_of(parse_program(
+        f"a[n+1] = {big_p}/{big_q}*a[n] + n^3; a[1] = 1").to_spec())
+    terms = partial_fractions(quotient)
+    assert terms == poly_reference.partial_fractions(quotient)
+    assert [(t.root, t.multiplicity) for t in terms] == \
+        [(1, 1), (1, 2), (1, 3), (1, 4), (Fraction(big_p, big_q), 1)]
+
+
+def test_rational_partial_fractions_make_one_fraction_per_term(monkeypatch):
+    # at the pole (t - 1)^15 of n^12 forcing, the Fractions made through
+    # the polys binding are the root's and one per returned coefficient;
+    # the Fraction series quotient this replaced made 34
+    spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
+                         "a[1] = 1; a[2] = 2").to_spec()
+    quotient = transform_of(spec)
+    made, real = [], Fraction
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polys, "Fraction", counted)
+    terms = partial_fractions(quotient)
+    monkeypatch.undo()
+    assert len(terms) == 15
+    assert len(made) == 16
+    assert terms == poly_reference.partial_fractions(quotient)
+
+
 def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
     spec = parse_program("a[n+2] = 2*a[n+1] - a[n] + n^12; "
                          "a[1] = 1; a[2] = 2").to_spec()
@@ -680,7 +750,7 @@ def test_rational_partial_fractions_do_no_quadext_arithmetic(monkeypatch):
         raise AssertionError("QuadExt arithmetic on a rational path")
 
     for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "inverse"):
+                 "__truediv__", "inverse"):
         monkeypatch.setattr(QuadExt, name, fail)
     assert partial_fractions(quotient) == expected
 

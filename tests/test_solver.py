@@ -10,8 +10,8 @@ from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import (ClosedFormSequence, delta, equal_prefix,
                                 inverse_transform, partial_sums)
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
-                             _proof_horizon, solve_ivp, transform_of,
-                             verify_solution)
+                             _initial_polynomial, _proof_horizon, solve_ivp,
+                             transform_of, verify_solution)
 from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
                              VerificationFailed)
@@ -389,6 +389,110 @@ def test_forced_transform_is_reduced_once(monkeypatch):
     monkeypatch.setattr(polys, "poly_gcd", counted)
     transform_of(spec)
     assert len(calls) <= 2
+
+
+def _transform_as_the_sum(spec):
+    """The transform as RatFunc arithmetic on the rule table's pieces:
+    (init + sum c n_power(p, b)) / char, each sum and quotient reduced by
+    its own gcd."""
+    char = spec.characteristic()
+    total = RatFunc(Poly(_initial_polynomial(spec)), char)
+    for term in spec.forcing:
+        total = total + n_power(term.exponent, term.base) * \
+            RatFunc(term.coefficient) / char
+    return total
+
+
+FIB_TRANSFORM = RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
+
+
+@pytest.mark.parametrize("spec, narrowed, expected", [
+    # two forcing terms at one (p, b) that cancel: N(2) = 0
+    (RecurrenceSpec(2, (1, 1), (1, 1),
+                    (ForcingTerm(3, 1, 2), ForcingTerm(-3, 1, 2))),
+     False, FIB_TRANSFORM),
+    # a zero coefficient leaves (t - 3)^2 in fden but not in L: N(3) = 0
+    (RecurrenceSpec(2, (1, 1), (1, 1), (ForcingTerm(0, 1, 3),)),
+     False, FIB_TRANSFORM),
+    # a base equal to a characteristic root, which it makes double
+    (RecurrenceSpec(2, (-2, 3), (1, 5), (ForcingTerm(1, 0, 2),)),
+     True, None),
+    # initial values that leave the root 2 unexcited: a(n) = -n, so
+    # gcd(N, char) = t - 2
+    (RecurrenceSpec(2, (-2, 3), (-1, -2), (ForcingTerm(1),)),
+     True, RatFunc(Poly((0, -1)), Poly((1, -2, 1)))),
+    # and both roots 1 and 3 unexcited beside forcing at 2: a(n) = 2^n
+    (RecurrenceSpec(2, (-3, 4), (2, 4), (ForcingTerm(-1, 0, 2),)),
+     True, RatFunc(Poly((2,)), Poly((-2, 1)))),
+], ids=["cancelling-terms", "zero-coefficient", "base-on-root",
+        "unexcited-root", "unexcited-beside-forcing"])
+def test_transform_reduces_by_the_gcd_with_char_alone(
+        monkeypatch, spec, narrowed, expected):
+    # when N(b) != 0 at every base b, gcd(N, char) = gcd(N, char*fden),
+    # and the gcd runs against char; otherwise against char*fden.  Either
+    # way the transform is the one RatFunc(N, char*fden) makes, with one
+    # gcd
+    gcds, real_gcd = [], polys.poly_gcd
+
+    def counted(a, b):
+        gcds.append(b)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    expr = transform_of(spec)
+    monkeypatch.undo()
+    char = spec.characteristic()
+    assert len(gcds) == 1
+    assert (gcds[0] == char) == narrowed
+    assert expr == _transform_as_the_sum(spec)
+    if expected is not None:
+        assert expr == expected
+
+
+def test_transform_matches_the_sum_of_its_pieces_randomized(monkeypatch):
+    # bases repeat, land on characteristic roots and carry cancelling or
+    # zero coefficients; initial values sometimes follow one root alone.
+    # Both reductions are taken, each with one gcd.
+    rng = random.Random(30)
+
+    def rational(top, bottom):
+        return Fraction(rng.randint(-top, top), rng.randint(1, bottom))
+
+    gcds, real_gcd = [], polys.poly_gcd
+
+    def counted(a, b):
+        gcds.append(b)
+        return real_gcd(a, b)
+
+    paths = {"char": 0, "char*fden": 0}
+    for _ in range(80):
+        order = rng.randint(1, 3)
+        roots = [rational(3, 2) or Fraction(1) for _ in range(order)]
+        char = from_roots(*roots)
+        pool = roots + [Fraction(1), Fraction(2)]
+        forcing = []
+        for _ in range(rng.randint(0, 3)):
+            term = ForcingTerm(rng.choice([0, rational(5, 3) or 1]),
+                               rng.randint(0, 3), rng.choice(pool))
+            forcing.append(term)
+            if rng.random() < 0.3:
+                forcing.append(ForcingTerm(-term.coefficient, term.exponent,
+                                           term.base))
+        if rng.random() < 0.3:
+            initials = [roots[0] ** n for n in range(order)]
+        else:
+            initials = [rational(9, 5) for _ in range(order)]
+        spec = RecurrenceSpec(order, [-c for c in char.fractions[:-1]],
+                              initials, forcing)
+        gcds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polys, "poly_gcd", counted)
+            expr = transform_of(spec)
+        assert expr == _transform_as_the_sum(spec), spec
+        assert len(gcds) <= 1
+        if gcds and forcing:
+            paths["char" if gcds[0] == char else "char*fden"] += 1
+    assert min(paths.values()) > 10, paths
 
 
 def test_resonant_geometric_forcing_is_solved():
