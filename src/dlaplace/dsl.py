@@ -12,6 +12,7 @@ Grammar (whitespace insensitive):
                 | base "^n" | RATIONAL
     base       := RATIONAL | "(" signed ")"
     RATIONAL   := INT ("/" INT)?
+    INT        := a run of decimal digits
 
 A leading "-" is accepted on the first term of an expression and on
 initial values (the grammar above would otherwise have no way to write a
@@ -19,10 +20,14 @@ negative coefficient).  Example:
 
     a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1
 
-Parsing produces a ``DslProgram``; semantic validation (exactly one
-recurrence, right-hand shifts strictly below the left-hand one, initial
-values covering 1..k exactly once) happens during assembly and raises
-``SemanticError``.  ``ParseError`` carries line and column.
+Parsing reads the text once into ``(kind, text, offset)`` tokens and then
+by recursive descent into summands, each a ``(key, coefficient)`` pair.
+Assembly collects like summands into a ``DslProgram`` and validates it
+(exactly one recurrence, right-hand shifts strictly below the left-hand
+one, initial values covering 1..k exactly once), raising
+``SemanticError``; it runs after the whole text is read, so a parse
+error anywhere wins over a semantic one.  ``ParseError`` carries line and
+column, worked out from the offset only when the error is raised.
 """
 
 from __future__ import annotations
@@ -33,57 +38,33 @@ from fractions import Fraction
 from .errors import CapabilityError, ParseError, SemanticError
 from .solver import ForcingTerm, RecurrenceSpec
 
-_SYMBOLS = {
-    "[": "LBRACK", "]": "RBRACK", "+": "PLUS", "-": "MINUS", "*": "STAR",
-    "/": "SLASH", "^": "CARET", "=": "EQUALS", ";": "SEMI", "(": "LPAREN",
-    ")": "RPAREN",
-}
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The line and column of source[offset], both counted from 1."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    while i < len(source):
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token.  A symbol or name is its own kind,
+    a number is "INT", and the list ends with kind ""."""
+    tokens = []
+    i, end = 0, len(source)
+    while i < end:
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(source) and source[i].isdigit():
+        start, i = i, i + 1
+        if ch in "an[]+-*/^=;()":
+            tokens.append((ch, ch, start))
+        # isdecimal, not isdigit: int() reads exactly the decimal digits,
+        # and refuses digits such as '²' that isdigit accepts
+        elif ch.isdecimal():
+            while i < end and source[i].isdecimal():
                 i += 1
-            tokens.append(Token("INT", source[start:i], line, column))
-            column += i - start
-            continue
-        if ch in ("a", "n"):
-            tokens.append(Token("NAME", ch, line, column))
-            i += 1
-            column += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, column))
-            i += 1
-            column += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("EOF", "", line, column))
+            tokens.append(("INT", source[start:i], start))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}",
+                             *_position(source, start))
+    tokens.append(("", "", end))
     return tokens
 
 
@@ -109,195 +90,159 @@ class DslProgram:
         return RecurrenceSpec(self.order, coefficients, initials, forcing)
 
 
-class _RawTerm:
-    __slots__ = ("coefficient", "kind", "shift", "power", "base")
-
-    def __init__(self, coefficient: Fraction, kind: str, shift: int = 0,
-                 power: int = 0, base: Fraction = Fraction(1)) -> None:
-        self.coefficient = coefficient
-        self.kind = kind        # "shift" or "forcing" (n^power * base^n)
-        self.shift = shift
-        self.power = power
-        self.base = base
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    """Recursive descent over the tokens.  A summand is (j, c) for
+    c*a[n+j] and ((p, b), c) for c*n^p*b^n."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.tokens = _tokenize(source)
         self.index = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.tokens[self.index][0]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != "EOF":
-            self.index += 1
-        return token
+    def accept(self, kind: str) -> bool:
+        """Step past the next token if it is of this kind."""
+        if self.tokens[self.index][0] != kind:
+            return False
+        self.index += 1
+        return True
 
-    def expect(self, kind: str, what: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {token.text or 'end of input'!r}",
-                token.line, token.column)
-        return self.advance()
+    def fail(self, message: str, offset: int | None = None):
+        """Raise ParseError at offset, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.index][2]
+        raise ParseError(message, *_position(self.source, offset))
 
-    # -- grammar productions --------------------------------------------
+    def expected(self, what: str):
+        text = self.tokens[self.index][1]
+        self.fail(f"expected {what}, found {text or 'end of input'!r}")
+
+    def expect(self, kind: str, what: str) -> str:
+        """The next token's text, which must be of this kind."""
+        text = self.tokens[self.index][1]
+        if not self.accept(kind):
+            self.expected(what)
+        return text
 
     def parse_program(self) -> DslProgram:
-        recurrences: list[tuple[int, list[_RawTerm], Token]] = []
-        initials: list[tuple[int, Fraction, Token]] = []
-        while True:
+        recurrences: list[tuple[int, list[tuple]]] = []
+        initials: list[tuple[int, Fraction]] = []
+        self.parse_stmt(recurrences, initials)
+        while self.accept(";") and self.peek():
             self.parse_stmt(recurrences, initials)
-            if self.peek().kind == "SEMI":
-                self.advance()
-                if self.peek().kind == "EOF":
-                    break
-                continue
-            self.expect("EOF", "';' or end of input")
-            break
+        self.expect("", "';' or end of input")
         return _assemble(recurrences, initials)
 
     def parse_stmt(self, recurrences, initials) -> None:
-        opener = self.expect("NAME", "'a'")
-        if opener.text != "a":
-            raise ParseError("statements start with 'a['",
-                             opener.line, opener.column)
-        self.expect("LBRACK", "'['")
-        token = self.peek()
-        if token.kind == "NAME" and token.text == "n":
-            self.advance()
-            shift = 0
-            if self.peek().kind == "PLUS":
-                self.advance()
-                shift = self.expect_int("a shift amount")
-            self.expect("RBRACK", "']'")
-            self.expect("EQUALS", "'='")
-            terms = self.parse_expr()
-            recurrences.append((shift, terms, opener))
-        elif token.kind == "INT":
+        if self.peek() == "n":
+            self.fail("statements start with 'a['")
+        self.expect("a", "'a'")
+        self.expect("[", "'['")
+        if self.accept("n"):
+            order = self.shift()
+            self.expect("=", "'='")
+            recurrences.append((order, self.parse_expr()))
+        elif self.peek() == "INT":
             index = self.expect_int("an index")
-            self.expect("RBRACK", "']'")
-            self.expect("EQUALS", "'='")
-            value = self.parse_signed_rational()
-            initials.append((index, value, opener))
+            self.expect("]", "']'")
+            self.expect("=", "'='")
+            initials.append((index, self.sign() * self.parse_rational()))
         else:
-            raise ParseError("expected 'n' or an index inside 'a[...]'",
-                             token.line, token.column)
+            self.fail("expected 'n' or an index inside 'a[...]'")
 
-    def parse_expr(self) -> list[_RawTerm]:
-        sign = 1
-        if self.peek().kind == "MINUS":
-            self.advance()
-            sign = -1
-        elif self.peek().kind == "PLUS":
-            self.advance()
-        terms = [self.parse_term(sign)]
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if self.advance().kind == "PLUS" else -1
-            terms.append(self.parse_term(sign))
+    def shift(self) -> int:
+        """The rest of a[n+k] after its n: k, or 0 for a[n]."""
+        shift = self.expect_int("a shift amount") if self.accept("+") else 0
+        self.expect("]", "']'")
+        return shift
+
+    def sign(self) -> int:
+        """An optional "+" or "-", as 1 or -1."""
+        if self.accept("-"):
+            return -1
+        self.accept("+")
+        return 1
+
+    def parse_expr(self) -> list[tuple]:
+        terms = [self.parse_term(self.sign())]
+        while self.peek() in ("+", "-"):
+            terms.append(self.parse_term(self.sign()))
         return terms
 
-    def parse_term(self, sign: int) -> _RawTerm:
-        token = self.peek()
-        if token.kind == "INT":
-            value = self.parse_rational()
-            if self.peek().kind == "CARET":
-                # RATIONAL^n, a geometric atom with coefficient 1
-                return self.parse_base_power(Fraction(sign), 0, value)
-            if self.peek().kind == "STAR":
-                self.advance()
-                return self.parse_atom(sign * value, required=True)
-            return self.parse_atom(sign * value, required=False)
-        return self.parse_atom(Fraction(sign), required=True)
+    def parse_term(self, sign: int) -> tuple:
+        if self.peek() != "INT":
+            return self.parse_atom(Fraction(sign), required=True)
+        value = self.parse_rational()
+        if self.peek() == "^":
+            # RATIONAL^n, a geometric atom with coefficient 1
+            return self.parse_base_power(Fraction(sign), 0, value)
+        return self.parse_atom(sign * value, required=self.accept("*"))
 
-    def parse_atom(self, coefficient: Fraction, required: bool) -> _RawTerm:
-        token = self.peek()
-        if token.kind == "NAME" and token.text == "a":
-            self.advance()
-            self.expect("LBRACK", "'['")
-            self.expect_name("n")
-            shift = 0
-            if self.peek().kind == "PLUS":
-                self.advance()
-                shift = self.expect_int("a shift amount")
-            self.expect("RBRACK", "']'")
-            return _RawTerm(coefficient, "shift", shift=shift)
-        if token.kind == "NAME" and token.text == "n":
-            self.advance()
-            power = 1
-            if self.peek().kind == "CARET":
-                self.advance()
-                power = self.expect_int("an exponent")
-            if self.peek().kind != "STAR":
-                return _RawTerm(coefficient, "forcing", power=power)
-            self.advance()
-            return self.parse_base_power(coefficient, power, self.parse_base())
-        if token.kind in ("INT", "LPAREN"):
+    def parse_atom(self, coefficient: Fraction, required: bool) -> tuple:
+        kind = self.peek()
+        if self.accept("a"):
+            self.expect("[", "'['")
+            self.expect_n()
+            return self.shift(), coefficient
+        if self.accept("n"):
+            power = self.expect_int("an exponent") if self.accept("^") else 1
+            if not self.accept("*"):
+                return (power, Fraction(1)), coefficient
+            return self.parse_base_power(coefficient, power,
+                                         self.parse_base())
+        if kind in ("INT", "("):
             base = self.parse_base()
-            if token.kind == "INT" and self.peek().kind != "CARET":
-                return _RawTerm(coefficient * base, "forcing")
+            if kind == "INT" and self.peek() != "^":
+                return (0, Fraction(1)), coefficient * base
             return self.parse_base_power(coefficient, 0, base)
         if required:
-            raise ParseError(
-                f"expected a term, found {token.text or 'end of input'!r}",
-                token.line, token.column)
-        return _RawTerm(coefficient, "forcing")
+            self.expected("a term")
+        return (0, Fraction(1)), coefficient
 
     def parse_base(self) -> Fraction:
-        if self.peek().kind != "LPAREN":
+        if not self.accept("("):
             return self.parse_rational()
-        self.advance()
-        value = self.parse_signed_rational()
-        self.expect("RPAREN", "')'")
+        value = self.sign() * self.parse_rational()
+        self.expect(")", "')'")
         return value
 
     def parse_base_power(self, coefficient: Fraction, power: int,
-                         base: Fraction) -> _RawTerm:
+                         base: Fraction) -> tuple:
         """The "^n" after a base: coefficient * n^power * base^n."""
-        self.expect("CARET", "'^'")
-        self.expect_name("n")
-        return _RawTerm(coefficient, "forcing", power=power, base=base)
+        self.expect("^", "'^'")
+        self.expect_n()
+        return (power, base), coefficient
 
-    def expect_name(self, name: str) -> None:
-        token = self.peek()
-        if token.kind != "NAME" or token.text != name:
-            raise ParseError(f"expected '{name}'", token.line, token.column)
-        self.advance()
+    def expect_n(self) -> None:
+        if not self.accept("n"):
+            self.fail("expected 'n'")
 
     def expect_int(self, what: str) -> int:
         """The next token as an int; one with more digits than the
         interpreter converts is refused."""
-        token = self.expect("INT", what)
+        offset = self.tokens[self.index][2]
+        text = self.expect("INT", what)
         try:
-            return int(token.text)
+            return int(text)
         except ValueError:
+            line, column = _position(self.source, offset)
             raise CapabilityError(
-                f"number with {len(token.text)} digits is past the limit of "
-                f"{sys.get_int_max_str_digits()} digits (line {token.line}, "
-                f"column {token.column})") from None
+                f"number with {len(text)} digits is past the limit of "
+                f"{sys.get_int_max_str_digits()} digits (line {line}, "
+                f"column {column})") from None
 
     def parse_rational(self) -> Fraction:
-        value = Fraction(self.expect_int("a number"))
-        if self.peek().kind == "SLASH":
-            self.advance()
-            bottom = self.peek()
-            denominator = self.expect_int("a denominator")
-            if not denominator:
-                raise ParseError("denominator cannot be zero",
-                                 bottom.line, bottom.column)
-            value /= denominator
-        return value
-
-    def parse_signed_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "MINUS":
-            self.advance()
-            sign = -1
-        elif self.peek().kind == "PLUS":
-            self.advance()
-        return sign * self.parse_rational()
+        numerator = self.expect_int("a number")
+        if not self.accept("/"):
+            return Fraction(numerator)
+        offset = self.tokens[self.index][2]
+        denominator = self.expect_int("a denominator")
+        if not denominator:
+            self.fail("denominator cannot be zero", offset)
+        return Fraction(numerator, denominator)
 
 
 def _assemble(recurrences, initials) -> DslProgram:
@@ -305,26 +250,25 @@ def _assemble(recurrences, initials) -> DslProgram:
         raise SemanticError("no recurrence statement found")
     if len(recurrences) > 1:
         raise SemanticError("more than one recurrence statement")
-    order, raw_terms, _ = recurrences[0]
+    order, terms = recurrences[0]
     if order < 1:
         raise SemanticError("the left side must be a[n+k] with k >= 1")
     shifts: dict[int, Fraction] = {}
     forcing: dict[tuple[int, Fraction], Fraction] = {}
-    for term in raw_terms:
-        if term.kind == "shift":
-            if term.shift >= order:
-                raise SemanticError(
-                    f"right-hand shift a[n+{term.shift}] must be below "
-                    f"the left-hand a[n+{order}]")
-            shifts[term.shift] = shifts.get(term.shift, Fraction(0)) \
-                + term.coefficient
+    for key, coefficient in terms:
+        if isinstance(key, tuple):
+            table = forcing
+        elif key < order:
+            table = shifts
         else:
-            key = (term.power, term.base)
-            forcing[key] = forcing.get(key, Fraction(0)) + term.coefficient
+            raise SemanticError(
+                f"right-hand shift a[n+{key}] must be below "
+                f"the left-hand a[n+{order}]")
+        table[key] = table.get(key, Fraction(0)) + coefficient
     shifts = {j: c for j, c in shifts.items() if c}
     forcing = {key: c for key, c in forcing.items() if c}
     seen: dict[int, Fraction] = {}
-    for index, value, token in initials:
+    for index, value in initials:
         if index in seen:
             raise SemanticError(f"initial value a[{index}] given twice")
         if index < 1 or index > order:
@@ -351,4 +295,4 @@ def _run_text(first: int, last: int) -> str:
 
 def parse_program(source: str) -> DslProgram:
     """Parse and validate recurrence text into a DslProgram."""
-    return _Parser(_tokenize(source)).parse_program()
+    return _Parser(source).parse_program()

@@ -177,3 +177,46 @@ def test_random_render_parse_round_trip():
         program = _random_program(rng)
         assert parse_program(_program_text(program)).to_spec() == \
             program.to_spec()
+
+
+TEXTS = (
+    FIB_TEXT,
+    "a[n+1] = 2*a[n] + n^2 + 3*2^n + 1/2; a[1] = 0",
+    "a[n+1] = 2*a[n] + n*2^n - 3*n^2*(-1/2)^n + (-2)^n + 1/2(3)^n; a[1] = 1",
+    "a[n+1] = -a[n] + n - 3; a[1] = -3/2",
+    "a[n+2]=3a[n+1]-1/2a[n];a[1]=1;a[2]=2;",
+    "a[n + 2] =\n  3 * a[n + 1]\n  - 1/2 * a[n];\na[1] = 1;\na[2] = 2",
+    "a[n+3] = -a[n+2] + 1/3*a[n]; a[1] = 1; a[2] = 0; a[3] = -2",
+    "a[n+6] = a[n]; a[2] = 1; a[5] = 1",
+)
+# the grammar's alphabet, line breaks of both kinds, a superscript digit
+# that int() refuses and an Arabic-Indic digit that it reads
+ALPHABET = list("an[]+-*/^=;()0123456789 ") + ["\t", "\r\n", "\n", "²", "٣"]
+
+
+def test_mutated_texts_parse_or_raise_a_positioned_error():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(2500):
+        text = rng.choice(TEXTS)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(0, len(text))
+            if rng.random() < 0.5:
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        try:
+            outcomes.add(type(parse_program(text)))
+        except SemanticError:
+            outcomes.add(SemanticError)
+        except ParseError as exc:
+            outcomes.add(ParseError)
+            lines = text.split("\n")
+            assert 1 <= exc.line <= len(lines), (text, exc)
+            line = lines[exc.line - 1]
+            assert 1 <= exc.column <= len(line) + 1, (text, exc)
+            if str(exc).startswith("unexpected character"):
+                found = line[exc.column - 1]
+                assert str(exc).startswith(
+                    f"unexpected character {found!r}"), (text, exc)
+    assert outcomes == {DslProgram, ParseError, SemanticError}

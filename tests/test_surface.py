@@ -45,7 +45,6 @@ ALLOWED = {
         "numeric._float_terms calls it on the QuadExt values of delta, "
         "convolve and partial_sums",
     "dlaplace.exact.QuadExt.__repr__": _REPR,
-    "dlaplace.exact._int_text": _REFUSAL,
     "dlaplace.polys.Poly.__hash__": _ORACLE,
     "dlaplace.polys.Poly.__repr__": _REPR,
     "dlaplace.polys.Poly.coefficients":
