@@ -114,7 +114,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     basis = None if args.json else report.coefficient_decomposition
     try:
         if args.json:
-            text = _json_text(report.to_json_dict(args.terms))
+            text = report.json_text(args.terms)
         else:
             var = _display_var(args.display)
             values = ", ".join(report.value_texts(args.terms))

@@ -7,7 +7,8 @@ Grammar (whitespace insensitive):
     recurrence := "a[n+" INT "]" "=" expr
     initial    := "a[" INT "]" "=" signed
     expr       := signed_term (("+" | "-") term)*
-    term       := RATIONAL ("*"? atom)? | atom
+    term       := RATIONAL ("*" atom | bare)? | atom
+    bare       := an atom that does not begin with INT
     atom       := "a[n+" INT "]" | "a[n]" | "n" ("^" INT)? ("*" base "^n")?
                 | base "^n" | RATIONAL
     base       := RATIONAL | "(" signed ")"
@@ -16,7 +17,10 @@ Grammar (whitespace insensitive):
 
 A leading "-" is accepted on the first term of an expression and on
 initial values (the grammar above would otherwise have no way to write a
-negative coefficient).  Example:
+negative coefficient).  A number is never juxtaposed to a number:
+"2 n", "2 a[n]" and "2 (3)^n" are products, while "1 000" and "2 3^n" are
+refused at the second number rather than read as 1*000 or 2*3^n.
+Example:
 
     a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1
 
@@ -179,6 +183,8 @@ class _Parser:
         if self.peek() == "^":
             # RATIONAL^n, a geometric atom with coefficient 1
             return self.parse_base_power(Fraction(sign), 0, value)
+        if self.peek() == "INT":
+            self.expected("'*' between two numbers")
         return self.parse_atom(sign * value, required=self.accept("*"))
 
     def parse_atom(self, coefficient: Fraction, required: bool) -> tuple:

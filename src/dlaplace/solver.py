@@ -215,33 +215,70 @@ class SolutionReport:
                     f"{sys.get_int_max_str_digits()} digits") from None
         return texts
 
+    def json_text(self, count: int = 10) -> str:
+        """The report as JSON: the bytes of ``json.dumps(payload,
+        indent=2)`` written straight from the solve, each exact value an
+        object {"rational", "radical", "radicand"} and the transform's
+        coefficients lowest degree first.  A number with more digits than
+        the interpreter converts to a string raises ValueError, or, for a
+        value, the CapabilityError of ``value_texts``."""
+        # here, so that importing the package loads no json
+        from json.encoder import encode_basestring_ascii
+        closed, transform = self.closed_form, self.transform
+        # in the payload's order, so the first number too large to print
+        # is the one that refuses
+        text = encode_basestring_ascii(str(closed))
+        terms = [f'{{{_P4}"coefficient": {_quad_text(t.coefficient, _P4)},'
+                 f'{_P4}"root": {_quad_text(t.root, _P4)},'
+                 f'{_P4}"multiplicity": {t.multiplicity}{_P3}}}'
+                 for t in closed.terms]
+        deltas = [f'"{j}": {_quad_text(c, _P3)}'
+                  for j, c in closed.deltas.items()]
+        transform_text = encode_basestring_ascii(transform.render("e^s"))
+        num = [_exact_text(x, 0, 0, _P3) for x in transform.num.fractions]
+        den = [_exact_text(x, 0, 0, _P3) for x in transform.den.fractions]
+        values = [f'"{v}"' for v in self.value_texts(count)]
+        return (f'{{{_P1}"closed_form": {{{_P2}"text": {text},'
+                f'{_P2}"terms": {_block(terms, "[]", _P2)},'
+                f'{_P2}"deltas": {_block(deltas, "{}", _P2)}{_P1}}},'
+                f'{_P1}"transform": {{{_P2}"text": {transform_text},'
+                f'{_P2}"num": {_block(num, "[]", _P2)},'
+                f'{_P2}"den": {_block(den, "[]", _P2)}{_P1}}},'
+                f'{_P1}"values": {_block(values, "[]", _P1)},'
+                f'{_P1}"verified_upto": {self.verified_upto}\n}}')
+
     def to_json_dict(self, count: int = 10) -> dict:
-        return {
-            "closed_form": {
-                "text": str(self.closed_form),
-                "terms": [{
-                    "coefficient": _exact_json(t.coefficient),
-                    "root": _exact_json(t.root),
-                    "multiplicity": t.multiplicity,
-                } for t in self.closed_form.terms],
-                "deltas": {str(j): _exact_json(c)
-                           for j, c in self.closed_form.deltas.items()},
-            },
-            "transform": {
-                "text": self.transform.render("e^s"),
-                "num": list(map(_exact_json, self.transform.num.fractions)),
-                "den": list(map(_exact_json, self.transform.den.fractions)),
-            },
-            "values": self.value_texts(count),
-            "verified_upto": self.verified_upto,
-        }
+        """The payload ``json_text`` writes, as a dict."""
+        from json import loads
+        return loads(self.json_text(count))
 
 
-def _exact_json(value: QuadExt | Fraction) -> dict:
-    if isinstance(value, Fraction):
-        return {"rational": str(value), "radical": "0", "radicand": 0}
-    return {"rational": str(value.rational_part),
-            "radical": str(value.radical_part), "radicand": value.radicand}
+# json.dumps(indent=2) line starts, by nesting depth
+_P1, _P2, _P3, _P4 = ("\n" + "  " * depth for depth in range(1, 5))
+
+
+def _exact_text(rational: Fraction, radical: Fraction | int, radicand: int,
+                pad: str) -> str:
+    """rational + radical*sqrt(radicand) as a JSON object whose closing
+    brace starts at pad."""
+    return (f'{{{pad}  "rational": "{rational}",'
+            f'{pad}  "radical": "{radical}",'
+            f'{pad}  "radicand": {radicand}{pad}}}')
+
+
+def _quad_text(value: QuadExt, pad: str) -> str:
+    """A QuadExt as the JSON object of ``_exact_text``."""
+    return _exact_text(value.rational_part, value.radical_part,
+                       value.radicand, pad)
+
+
+def _block(items: list[str], brackets: str, pad: str) -> str:
+    """A JSON array or object of items already written one level below
+    pad, where its closing bracket starts."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
 
 
 def transform_of(spec: RecurrenceSpec) -> RatFunc:

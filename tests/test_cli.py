@@ -806,3 +806,34 @@ def test_json_writer_gives_the_bytes_of_json_dumps():
     for write in (cli._json_text, lambda tree: json.dumps(tree, indent=2)):
         with pytest.raises(ValueError):
             write(past)
+
+
+GOLDEN_JSON = [case["argv"] for case in json.loads(
+    Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+    if "--json" in case["argv"] and case["exit"] == 0]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_JSON,
+                         ids=[" ".join(argv[:2]) for argv in GOLDEN_JSON])
+def test_golden_json_is_the_indented_dump_of_the_payload(argv, capsys,
+                                                         monkeypatch):
+    # solve --json is written by SolutionReport.json_text alone: its text
+    # is the one json.dumps gives its payload, and the payload is the
+    # report's to_json_dict; verify --json goes through cli._json_text
+    written = []
+
+    def recorded(report, count=10, _real=solver.SolutionReport.json_text):
+        written.append((report, count))
+        return _real(report, count)
+
+    monkeypatch.setattr(solver.SolutionReport, "json_text", recorded)
+    assert main(list(argv)) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if argv[0] == "solve":
+        (report, count), = written
+        assert payload == report.to_json_dict(count)
+    else:
+        assert not written

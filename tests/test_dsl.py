@@ -61,6 +61,21 @@ def test_juxtaposed_coefficient_and_whitespace():
     assert compact.shifts == {1: Fraction(3), 0: Fraction(-1, 2)}
 
 
+def test_a_number_juxtaposed_to_a_number_is_refused():
+    # a number may precede any other atom without "*", but a space is no
+    # product between two numbers: "1 000" is not 1*000, nor "2 3^n" 2*3^n
+    program = parse_program("a[n+1] = 2 a[n] + 2 n + 2 (3)^n; a[1] = 1")
+    assert program.shifts == {0: Fraction(2)}
+    assert program.forcing == {(1, 1): Fraction(2), (0, 3): Fraction(2)}
+    for text, column in (("a[n+1] = a[n] + 1 000; a[1] = 1", 19),
+                         ("a[n+1] = a[n] + 2 3^n; a[1] = 1", 19),
+                         ("a[n+1] = 1/2 3*a[n]; a[1] = 1", 14)):
+        with pytest.raises(ParseError, match="'\\*' between two numbers") \
+                as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_like_terms_combine_and_cancel():
     program = parse_program("a[n+1] = a[n] + a[n] + n - n + 2 + 3; a[1] = 0")
     assert program.shifts == {0: Fraction(2)}

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
                              _initial_polynomial, _proof_horizon, solve_ivp,
                              transform_of, verify_solution)
 from dlaplace.transforms import geometric, n_power
-from dlaplace.errors import (UnsupportedFactorization, UnsupportedForcing,
-                             VerificationFailed)
+from dlaplace.errors import (CapabilityError, UnsupportedFactorization,
+                             UnsupportedForcing, VerificationFailed)
 from fibonacci import PHI, PSI, fibonacci
 from poly_reference import evaluate, from_roots
+from report_reference import solve_payload
 
 FIB = fibonacci()
 
@@ -734,3 +736,42 @@ def test_report_json_shape():
     roots = {term["root"]["radical"]
              for term in payload["closed_form"]["terms"]}
     assert roots == {"1/2", "-1/2"}
+
+
+def test_json_text_matches_the_reference_payload():
+    # the writer against json.dumps of a dict tree built from the report:
+    # rational roots with multiplicity, orbits in Q(sqrt d), spikes, the
+    # zero solution, and no values at count 0
+    rng = random.Random(2032)
+    specs = [_planted_annihilator(rng)[0] for _ in range(40)]
+    specs += [FIB, RecurrenceSpec(1, (3,), (0,))]
+    seen = dict.fromkeys(("orbit", "multiple root", "spike", "zero"), 0)
+    for spec in specs:
+        report = solve_ivp(spec)
+        for count in (0, 1, 12):
+            text = report.json_text(count)
+            assert text == json.dumps(solve_payload(report, count), indent=2)
+            assert report.to_json_dict(count) == json.loads(text)
+        closed = report.closed_form
+        seen["orbit"] += any(not t.root.is_rational for t in closed.terms)
+        seen["multiple root"] += any(t.multiplicity > 1
+                                     for t in closed.terms)
+        seen["spike"] += bool(closed.deltas)
+        seen["zero"] += closed.is_zero and report.transform.num.is_zero
+    assert all(seen.values()), seen
+
+
+def test_json_text_refuses_what_the_reference_refuses():
+    # a number past the interpreter's digit limit: in the closed form it
+    # raises ValueError, in the values the CapabilityError that names it
+    big = 10 ** 2200
+    wide = solve_ivp(RecurrenceSpec(1, (3,), (big * big,)), 4)
+    high = solve_ivp(RecurrenceSpec(1, (big,), (1,)), 4)
+    for report, count, error in ((wide, 3, ValueError),
+                                 (high, 3, CapabilityError)):
+        with pytest.raises(error) as info:
+            report.json_text(count)
+        with pytest.raises(error) as expected:
+            json.dumps(solve_payload(report, count), indent=2)
+        assert str(info.value) == str(expected.value)
+    assert high.json_text(2) == json.dumps(solve_payload(high, 2), indent=2)
