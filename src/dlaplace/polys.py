@@ -56,7 +56,7 @@ conjugate of a radical root takes the conjugate expansion.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -732,6 +732,27 @@ def _cancel(num: Poly, den: Poly, common: Poly) -> tuple[Poly, Poly]:
     return (Poly._of(Fraction(a.numerator * b.denominator,
                               a.denominator * b.numerator * lead), f),
             Poly._of(Fraction(1, lead), g))
+
+
+def annihilated_numerator(p: Poly, pairs: Iterable[tuple[int, int]],
+                          ) -> Poly:
+    """N = P * sum_{n>=1} a(n) t^(-n) for a sequence a that P(E)
+    annihilates, from the pairs (numerator, denominator) of a(1)..a(deg P)
+    that a ``ratios`` method gives.  The shift rule applied to P(E)a = 0
+    leaves no negative power of t, so N = sum_j t^j sum_{i>j} P_i a(i-j)
+    and N/P is a's transform (Stanley, *EC1*, 4.1.1).  It is summed in
+    integers over the lcm of the denominators, once per nonzero P_i."""
+    top = p.degree
+    head = list(islice(pairs, top))
+    common = lcm(*(d for _, d in head))
+    values = [a * (common // d) for a, d in head]
+    out = [0] * top
+    for i, c in enumerate(p._ints):
+        if c:
+            for j in range(i):
+                out[j] += c * values[i - j - 1]
+    content = p._content
+    return Poly._normal(out, content.numerator, content.denominator * common)
 
 
 class Term(Record):

@@ -38,19 +38,21 @@ one running power for every m, with P stepped by forward differences
 recursion by cross-products, the numeric check divides each into a double.
 ``root_factors`` names each distinct root's minimal polynomial and top
 multiplicity, so the self-check can prove from few values that the form
-solves a recurrence.
+solves a recurrence, and the forward transform takes their product as its
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby, islice
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
-from .polys import Poly, RatFunc, Term, _sum_text, partial_fractions
+from .polys import (_ONE_POLY, Poly, RatFunc, Term, _cancel, _sum_text,
+                    annihilated_numerator, partial_fractions)
 
 Scalar = Union[int, Fraction, QuadExt]
 Sequence1 = Callable[[int], Scalar]
@@ -173,26 +175,16 @@ class ClosedFormSequence:
         return hash(self._terms)
 
     def transform(self) -> RatFunc:
-        """Forward transform, one rational quotient per conjugate orbit.
-
-        A term is the partial fraction c/(t - r)^m that inverse_transform
-        turns back into it, with c and r rational.  An orbit sums to
-        2 Re[c (t - conj(r))^m] / (t^2 - 2 Re(r) t + N(r))^m, with Re the
-        rational part and N(r) = r conj(r), so every quotient is over Q
-        (Bronstein and Salvy, ISSAC 1993)."""
-        total = RatFunc()
-        for term, partner in self._orbits:
-            c, r, m = term.coefficient, term.root, term.multiplicity
-            if partner is None:
-                quotient = RatFunc(c, Poly((-r, 1)) ** m)
-            else:
-                conj = partner.root
-                num = [2 * (c * comb(m, k) * (-conj) ** (m - k)).rational_part
-                       for k in range(m + 1)]
-                quotient = RatFunc(num, Poly((r * conj, -2 * r.rational_part,
-                                              1)) ** m)
-            total = total + quotient
-        return total
+        """Forward transform N/P, P the product of the root factors f^M
+        (``root_factors``): P(E) annihilates the sequence, so N is read
+        off its first deg P values (``polys.annihilated_numerator``).  A
+        term at a root of f with multiplicity M has a pole of order M
+        there, so P is the least such product and N/P needs no gcd."""
+        if self.is_zero:
+            return RatFunc()
+        den = prod(Poly(f) ** m for f, m in self.root_factors())
+        num = annihilated_numerator(den, self.ratios(den.degree))
+        return RatFunc._reduced(*_cancel(num, den, _ONE_POLY))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -5,15 +5,16 @@ A problem is
     a(n+k) = c_{k-1} a(n+k-1) + ... + c_0 a(n) + forcing(n),   n >= 1,
 
 with rational coefficients, rational initial values a(1)..a(k) and forcing
-built from terms c n^p b^n (p bounded, b a nonzero rational).  Each term's
-transform is one quotient with the single pole b, which may coincide with
-a characteristic root.  Transforming both sides with the shift rule and
-solving for the unknown transform L gives
+built from terms c n^p b^n (p bounded, b a nonzero rational).  With E the
+shift, P(E) = char(E) prod_b (E - b)^(e_b), e_b one more than the top
+power of n at the base b (which may be a characteristic root), annihilates
+the recursion.  The shift rule applied to P(E)a = 0 leaves a polynomial N
+of degree below deg P, read off a(1)..a(deg P) in integers, so
 
-    L = (initial polynomial + forcing transform) / characteristic polynomial
+    L = N / P
 
-which the sequence engine then inverts into a closed form.  Numerator and
-denominator are assembled in ``Poly`` arithmetic and reduced once.
+is the transform, which the sequence engine then inverts into a closed
+form.  L is reduced once.
 
 Every solve re-checks its own answer against direct recursion before
 returning; a mismatch raises ``VerificationFailed`` and means a bug, never
@@ -22,8 +23,8 @@ common denominator M S^n and advances each b^n by one multiplication.  The
 check compares that integer with the closed form's, over C Q^(n-1), by
 cross-products, so it takes no gcd and makes no ``Fraction``.
 
-The check proves its whole horizon from deg P values.  P = char * fden,
-the denominator of L before any cancellation, is monic, and P(E) kills the
+The check proves its whole horizon from deg P values.  P, the
+denominator of L before any cancellation, is monic, and P(E) kills the
 recursion; when each root of the closed form, to its multiplicity, is a
 root of P, which is checked by exact division in Z[t], P(E) kills the
 closed form too.  Their difference then vanishes for all n once it
@@ -48,7 +49,7 @@ from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from . import polys
 from .polys import Poly, RatFunc, _quotient
-from .transforms import MAX_N_POWER, n_power
+from .transforms import MAX_N_POWER
 from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
 
 RationalLike = Union[int, Fraction]
@@ -158,22 +159,6 @@ class RecursiveSequence:
         return values
 
 
-def _initial_polynomial(spec: RecurrenceSpec) -> list[Fraction]:
-    """Initial data contributed by shifting both sides of the recurrence,
-    lowest degree first.
-
-    Shifting a by k contributes sum_i a(i) t^(k-i); each right-hand shift
-    by j contributes -c_j * sum_{i<=j} a(i) t^(j-i).
-    """
-    a = spec.initials
-    total = list(reversed(a))
-    for j, c in enumerate(spec.coefficients):
-        if c:
-            for i in range(1, j + 1):
-                total[j - i] -= c * a[i - 1]
-    return total
-
-
 class SolutionReport:
     """Everything a solve produces, ready for rendering or JSON."""
 
@@ -281,96 +266,88 @@ def _block(items: list[str], brackets: str, pad: str) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
 
 
-def transform_of(spec: RecurrenceSpec) -> RatFunc:
-    """The transform L = N/(char*fden), N = init*fden + fnum, of the IVP,
-    where fnum/fden is the forcing over one common denominator: the
-    product of (t - b)^k over the bases b, each k the highest pole order
-    there.
+def _poles(spec: RecurrenceSpec) -> dict[Fraction, int]:
+    """Each forcing base b with e_b, one more than the top power of n at
+    b: (t - b)^(e_b) annihilates every forcing term at b, so P =
+    char * prod_b (t - b)^(e_b) annihilates the recursion."""
+    poles: dict[Fraction, int] = {}
+    for term in spec.forcing:
+        poles[term.base] = max(poles.get(term.base, 0), term.exponent + 1)
+    return poles
+
+
+def transform_of(spec: RecurrenceSpec, *,
+                 recursion: Optional[RecursiveSequence] = None) -> RatFunc:
+    """The transform L = N/P of the IVP, P = char * prod_b (t - b)^(e_b)
+    from ``_poles``: P(E) annihilates the recursion, so N is read off its
+    first deg P values (``polys.annihilated_numerator``).  recursion, if
+    given, stands for ``RecursiveSequence(spec)`` and keeps those values.
 
     L is reduced by g = gcd(N, char) when N(b) != 0 at every base b: then
-    no t - b divides N, so g = gcd(N, char*fden), and the remainder
-    sequence runs on char, not on the longer char*fden.  Otherwise, and
-    for N = 0, ``RatFunc`` reduces by gcd(N, char*fden)."""
-    # each forcing quotient c*num/(t - b)^k; a pole shared with char only
-    # raises that root's multiplicity
-    pieces = sorted(((n_power(term.exponent, term.base), term)
-                     for term in spec.forcing),
-                    key=lambda piece: piece[0].den.degree)
-    # each base's highest pole (t - b)^k, the last of its pieces
-    poles = {term.base: quotient.den for quotient, term in pieces}
-    fden = prod(poles.values())
-    fnum = Poly()
-    for quotient, term in pieces:
-        b = term.base
-        cofactor = [p for other, p in poles.items() if other != b]
-        gap = poles[b].degree - quotient.den.degree
-        if gap:
-            cofactor.append(Poly((-b, 1)) ** gap)
-        fnum = fnum + prod(cofactor, start=quotient.num * term.coefficient)
-    num = Poly(_initial_polynomial(spec)) * fden + fnum
+    no t - b divides N, so g = gcd(N, P), and the remainder sequence runs
+    on char, not on the longer P.  Otherwise, and for N = 0, ``RatFunc``
+    reduces by gcd(N, P)."""
+    poles = _poles(spec)
     char = spec.characteristic()
+    den = prod((Poly((-b, 1)) ** e for b, e in poles.items()), start=char)
+    if recursion is None:
+        recursion = RecursiveSequence(spec)
+    num = polys.annihilated_numerator(den, recursion.ratios(den.degree))
     # N(p/q) = 0 exactly when q t - p divides N
     if num.is_zero or any(_quotient(num._ints, [-b.numerator, b.denominator])
                           is not None for b in poles):
-        return RatFunc(num, char * fden)
+        return RatFunc(num, den)
     # through the module, so a wrapper set on polys.poly_gcd sees the call
-    return RatFunc._reduced(*polys._cancel(num, char * fden,
+    return RatFunc._reduced(*polys._cancel(num, den,
                                            polys.poly_gcd(num, char)))
 
 
 def solve_ivp(spec: RecurrenceSpec, verify_upto: int = 64,
               ) -> SolutionReport:
     """Solve the IVP exactly and self-check against direct recursion."""
-    expr = transform_of(spec)
+    recursion = RecursiveSequence(spec)
+    expr = transform_of(spec, recursion=recursion)
     closed = inverse_transform(expr)
-    check = verify_solution(spec, closed, verify_upto)
+    check = verify_solution(spec, closed, verify_upto, recursion=recursion)
     if not check.passed:
         raise VerificationFailed(
             f"closed form disagrees with recursion: {check.detail}")
-    return SolutionReport(spec, expr, closed, verify_upto, check.recursion)
+    return SolutionReport(spec, expr, closed, verify_upto, recursion)
 
 
 class VerificationReport:
     """Outcome of checking a proposed solution against its spec."""
 
-    __slots__ = ("passed", "checked_upto", "first_failure", "detail",
-                 "recursion")
+    __slots__ = ("passed", "checked_upto", "first_failure", "detail")
 
     def __init__(self, passed: bool, checked_upto: int,
                  first_failure: Optional[int] = None, detail: str = "",
-                 recursion: Optional[RecursiveSequence] = None) -> None:
+                 ) -> None:
         self.passed = passed
         self.checked_upto = checked_upto
         self.first_failure = first_failure
         self.detail = detail
-        self.recursion = recursion
 
 
 def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
                    ) -> Optional[int]:
     """deg P when P(E) provably annihilates seq, else None.
 
-    P = char * prod_b (t - b)^(e_b), e_b one more than the top power of n
-    at the forcing base b, annihilates the recursion; it is read off the
-    spec, never the transform.  seq is annihilated by the product of its
-    root factors f^M (``ClosedFormSequence.root_factors``), which are
-    prime to each other, so P(E) annihilates seq when each f^M divides P.
+    P = char * prod_b (t - b)^(e_b), with the e_b of ``_poles``,
+    annihilates the recursion; it is read off the spec, never the
+    transform.  seq is annihilated by the product of its root factors f^M
+    (``ClosedFormSequence.root_factors``), which are prime to each other,
+    so P(E) annihilates seq when each f^M divides P.
     P's factors other than char are the t - b, so that holds when
     f^(M - e_b) divides char at f = q t - p for a base b = p/q, and f^M
     does at every other f.  Each division runs on the quotient the last
     one left, and the first that leaves a remainder settles it.
     """
-    # e_b keyed by b as the pair (p, q) that q t - p lists as (-p, q)
-    poles: dict[tuple[int, int], int] = {}
-    for term in spec.forcing:
-        b = (term.base.numerator, term.base.denominator)
-        poles[b] = max(poles.get(b, 0), term.exponent + 1)
-    scale = lcm(*(c.denominator for c in spec.coefficients))
-    char: Optional[list[int]] = [-_scaled(c, scale)
-                                 for c in spec.coefficients] + [scale]
+    poles = _poles(spec)
+    char: Optional[list[int]] = list(spec.characteristic()._ints)
     for factor, top in seq.root_factors():
         if len(factor) == 2:
-            top -= poles.get((-factor[0], factor[1]), 0)
+            top -= poles.get(Fraction(-factor[0], factor[1]), 0)
         for _ in range(top):
             char = _quotient(char, factor)
             if char is None:
@@ -379,7 +356,9 @@ def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
 
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
-                    upto: int = 64) -> VerificationReport:
+                    upto: int = 64, *,
+                    recursion: Optional[RecursiveSequence] = None,
+                    ) -> VerificationReport:
     """Check the initial values and the recurrence for n + order <= upto:
     both hold exactly when seq agrees with direct recursion that far.
 
@@ -389,14 +368,16 @@ def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
     n = 1..deg P, and a first mismatch, if any, lies at n <= deg P: the
     comparison stops there, with the same report as over the whole
     horizon (Kauers and Paule, *The Concrete Tetrahedron*, ch. 4).  Any
-    other seq is compared over the whole horizon."""
-    k, reference = spec.order, RecursiveSequence(spec)
+    other seq is compared over the whole horizon.  recursion, if given,
+    stands for ``RecursiveSequence(spec)``."""
+    k = spec.order
+    reference = RecursiveSequence(spec) if recursion is None else recursion
     horizon = max(upto, k)
     if isinstance(seq, ClosedFormSequence):
         horizon = min(horizon, _proof_horizon(spec, seq) or horizon)
     passed, n = equal_prefix(seq, reference, horizon)
     if passed:
-        return VerificationReport(True, upto, recursion=reference)
+        return VerificationReport(True, upto)
     if n <= k:
         got = QuadExt.of(seq(n))  # type: ignore[arg-type]
         return VerificationReport(

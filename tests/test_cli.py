@@ -322,9 +322,10 @@ def test_json_commands_solve_the_problem_once(capsys, monkeypatch, command):
     # neither prints the a(1)/a(2) basis, so neither may build it
     calls = {"transform_of": 0, "factor_roots": 0}
     for module, name in ((solver, "transform_of"), (polys, "factor_roots")):
-        def counted(*args, _real=getattr(module, name), _name=name):
+        def counted(*args, _real=getattr(module, name), _name=name,
+                    **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert main([command, FIB_TEXT, "--json"]) == 0
     capsys.readouterr()
@@ -395,9 +396,9 @@ def _count_calls(monkeypatch, calls):
                "pow": (QuadExt, "__pow__")}
 
     def counted(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return wrapper
 
     for name in calls:

@@ -11,14 +11,15 @@ from dlaplace.polys import Poly, RatFunc
 from dlaplace.sequences import (ClosedFormSequence, delta, equal_prefix,
                                 inverse_transform, partial_sums)
 from dlaplace.solver import (ForcingTerm, RecurrenceSpec, RecursiveSequence,
-                             _initial_polynomial, _proof_horizon, solve_ivp,
-                             transform_of, verify_solution)
+                             _proof_horizon, solve_ivp, transform_of,
+                             verify_solution)
 from dlaplace.transforms import geometric, n_power
 from dlaplace.errors import (CapabilityError, UnsupportedFactorization,
                              UnsupportedForcing, VerificationFailed)
 from fibonacci import PHI, PSI, fibonacci
 from poly_reference import evaluate, from_roots
 from report_reference import solve_payload
+from transform_reference import spec_transform
 
 FIB = fibonacci()
 
@@ -376,9 +377,44 @@ def test_transform_matches_the_recursion_randomized():
     assert resonant > 10 and shared > 10
 
 
+SHARED_RECURSION_CASES = [
+    # (text, deg P = order + sum over the bases of top power + 1)
+    ("a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1", 2),
+    ("a[n+2] = 2*a[n+1] - a[n] + n^12 + 5*3^n; a[1] = 1; a[2] = 1", 16),
+    ("a[n+1] = 1/3*a[n] + n^4*(2/3)^n - 5*(2/3)^n; a[1] = 1", 6),
+    ("a[n+3] = 2*a[n+2] + a[n+1] - 2*a[n] + n*(-1)^n + 3*n^2 + 2^n; "
+     "a[1] = 0; a[2] = 0; a[3] = 0", 9),
+]
+
+
+@pytest.mark.parametrize("text, degree", SHARED_RECURSION_CASES)
+def test_transform_of_steps_the_recursion_to_deg_p_values(text, degree):
+    spec = parse_program(text).to_spec()
+    recursion = RecursiveSequence(spec)
+    expr = transform_of(spec, recursion=recursion)
+    assert len(recursion._values) == degree
+    assert expr.den.degree <= degree
+
+
+@pytest.mark.parametrize("text, degree", SHARED_RECURSION_CASES)
+def test_a_shared_recursion_selects_nothing(text, degree):
+    # a recursion passed in, fresh or stepped past deg P already, gives
+    # the transform and the check a fresh one gives
+    spec = parse_program(text).to_spec()
+    expr = transform_of(spec)
+    assert transform_of(spec, recursion=RecursiveSequence(spec)) == expr
+    stepped = RecursiveSequence(spec)
+    stepped(3 * degree)
+    assert transform_of(spec, recursion=stepped) == expr
+    closed = inverse_transform(expr)
+    for recursion in (None, stepped):
+        check = verify_solution(spec, closed, recursion=recursion)
+        assert (check.passed, check.checked_upto) == (True, 64)
+
+
 def test_forced_transform_is_reduced_once(monkeypatch):
-    # the forcing pieces and the initial polynomial share one denominator,
-    # so only the final quotient needs a gcd
+    # N is read over the annihilator P, so only the final quotient needs
+    # a gcd
     calls = []
     real_gcd = polys.poly_gcd
 
@@ -391,18 +427,6 @@ def test_forced_transform_is_reduced_once(monkeypatch):
     monkeypatch.setattr(polys, "poly_gcd", counted)
     transform_of(spec)
     assert len(calls) <= 2
-
-
-def _transform_as_the_sum(spec):
-    """The transform as RatFunc arithmetic on the rule table's pieces:
-    (init + sum c n_power(p, b)) / char, each sum and quotient reduced by
-    its own gcd."""
-    char = spec.characteristic()
-    total = RatFunc(Poly(_initial_polynomial(spec)), char)
-    for term in spec.forcing:
-        total = total + n_power(term.exponent, term.base) * \
-            RatFunc(term.coefficient) / char
-    return total
 
 
 FIB_TRANSFORM = RatFunc(Poly((0, 1)), Poly((-1, -1, 1)))
@@ -446,7 +470,7 @@ def test_transform_reduces_by_the_gcd_with_char_alone(
     char = spec.characteristic()
     assert len(gcds) == 1
     assert (gcds[0] == char) == narrowed
-    assert expr == _transform_as_the_sum(spec)
+    assert expr == spec_transform(spec)
     if expected is not None:
         assert expr == expected
 
@@ -490,7 +514,7 @@ def test_transform_matches_the_sum_of_its_pieces_randomized(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(polys, "poly_gcd", counted)
             expr = transform_of(spec)
-        assert expr == _transform_as_the_sum(spec), spec
+        assert expr == spec_transform(spec), spec
         assert len(gcds) <= 1
         if gcds and forcing:
             paths["char" if gcds[0] == char else "char*fden"] += 1
