@@ -8,8 +8,10 @@ with rational coefficients, rational initial values a(1)..a(k) and forcing
 built from terms c n^p b^n (p bounded, b a nonzero rational).  With E the
 shift, P(E) = char(E) prod_b (E - b)^(e_b), e_b one more than the top
 power of n at the base b (which may be a characteristic root), annihilates
-the recursion.  The shift rule applied to P(E)a = 0 leaves a polynomial N
-of degree below deg P, read off a(1)..a(deg P) in integers, so
+the recursion.  The one ``RecursiveSequence`` a solve builds keeps char
+and the e_b, and the transform and the check both read them there.  The
+shift rule applied to P(E)a = 0 leaves a polynomial N of degree below
+deg P, read off a(1)..a(deg P) in integers, so
 
     L = N / P
 
@@ -117,6 +119,10 @@ class RecursiveSequence:
     obeys A(m+k) = sum_j c_j S^(k-j) A(m+j) + sum_i M S^k c_i m^p_i (S b_i)^m
     in integers.  Each (S b_i)^m advances by one multiplication; a read
     divides by M S^n once, and ``ratios`` gives A(n) and M S^n as they are.
+
+    It keeps the annihilator P = char * prod_b (t - b)^(e_b) in two parts
+    for the transform and the self-check: char, and the e_b of each
+    forcing base b, one more than its top power of n.
     """
 
     def __init__(self, spec: RecurrenceSpec) -> None:
@@ -128,9 +134,13 @@ class RecursiveSequence:
         self.spec, self._scale, self._clear = spec, s, m
         self._weights = [_scaled(c, s) * s ** (k - 1 - j)
                          for j, c in enumerate(spec.coefficients)]
-        self._forcing = [(_scaled(term.coefficient, m) * s ** k,
-                          term.exponent, _scaled(term.base, s))
-                         for term in forcing]
+        self._char = spec.characteristic()
+        self._forcing, self._pole_orders = [], {}
+        for term in forcing:
+            self._forcing.append((_scaled(term.coefficient, m) * s ** k,
+                                  term.exponent, _scaled(term.base, s)))
+            self._pole_orders[term.base] = max(
+                self._pole_orders.get(term.base, 0), term.exponent + 1)
         # (S b_i)^m for the next step's m, which starts at 1
         self._powers = [sb for _, _, sb in self._forcing]
         self._values = [_scaled(v, m) * s ** i
@@ -266,32 +276,21 @@ def _block(items: list[str], brackets: str, pad: str) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
 
 
-def _poles(spec: RecurrenceSpec) -> dict[Fraction, int]:
-    """Each forcing base b with e_b, one more than the top power of n at
-    b: (t - b)^(e_b) annihilates every forcing term at b, so P =
-    char * prod_b (t - b)^(e_b) annihilates the recursion."""
-    poles: dict[Fraction, int] = {}
-    for term in spec.forcing:
-        poles[term.base] = max(poles.get(term.base, 0), term.exponent + 1)
-    return poles
-
-
 def transform_of(spec: RecurrenceSpec, *,
                  recursion: Optional[RecursiveSequence] = None) -> RatFunc:
     """The transform L = N/P of the IVP, P = char * prod_b (t - b)^(e_b)
-    from ``_poles``: P(E) annihilates the recursion, so N is read off its
-    first deg P values (``polys.annihilated_numerator``).  recursion, if
-    given, stands for ``RecursiveSequence(spec)`` and keeps those values.
+    as the recursion keeps it: P(E) annihilates the recursion, so N is
+    read off its first deg P values (``polys.annihilated_numerator``).
+    recursion, if given, stands for ``RecursiveSequence(spec)``.
 
     L is reduced by g = gcd(N, char) when N(b) != 0 at every base b: then
     no t - b divides N, so g = gcd(N, P), and the remainder sequence runs
     on char, not on the longer P.  Otherwise, and for N = 0, ``RatFunc``
     reduces by gcd(N, P)."""
-    poles = _poles(spec)
-    char = spec.characteristic()
-    den = prod((Poly((-b, 1)) ** e for b, e in poles.items()), start=char)
     if recursion is None:
         recursion = RecursiveSequence(spec)
+    char, poles = recursion._char, recursion._pole_orders
+    den = prod((Poly((-b, 1)) ** e for b, e in poles.items()), start=char)
     num = polys.annihilated_numerator(den, recursion.ratios(den.degree))
     # N(p/q) = 0 exactly when q t - p divides N
     if num.is_zero or any(_quotient(num._ints, [-b.numerator, b.denominator])
@@ -329,13 +328,13 @@ class VerificationReport:
         self.detail = detail
 
 
-def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
+def _proof_horizon(recursion: RecursiveSequence, seq: ClosedFormSequence,
                    ) -> Optional[int]:
     """deg P when P(E) provably annihilates seq, else None.
 
-    P = char * prod_b (t - b)^(e_b), with the e_b of ``_poles``,
-    annihilates the recursion; it is read off the spec, never the
-    transform.  seq is annihilated by the product of its root factors f^M
+    P = char * prod_b (t - b)^(e_b) annihilates the recursion; its two
+    parts are read off the recursion, never the transform.  seq is
+    annihilated by the product of its root factors f^M
     (``ClosedFormSequence.root_factors``), which are prime to each other,
     so P(E) annihilates seq when each f^M divides P.
     P's factors other than char are the t - b, so that holds when
@@ -343,8 +342,8 @@ def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
     does at every other f.  Each division runs on the quotient the last
     one left, and the first that leaves a remainder settles it.
     """
-    poles = _poles(spec)
-    char: Optional[list[int]] = list(spec.characteristic()._ints)
+    poles = recursion._pole_orders
+    char: Optional[list[int]] = list(recursion._char._ints)
     for factor, top in seq.root_factors():
         if len(factor) == 2:
             top -= poles.get(Fraction(-factor[0], factor[1]), 0)
@@ -352,7 +351,7 @@ def _proof_horizon(spec: RecurrenceSpec, seq: ClosedFormSequence,
             char = _quotient(char, factor)
             if char is None:
                 return None
-    return spec.order + sum(poles.values())
+    return recursion.spec.order + sum(poles.values())
 
 
 def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
@@ -374,7 +373,7 @@ def verify_solution(spec: RecurrenceSpec, seq: Callable[[int], object],
     reference = RecursiveSequence(spec) if recursion is None else recursion
     horizon = max(upto, k)
     if isinstance(seq, ClosedFormSequence):
-        horizon = min(horizon, _proof_horizon(spec, seq) or horizon)
+        horizon = min(horizon, _proof_horizon(reference, seq) or horizon)
     passed, n = equal_prefix(seq, reference, horizon)
     if passed:
         return VerificationReport(True, upto)

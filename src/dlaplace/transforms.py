@@ -15,7 +15,7 @@ returns one.  Rules, all exact in t:
     times_n       n f(n)             ->  -dF/ds  =  -t dF/dt
     convolve      sum_{k<n} f(k)g(n-k) -> F * G
     partial_sum   sum_{k<n} f(k)     ->  F/(t - 1)
-    n_power       n^k b^n            ->  b t^k A_k(b/t)/(t - b)^(k+1)
+    n_power       n^k b^n            ->  N/(t - b)^(k+1), N by the shift rule
 
 Every rule checks its result: one with a polynomial part is the transform
 of no sequence and raises ``ImproperRational``.  Given strictly proper
@@ -26,11 +26,10 @@ series F actually encodes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Sequence, Union
 
 from .errors import DegreeLimitExceeded, ImproperRational
-from .polys import Poly, RatFunc, Scalar
+from .polys import Poly, RatFunc, Scalar, annihilated_numerator
 
 # Highest power of n accepted by n_power and by forcing terms.
 MAX_N_POWER = 12
@@ -81,10 +80,10 @@ def partial_sum(expr: RatFunc) -> RatFunc:
 
 
 def n_power(k: int, base: Union[int, Fraction] = 1) -> RatFunc:
-    """Transform of n^k b^n: b t^k A_k(b/t)/(t - b)^(k+1), with the
-    Eulerian numbers A(k, m) as the coefficients of A_k (Concrete
-    Mathematics 6.2), and b/(t - b) at k = 0.  The numerator is
-    b^(k+1) k! at t = b, so the quotient is already reduced."""
+    """Transform of n^k b^n: N/P with P = (t - b)^(k+1), which annihilates
+    n^k b^n, so the shift rule reads N off its values at n = 1..k+1
+    (``polys.annihilated_numerator``).  P is the least annihilator, so
+    N/P is already reduced."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     if k > MAX_N_POWER:
@@ -93,11 +92,8 @@ def n_power(k: int, base: Union[int, Fraction] = 1) -> RatFunc:
     if not base:
         raise ValueError("base must be nonzero")
     b = Fraction(base)
-    b = b.numerator if b.denominator == 1 else b    # ints stay ints
-    num = [0] * (k + 1)
-    for m in range(max(k, 1)):   # coefficient A(k, m) b^(m+1) of t^(k-m)
-        num[k - m] = b ** (m + 1) * sum(
-            (-1) ** j * comb(k + 1, j) * (m + 1 - j) ** k
-            for j in range(m + 1))
-    den = [comb(k + 1, i) * (-b) ** (k + 1 - i) for i in range(k + 2)]
-    return _proper(RatFunc._reduced(Poly(num), Poly(den)))
+    p, q = b.numerator, b.denominator
+    den = Poly((-b, 1)) ** (k + 1)
+    num = annihilated_numerator(
+        den, ((n ** k * p ** n, q ** n) for n in range(1, k + 2)))
+    return _proper(RatFunc._reduced(num, den))

@@ -706,7 +706,7 @@ def test_proof_horizon_reports_what_the_full_horizon_reports():
              _with(closed, deltas={top + 1: 1}), None),
         ]
         for seq, proof in cases:
-            assert _proof_horizon(spec, seq) == proof
+            assert _proof_horizon(RecursiveSequence(spec), seq) == proof
             report = verify_solution(spec, seq, upto)
             expected = _full_horizon_report(spec, seq, upto)
             assert (report.passed, report.checked_upto, report.first_failure,
@@ -719,6 +719,29 @@ def test_proof_horizon_reports_what_the_full_horizon_reports():
         seen["negative base"] += any(t.base < 0 for t in spec.forcing)
         seen["upto below deg P"] += upto < degree
     assert all(seen.values()), seen
+
+
+def test_a_solve_builds_the_characteristic_polynomial_once(monkeypatch):
+    # the recursion keeps char and the pole orders, and the transform and
+    # the self-check both read them there
+    rng = random.Random(2036)
+    planted = _planted_annihilator(rng)[0]
+    while planted.order != 6 or not planted.forcing:
+        planted = _planted_annihilator(rng)[0]
+    resonant = RecurrenceSpec(2, (-1, 2), (1, 3), (ForcingTerm(2, 3),
+                                                   ForcingTerm(-1, 0, 2)))
+    calls = []
+    characteristic = RecurrenceSpec.characteristic
+
+    def counted(spec):
+        calls.append(spec)
+        return characteristic(spec)
+
+    monkeypatch.setattr(RecurrenceSpec, "characteristic", counted)
+    for spec in (FIB, resonant, planted):
+        calls.clear()
+        solve_ivp(spec)
+        assert calls == [spec]
 
 
 def test_inverse_square_ivp_partial_sums():

@@ -120,9 +120,10 @@ def test_times_n_scales_deltas_by_position():
 
 
 def test_n_power_matches_the_times_n_iteration():
-    # the Eulerian closed form of n^k b^n against k applications of the
+    # the shift rule on (t - b)^(k+1) against k applications of the
     # times_n rule to b^n = b * b^(n-1)
-    for base in (1, 3, Fraction(1, 2), -2, Fraction(-2, 3)):
+    for base in (1, 3, Fraction(1, 2), Fraction(2, 3), -2, Fraction(-2, 3),
+                 Fraction(10 ** 20, 3)):
         expr = geometric(base) * base
         for k in range(MAX_N_POWER + 1):
             assert n_power(k, base) == expr
