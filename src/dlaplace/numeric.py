@@ -13,6 +13,7 @@ valid whenever |f(n)| <= alpha e^{s0 n} and s > s0.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Callable, Sequence
 
 from .errors import CheckFailed, DivergenceGuard, SeriesCapExceeded
@@ -38,10 +39,13 @@ def _float_terms(f: Callable[[int], object], terms: int,
     """f(1)..f(terms) as doubles, refusing the first past the double range.
     A value held as integers a over b is a / b, which rounds correctly as
     float() of the reduced Fraction does: the same double, with no gcd.
-    Any other value is float(f(n)).  The values are read in chunks that
-    double from 64, so a refusal at term n steps f no further than
-    max(64, 2n)."""
-    values: list[float] = []
+    Any other value is float(f(n)).  A closed form keeps its doubles up to
+    the memo limit beside its integer pairs, so the growth estimate and the
+    series sums of one request divide each pair once.  The values are read
+    in chunks that double from 64, so a refusal at term n steps f no
+    further than max(64, 2n)."""
+    shared = isinstance(f, ClosedFormSequence) and terms <= _MEMO_LIMIT
+    values: list[float] = f._doubles if shared else []
     while len(values) < terms:
         start = len(values) + 1
         stop = min(terms, max(64, 2 * len(values)))
@@ -52,7 +56,7 @@ def _float_terms(f: Callable[[int], object], terms: int,
                 raise SeriesCapExceeded(
                     f"{stage}: term {n} of {terms} is past the double "
                     "range") from None
-    return values
+    return values[:terms]
 
 
 def tail_bound(alpha: float, s0: float, s: float, terms: int) -> float:
@@ -90,9 +94,10 @@ def growth_bound(seq: ClosedFormSequence) -> tuple[float, float]:
     tolerances used here, not a certified envelope.
     """
     largest = 1.0
-    for term in seq.terms:
+    # the terms come sorted by root, so each distinct root is one group
+    for root, _ in groupby(term.root for term in seq.terms):
         try:
-            largest = max(largest, abs(term.root).to_float())
+            largest = max(largest, abs(root).to_float())
         except OverflowError:
             raise SeriesCapExceeded(
                 "growth estimate: a root of the closed form is past the "

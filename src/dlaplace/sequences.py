@@ -34,8 +34,12 @@ Z[sqrt(d)], and at a stepped root (rational, or one member of an orbit, from
     sum_m K_m * C(n-1, m-1) * R^(n-m) = R^(n-M) * P(n),
 
 one running power for every m, with P stepped by forward differences
-(Knuth, *TAOCP* 2, 4.6.4).  The self-check compares the pairs with direct
-recursion by cross-products, the numeric check divides each into a double.
+(Knuth, *TAOCP* 2, 4.6.4), a block of n at a time: one ``accumulate`` per
+level of P's table.  Below n = M the same P(n) gives the value as
+P(n) / R^(M-n), an exact division, so set-up costs O(M) products a root
+and only spikes are summed up front.  The self-check compares the pairs
+with direct recursion by cross-products; the numeric check divides each
+into a double once and keeps the doubles beside the memo.
 ``root_factors`` names each distinct root's minimal polynomial and top
 multiplicity, so the self-check can prove from few values that the form
 solves a recurrence, and the forward transform takes their product as its
@@ -45,9 +49,9 @@ denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice, repeat
 from math import comb, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .exact import QuadExt, _NO_RADICAL, _integer_pair, sort_key
@@ -73,7 +77,7 @@ _EXACT = (int, Fraction, QuadExt)
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_orbits", "_memo", "_steps")
+    __slots__ = ("_terms", "_orbits", "_memo", "_steps", "_doubles")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -108,6 +112,8 @@ class ClosedFormSequence:
         # a cache only: _terms alone defines the sequence
         self._memo: list[tuple[int, int]] = []
         self._steps: _IntegerSteps | None = None
+        # the memo's values as doubles, kept by numeric._float_terms
+        self._doubles: list[float] = []
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -148,9 +154,9 @@ class ClosedFormSequence:
         """The memo stepped at least to n = upto: each a(n) an integer over
         C*Q^(n-1), not reduced; past the memo limit, reduced."""
         memo, stop = self._memo, min(upto, _MEMO_LIMIT)
-        self._steps = self._steps or _IntegerSteps(self._orbits)
-        while len(memo) < stop:
-            memo.append(self._steps.next())
+        if len(memo) < stop:
+            self._steps = self._steps or _IntegerSteps(self._orbits)
+            memo += self._steps.take(stop - len(memo))
         return memo if upto <= _MEMO_LIMIT else memo + [
             (v.numerator, v.denominator) for v in map(
                 self._term_by_term, range(_MEMO_LIMIT + 1, upto + 1))]
@@ -250,13 +256,19 @@ def _minimal_polynomial(r: QuadExt) -> list[int]:
 
 
 class _IntegerSteps:
-    """The values of a closed form, stepped in integers per distinct root.
+    """The values of a closed form, stepped in integers per distinct root,
+    a block of n at a time.
 
     The k-th difference of C(n-1, m-1) is C(n-1, m-1-k), so P's table at
-    n = 1 is K_m * R^(M-m), m = 1..M, and a step is M-1 additions.  Values
-    below n = M, and spikes, are summed when the steps are set up."""
+    n = 1 is K_m * R^(M-m), m = 1..M, made from the powers R^0..R^(M-1).
+    A block of values runs each level of the table through one
+    ``accumulate`` from the level above; a rational root's R^(n-M) is one
+    ``accumulate`` of products, and only an orbit's pairs are stepped one n
+    at a time.  Below n = M the value is P(n) / R^(M-n), which is
+    Re(P(n) * conj(R^(M-n))) / N(R^(M-n)), an exact division with N the
+    norm; only spikes are summed when the steps are set up."""
 
-    __slots__ = ("_head", "_roots", "_n", "_q", "_den")
+    __slots__ = ("_spikes", "_roots", "_n", "_q", "_den")
 
     def __init__(self, orbits: list[tuple[Term, Term | None]]) -> None:
         q = lcm(*(x.denominator for t, _ in orbits
@@ -269,42 +281,68 @@ class _IntegerSteps:
             by_root.setdefault(t.root, {})[t.multiplicity] = _integer_pair(
                 t.coefficient,
                 (2 if partner else 1) * c * q ** (t.multiplicity - 1))
-        self._head: dict[int, int] = {}
-        # [M, u, v, d, x, y, tables]: R = u+v*sqrt(d), R^(n-M) = x+y*sqrt(d)
+        self._spikes: dict[int, int] = {}
+        # [M, u, v, d, x, y, tables, powers]: R = u+v*sqrt(d),
+        # R^(n-M) = x+y*sqrt(d) from n = M on, powers R^0..R^(M-1)
         self._roots = []
         for root, ks in by_root.items():
+            if not root:
+                # a spike, root 0, is K_m at n = m alone
+                self._spikes = {m: k for m, (k, _) in ks.items()}
+                continue
             top, d = max(ks), root.radicand
             u, v = _integer_pair(root, q)
-            runs = {m: [k] for m, k in ks.items()}  # K_m * R^e, e < top
-            for run in runs.values():
-                while len(run) < top:
-                    x, y = run[-1]
-                    run.append((x * u + y * v * d, x * v + y * u))
-            # a spike, root 0, is K_m at n = m alone
-            for n in range(1, top + (not root)):
-                self._head[n] = self._head.get(n, 0) + sum(
-                    comb(n - 1, m - 1) * run[n - m][0]
-                    for m, run in runs.items() if m <= n)
-            if root:
-                table = [runs[m][top - m] if m in runs else (0, 0)
-                         for m in range(1, top + 1)]
-                self._roots.append([top, u, v, d, 1, 0, [
-                    list(part) for part in zip(*table)][:1 + bool(d)]])
+            powers = [(1, 0)]
+            for _ in range(1, top):
+                x, y = powers[-1]
+                powers.append((x * u + y * v * d, x * v + y * u))
+            table = []
+            for m in range(1, top + 1):
+                k, kd = ks.get(m, (0, 0))
+                x, y = powers[top - m]
+                table.append((k * x + kd * y * d, k * y + kd * x))
+            self._roots.append([top, u, v, d, 1, 0, [
+                list(part) for part in zip(*table)][:1 + bool(d)], powers])
         self._q, self._n, self._den = q, 0, c  # den = C*Q^(n-1), next n
 
-    def next(self) -> tuple[int, int]:
-        n = self._n = self._n + 1
-        total = self._head.get(n, 0)
+    def take(self, count: int) -> list[tuple[int, int]]:
+        """The next count values, as (integer, C*Q^(n-1)) pairs."""
+        first = self._n + 1
+        self._n += count
+        totals = [0] * count
         for root in self._roots:
-            m, u, v, d, x, y, tables = root
-            if m > 1 < n:
-                for table in tables:
-                    table[:-1] = map(add, table, table[1:])
-            if n >= m:
-                total += x * tables[0][0] + y * tables[-1][0] * d
-                root[4:6] = x * u + y * v * d, x * v + y * u
-        den, self._den = self._den, self._den * self._q
-        return total, den
+            top, u, v, d, x, y, tables, powers = root
+            parts = []
+            for table in tables:
+                level = [table[-1]] * count
+                for k in range(len(table) - 2, -1, -1):
+                    level = list(accumulate(level, initial=table[k]))
+                    table[k] = level.pop()
+                parts.append(level)
+            head = max(0, min(count, top - first))
+            values = []
+            for j in range(head):   # n < M: P(n) / R^(M-n)
+                px, py = powers[top - first - j]
+                a, b = parts[0][j], parts[-1][j]
+                values.append((a * px - b * py * d) // (px * px - py * py * d))
+            if not d:
+                steps = list(accumulate(repeat(u, count - head), mul,
+                                        initial=x))
+                root[4] = steps.pop()
+                values += map(mul, steps, parts[0][head:])
+            else:
+                for a, b in zip(parts[0][head:], parts[1][head:]):
+                    values.append(x * a + y * b * d)
+                    x, y = x * u + y * v * d, x * v + y * u
+                root[4:6] = x, y
+            totals = list(map(add, totals, values))
+        for m, k in self._spikes.items():
+            if first <= m < first + count:
+                totals[m - first] += k
+        dens = list(accumulate(repeat(self._q, count), mul,
+                               initial=self._den))
+        self._den = dens.pop()
+        return list(zip(totals, dens))
 
 
 def _coeff_text(c: QuadExt) -> str:

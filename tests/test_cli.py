@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import dlaplace
-from dlaplace import cli, exact, polys, sequences, solver
+from dlaplace import cli, exact, numeric, polys, sequences, solver
 from dlaplace.cli import build_parser, main
 from dlaplace.dsl import parse_program
 from dlaplace.exact import QuadExt
@@ -388,17 +388,25 @@ def test_usage_errors_keep_the_usage_line_and_help_exits_zero(capsys):
 
 
 def _count_calls(monkeypatch, calls):
-    """Count the calls named in calls: verify_solution, the closed form's
-    integer steps, its reduced values and QuadExt powers."""
+    """Count what calls names: the calls to verify_solution, to the closed
+    form's reduced values and to QuadExt powers; the values its integer
+    steps return; and the integer pairs the numeric check reads into
+    doubles."""
     targets = {"verify_solution": (solver, "verify_solution"),
-               "steps": (sequences._IntegerSteps, "next"),
+               "steps": (sequences._IntegerSteps, "take"),
+               "doubles": (numeric, "value_pairs"),
                "closed_form": (ClosedFormSequence, "__call__"),
                "pow": (QuadExt, "__pow__")}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name in ("steps", "doubles"):
+                result = list(result)
+                calls[name] += len(result)
+            else:
+                calls[name] += 1
+            return result
         return wrapper
 
     for name in calls:
@@ -423,13 +431,15 @@ def test_json_verify_steps_root_powers_instead_of_powering(capsys,
                                                           monkeypatch):
     # the self-check (to deg P = 2), the growth estimate (50 values) and
     # the series sums (44 terms at most) read the integer pairs of one pass
-    # of the closed form; no value is re-powered from its root or reduced
-    calls = dict.fromkeys(("steps", "closed_form", "pow"), 0)
+    # of the closed form; no value is re-powered from its root or reduced,
+    # and each pair is divided into a double once, not once per reader
+    # (50 + 44 + 21 + 14 = 129 times)
+    calls = dict.fromkeys(("steps", "doubles", "closed_form", "pow"), 0)
     _count_calls(monkeypatch, calls)
     assert main(["verify", FIB_TEXT, "--json"]) == 0
     checks = json.loads(capsys.readouterr().out)["numeric"]["checks"]
     assert [check["terms"] for check in checks] == [44, 21, 14]
-    assert calls == {"steps": 50, "closed_form": 0, "pow": 0}
+    assert calls == {"steps": 50, "doubles": 50, "closed_form": 0, "pow": 0}
 
 
 def test_series_refused_early_steps_no_further_than_its_chunk(capsys,

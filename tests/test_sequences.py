@@ -543,13 +543,34 @@ def _shared_roots(rng):
     return terms, deltas
 
 
+# spikes, root 1 up to M = 14, an orbit of multiplicities 2 and 3 and the
+# root -3/2 at multiplicity 3, whose own values at n = 1, 2 are negative
+_NEGATIVE = [(-2, Fraction(-3, 2), 1), (-5, Fraction(-3, 2), 2),
+             (1, Fraction(-3, 2), 3)]
+_ORBIT = [(QuadExt(Fraction(-1, 2), 3, 2), QuadExt(1, Fraction(1, 3), 2), m)
+          for m in (2, 3)]
+_EDGES = (_NEGATIVE + [(1, 1, 14), (Fraction(-7, 3), 1, 5)] + _ORBIT + [
+    (c.conjugate(), r.conjugate(), m) for c, r, m in _ORBIT], {2: -3, 5: 4})
+
+
 def test_per_root_stepping_matches_the_definition_and_its_recurrence():
     rng = random.Random(2025)
-    for _ in range(4):
-        terms, deltas = _shared_roots(rng)
+    assert [_by_definition(_NEGATIVE, {}, n) for n in (1, 2)] == [-2, -2]
+    for terms, deltas in [_shared_roots(rng) for _ in range(4)] + [_EDGES]:
         expected = [_by_definition(terms, deltas, n) for n in range(1, 201)]
-        # the first read of a(200) runs every n >= M; the reads below M
-        # and the spikes come from the values summed when the steps start
+        # reads that end on either side of n = M, and a single read, step
+        # the same values as one read of 300 and the term-by-term sum
+        top = max(m for _, _, m in terms)
+        uneven = ClosedFormSequence(terms, deltas)
+        for upto in (1, 2, top - 1, top, top + 1, 64, 300):
+            uneven.ratios(upto)
+        whole = ClosedFormSequence(terms, deltas)
+        assert uneven.ratios(300) == whole.ratios(300)
+        assert [Fraction(*pair) for pair in whole.ratios(300)] == [
+            whole._term_by_term(n) for n in range(1, 301)]
+        # the first read of a(200) steps every n in one block; the values
+        # below M are divided out of the same table, and only the spikes
+        # are summed when the steps start
         reverse = ClosedFormSequence(terms, deltas)
         assert [reverse(n) for n in range(200, 0, -1)] == expected[::-1]
         in_order = ClosedFormSequence(terms, deltas)
