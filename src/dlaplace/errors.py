@@ -30,8 +30,9 @@ class UnsupportedForcing(CapabilityError):
     """A forcing term outside the supported family c n^p b^n."""
 
 
-class DegreeLimitExceeded(CapabilityError):
-    """A power-of-n request exceeded the configured degree limit."""
+class DegreeLimitExceeded(UnsupportedForcing):
+    """A power of n past the degree limit, in a forcing term or asked of
+    ``transforms.n_power``."""
 
 
 class ImproperRational(DlaplaceError):

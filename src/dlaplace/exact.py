@@ -9,8 +9,11 @@ are radical.  Polynomial coefficients are rationals, which
 ``polys.Poly`` holds as a content times integers.  A radicand whose
 square part bounded trial division cannot settle is refused with
 ``CapabilityError``.  All field operations and an exact
-sign are available, plus a float conversion that brackets sqrt(d)
-tightly enough to land within a couple of ulps.
+sign are available, plus a float conversion in integers: with
+q*value = u + v*sqrt(d), it brackets sqrt(d) by ``isqrt`` until the
+value's interval is narrower than 2^-52 of it, and divides the integer
+midpoint by its denominator once, a correctly rounded division, so the
+double lands within a couple of ulps.
 
 In normal form ``d == 0`` exactly when ``b == 0``.  So arithmetic on two
 rational operands, and the inverse of one, is a single ``Fraction``
@@ -167,28 +170,26 @@ class QuadExt:
         return QuadExt._normalised(self._a / norm, -self._b / norm, self._d)
 
     def to_float(self) -> float:
-        """Round to the nearest double within a couple of ulps.
+        """The double nearest the midpoint of an interval about the value
+        narrower than 2^-52 of it: within a couple of ulps.
 
-        sqrt(d) is bracketed by integer square roots at growing precision
-        until the enclosing interval for the whole value is relatively
-        smaller than 2^-52.
+        With q*self = u + v*sqrt(d) in integers and m = isqrt(d*4^k),
+        sqrt(d) lies in [m, m + 1]/2^k, so the value lies in an interval
+        of width |v|/(q*2^k) about N/(q*2^(k+1)), N = 2^(k+1)*u +
+        (2m + 1)*v.  k runs 64, 128, ... until |v|*2^53 <= |N|, and the
+        double is one correctly rounded integer division.
         """
         if self._b == 0:
             return float(self._a)
-        if self.sign() == 0:
-            return 0.0
+        q = lcm(self._a.denominator, self._b.denominator)
+        (u, v), d = _integer_pair(self, q), self._d
+        if u * v < 0 and u * u == v * v * d:
+            return 0.0      # only for a square d, outside normal form
         bits = 64
         while True:
-            scale = 1 << bits
-            m = isqrt(self._d * scale * scale)
-            lo, hi = Fraction(m, scale), Fraction(m + 1, scale)
-            if self._b > 0:
-                x_lo, x_hi = self._a + self._b * lo, self._a + self._b * hi
-            else:
-                x_lo, x_hi = self._a + self._b * hi, self._a + self._b * lo
-            mid = (x_lo + x_hi) / 2
-            if mid and (x_hi - x_lo) * (1 << 52) <= abs(mid):
-                return float(mid)
+            mid = (u << (bits + 1)) + v * (2 * isqrt(d << 2 * bits) + 1)
+            if abs(v) << 53 <= abs(mid):
+                return mid / (q << (bits + 1))
             bits *= 2
 
     def _coerce(self, other: object) -> "QuadExt | None":

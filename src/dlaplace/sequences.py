@@ -19,7 +19,10 @@ conjugate orbit, one real object: one rational quotient of the transform,
 one printed quotient such as ((1+sqrt(5))^n - (1-sqrt(5))^n)/(2^n*sqrt(5)).
 A closed form is built from rational terms and such orbits only, so every
 value it takes is a ``Fraction``; any other term is refused when the form
-is built.
+is built.  The pass that refuses them also groups the terms, once, as
+the paper's inversion sums them, one group per pole: (root, paired,
+{m: coefficient}) per rational root or orbit, which the integer steps, the
+root factors, the term-by-term values and the printed form all read.
 
 A closed form memoises a(1), a(2), ... up to n = 4096 as unreduced integer
 pairs over C*Q^(n-1): a read past the memo fills it up to n, so the
@@ -40,7 +43,7 @@ P(n) / R^(M-n), an exact division, so set-up costs O(M) products a root
 and only spikes are summed up front.  The self-check compares the pairs
 with direct recursion by cross-products; the numeric check divides each
 into a double once and keeps the doubles beside the memo.
-``root_factors`` names each distinct root's minimal polynomial and top
+``root_factors`` names each group's minimal polynomial and top
 multiplicity, so the self-check can prove from few values that the form
 solves a recurrence, and the forward transform takes their product as its
 denominator.
@@ -49,7 +52,7 @@ denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -60,6 +63,8 @@ from .polys import (_ONE_POLY, Poly, RatFunc, Term, _cancel, _sum_text,
 
 Scalar = Union[int, Fraction, QuadExt]
 Sequence1 = Callable[[int], Scalar]
+# a closed form's terms at one root or orbit: (root, paired, {m: coefficient})
+_Group = tuple[QuadExt, bool, dict[int, QuadExt]]
 
 # Values past this index are computed term by term and not kept, so the
 # memo's memory stays bounded however far a caller reads.  It is also the
@@ -77,7 +82,7 @@ _EXACT = (int, Fraction, QuadExt)
 class ClosedFormSequence:
     """An exact sequence given by pole terms; a zero root is a spike."""
 
-    __slots__ = ("_terms", "_orbits", "_memo", "_steps", "_doubles")
+    __slots__ = ("_terms", "_groups", "_memo", "_steps", "_doubles")
 
     def __init__(self, terms: Iterable[Term | tuple] = (),
                  deltas: Mapping[int, Scalar] | None = None) -> None:
@@ -108,7 +113,34 @@ class ClosedFormSequence:
         kept = [term for term in collected.values() if term.coefficient]
         kept.sort(key=lambda term: (sort_key(term.root), term.multiplicity))
         self._terms = tuple(kept)
-        self._orbits = _orbits(self._terms)
+        # one group per root or orbit, in the terms' order; an orbit, a
+        # radical term and its partner with the conjugate coefficient, is
+        # held at its positive member where its negative one, which sorts
+        # first, stands
+        groups: list[_Group] = []
+        for term in kept:
+            c, r, m = term.coefficient, term.root, term.multiplicity
+            if r.is_rational:
+                if not c.is_rational:
+                    raise ValueError(f"term {_term_text(c, r, m)} has a "
+                                     "radical coefficient on a rational root")
+            else:
+                partner = collected.get((r.conjugate(), m))
+                if partner is None or not partner.coefficient:
+                    raise ValueError(f"term {_term_text(c, r, m)} has no "
+                                     "conjugate partner")
+                if r.radical_part > 0:
+                    continue    # grouped at its partner, which sorts first
+                k = partner.coefficient
+                if k.radicand not in (0, r.radicand) or c != k.conjugate():
+                    raise ValueError(
+                        f"term {_term_text(c, r, m)} has the partner "
+                        f"coefficient {k}, not its conjugate")
+                c, r = k, partner.root
+            if not groups or groups[-1][0] != r:
+                groups.append((r, not r.is_rational, {}))
+            groups[-1][2][m] = c
+        self._groups = groups
         # a cache only: _terms alone defines the sequence
         self._memo: list[tuple[int, int]] = []
         self._steps: _IntegerSteps | None = None
@@ -136,12 +168,9 @@ class ClosedFormSequence:
         multiplicity M: q*t - p for a rational root p/q (t for the spikes'
         root 0) and the quadratic of an orbit's two roots.  f(E)^M kills
         every term at the root for n >= 1, so the product of the f^M
-        annihilates the sequence.  The orbits come sorted by root, so the
-        terms at one root are adjacent."""
-        return [(_minimal_polynomial(root),
-                 max(term.multiplicity for term, _ in group))
-                for root, group in groupby(self._orbits,
-                                           key=lambda pair: pair[0].root)]
+        annihilates the sequence."""
+        return [(_minimal_polynomial(root), max(ks))
+                for root, _, ks in self._groups]
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
@@ -155,7 +184,7 @@ class ClosedFormSequence:
         C*Q^(n-1), not reduced; past the memo limit, reduced."""
         memo, stop = self._memo, min(upto, _MEMO_LIMIT)
         if len(memo) < stop:
-            self._steps = self._steps or _IntegerSteps(self._orbits)
+            self._steps = self._steps or _IntegerSteps(self._groups)
             memo += self._steps.take(stop - len(memo))
         return memo if upto <= _MEMO_LIMIT else memo + [
             (v.numerator, v.denominator) for v in map(
@@ -164,12 +193,12 @@ class ClosedFormSequence:
     def _term_by_term(self, n: int) -> Fraction:
         """a(n) as the rational part of each term, twice over an orbit."""
         total = Fraction(0)
-        for term, partner in self._orbits:
-            weight = comb(n - 1, term.multiplicity - 1)
-            if weight:
-                value = (term.coefficient * weight * term.root **
-                         (n - term.multiplicity)).rational_part
-                total += value if partner is None else 2 * value
+        for root, paired, ks in self._groups:
+            for m, c in ks.items():
+                weight = comb(n - 1, m - 1)
+                if weight:
+                    value = (c * weight * root ** (n - m)).rational_part
+                    total += 2 * value if paired else value
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -195,51 +224,14 @@ class ClosedFormSequence:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = [_orbit_text(term) if partner else _term_text(term)
-                 for term, partner in self._orbits if term.root]
-        return _sum_text(
-            parts + [_spike_text(j, c) for j, c in self.deltas.items()])
+        # spikes, root 0, print last
+        last = sorted(self._groups, key=lambda group: not group[0])
+        return _sum_text([(_orbit_text if paired else _term_text)(c, root, m)
+                          for root, paired, ks in last
+                          for m, c in ks.items()])
 
     def __repr__(self) -> str:
         return f"ClosedFormSequence({list(self.terms)!r}, {self.deltas!r})"
-
-
-def _orbits(terms: tuple[Term, ...]) -> list[tuple[Term, Term | None]]:
-    """The sorted terms grouped by conjugate orbit, in order.
-
-    A radical term and the term at its conjugate root with the same
-    multiplicity, whose coefficients are conjugate within the root's
-    field, are listed once, as (term, partner) with term the one of
-    positive radical part, at the place of the partner, which sorts
-    first.  A rational root or a spike with a rational coefficient is
-    listed as (term, None).  Any other term has no transform over Q and
-    raises ValueError naming it: a radical root with no partner, a pair
-    whose coefficients are not conjugate, or a radical coefficient on a
-    rational root."""
-    by_key = {(t.root, t.multiplicity): t for t in terms}
-    grouped = []
-    for term in terms:
-        r, c = term.root, term.coefficient
-        if r.is_rational:
-            if not c.is_rational:
-                raise ValueError(f"term {_term_text(term)} has a "
-                                 "radical coefficient on a rational root")
-            grouped.append((term, None))
-            continue
-        partner = by_key.get((r.conjugate(), term.multiplicity))
-        if partner is None:
-            raise ValueError(f"term {_term_text(term)} has no conjugate "
-                             "partner")
-        if r.radical_part < 0:
-            # the partner sorts first, so it is the term named
-            c = partner.coefficient
-            if c.radicand not in (0, r.radicand) or \
-                    term.coefficient != c.conjugate():
-                raise ValueError(
-                    f"term {_term_text(term)} has the partner "
-                    f"coefficient {c}, not its conjugate")
-            grouped.append((partner, term))
-    return grouped
 
 
 def _minimal_polynomial(r: QuadExt) -> list[int]:
@@ -256,8 +248,11 @@ def _minimal_polynomial(r: QuadExt) -> list[int]:
 
 
 class _IntegerSteps:
-    """The values of a closed form, stepped in integers per distinct root,
+    """The values of a closed form, stepped in integers per root group,
     a block of n at a time.
+
+    The set-up reads the closed form's groups as they are, so no root is
+    looked up or hashed.
 
     The k-th difference of C(n-1, m-1) is C(n-1, m-1-k), so P's table at
     n = 1 is K_m * R^(M-m), m = 1..M, made from the powers R^0..R^(M-1).
@@ -270,22 +265,18 @@ class _IntegerSteps:
 
     __slots__ = ("_spikes", "_roots", "_n", "_q", "_den")
 
-    def __init__(self, orbits: list[tuple[Term, Term | None]]) -> None:
-        q = lcm(*(x.denominator for t, _ in orbits
-                  for x in (t.root.rational_part, t.root.radical_part)))
-        c = lcm(*(x.denominator for t, _ in orbits
-                  for x in (t.coefficient.rational_part,
-                            t.coefficient.radical_part)))
-        by_root: dict[QuadExt, dict[int, tuple[int, int]]] = {}
-        for t, partner in orbits:
-            by_root.setdefault(t.root, {})[t.multiplicity] = _integer_pair(
-                t.coefficient,
-                (2 if partner else 1) * c * q ** (t.multiplicity - 1))
+    def __init__(self, groups: list[_Group]) -> None:
+        q = lcm(*(x.denominator for root, _, _ in groups
+                  for x in (root.rational_part, root.radical_part)))
+        c = lcm(*(x.denominator for _, _, ks in groups for k in ks.values()
+                  for x in (k.rational_part, k.radical_part)))
         self._spikes: dict[int, int] = {}
         # [M, u, v, d, x, y, tables, powers]: R = u+v*sqrt(d),
         # R^(n-M) = x+y*sqrt(d) from n = M on, powers R^0..R^(M-1)
         self._roots = []
-        for root, ks in by_root.items():
+        for root, paired, coefficients in groups:
+            ks = {m: _integer_pair(k, (2 if paired else 1) * c * q ** (m - 1))
+                  for m, k in coefficients.items()}
             if not root:
                 # a spike, root 0, is K_m at n = m alone
                 self._spikes = {m: k for m, (k, _) in ks.items()}
@@ -365,8 +356,7 @@ def _times(c: QuadExt, factors: list[str]) -> str:
     return f"{_coeff_text(c)}*{body}"
 
 
-def _term_text(term: Term) -> str:
-    c, r, m = term.coefficient, term.root, term.multiplicity
+def _term_text(c: QuadExt, r: QuadExt, m: int) -> str:
     if not r:
         return _spike_text(m, c)
     factors = _binomial_factors(m)
@@ -379,11 +369,11 @@ def _term_text(term: Term) -> str:
     return _times(c, factors)
 
 
-def _orbit_text(term: Term) -> str:
-    """The orbit of term as (u*(p+q*sqrt(d))^n + v*(p-q*sqrt(d))^n)
-    over k^n*sqrt(d), where r = (p + q*sqrt(d))/k with k the least common
-    denominator of r's parts, u = c*sqrt(d)/r^m and v = -conj(u)."""
-    c, r, m = term.coefficient, term.root, term.multiplicity
+def _orbit_text(c: QuadExt, r: QuadExt, m: int) -> str:
+    """The orbit of the term c*C(n-1, m-1)*r^(n-m) as
+    (u*(p+q*sqrt(d))^n + v*(p-q*sqrt(d))^n) over k^n*sqrt(d), where
+    r = (p + q*sqrt(d))/k with k the least common denominator of r's
+    parts, u = c*sqrt(d)/r^m and v = -conj(u)."""
     k = lcm(r.rational_part.denominator, r.radical_part.denominator)
     p, q = int(r.rational_part * k), int(r.radical_part * k)
     sqrt_d = f"sqrt({r.radicand})"

@@ -51,7 +51,7 @@ from .errors import CapabilityError, UnsupportedForcing, VerificationFailed
 from .exact import QuadExt
 from . import polys
 from .polys import Poly, RatFunc, _quotient
-from .transforms import MAX_N_POWER
+from .transforms import check_degree
 from .sequences import ClosedFormSequence, equal_prefix, inverse_transform
 
 RationalLike = Union[int, Fraction]
@@ -69,9 +69,7 @@ class ForcingTerm(Record):
         object.__setattr__(self, "base", Fraction(base))
         if exponent < 0:
             raise UnsupportedForcing("negative powers of n are not supported")
-        if exponent > MAX_N_POWER:
-            raise UnsupportedForcing(
-                f"n^{exponent} exceeds the degree limit {MAX_N_POWER}")
+        check_degree(exponent)
         if not self.base:
             raise UnsupportedForcing("a forcing base must be nonzero")
 

@@ -35,6 +35,14 @@ from .polys import Poly, RatFunc, Scalar, annihilated_numerator
 MAX_N_POWER = 12
 
 
+def check_degree(k: int) -> None:
+    """Refuse a power of n past MAX_N_POWER, for n_power and forcing
+    terms alike."""
+    if k > MAX_N_POWER:
+        raise DegreeLimitExceeded(
+            f"n^{k} exceeds the degree limit {MAX_N_POWER}")
+
+
 def _proper(quotient: RatFunc) -> RatFunc:
     """The quotient itself, refusing a polynomial part."""
     if not quotient.is_strictly_proper:
@@ -86,9 +94,7 @@ def n_power(k: int, base: Union[int, Fraction] = 1) -> RatFunc:
     N/P is already reduced."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    if k > MAX_N_POWER:
-        raise DegreeLimitExceeded(
-            f"n^{k} exceeds the degree limit {MAX_N_POWER}")
+    check_degree(k)
     if not base:
         raise ValueError("base must be nonzero")
     b = Fraction(base)

@@ -1,11 +1,39 @@
 """A reference for the numeric check that reads a closed form as float()
 reads it, one reduced Fraction per value, kept beside the package's read
-of the integer pairs the closed form holds; the package itself never
-needs it."""
+of the integer pairs the closed form holds, and the definition of
+``QuadExt.to_float`` in ``Fraction`` intervals; the package itself never
+needs either."""
 
 import math
+from fractions import Fraction
+from math import isqrt
 
 from dlaplace.numeric import tail_bound, terms_needed
+
+
+def to_float(x):
+    """x = a + b*sqrt(d) as float() of the midpoint of an interval about
+    it: sqrt(d) bracketed by [m, m + 1]/2^k, m = isqrt(d*4^k), for k = 64,
+    128, ... until the interval's width is at most 2^-52 of its
+    midpoint."""
+    a, b, d = x.rational_part, x.radical_part, x.radicand
+    if b == 0:
+        return float(a)
+    if x.sign() == 0:
+        return 0.0
+    bits = 64
+    while True:
+        scale = 1 << bits
+        m = isqrt(d * scale * scale)
+        lo, hi = Fraction(m, scale), Fraction(m + 1, scale)
+        if b > 0:
+            x_lo, x_hi = a + b * lo, a + b * hi
+        else:
+            x_lo, x_hi = a + b * hi, a + b * lo
+        mid = (x_lo + x_hi) / 2
+        if mid and (x_hi - x_lo) * (1 << 52) <= abs(mid):
+            return float(mid)
+        bits *= 2
 
 
 def float_values(seq, count):

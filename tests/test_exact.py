@@ -7,6 +7,7 @@ import pytest
 from dlaplace.exact import QuadExt, _squarefree_split, sort_key
 from dlaplace.errors import CapabilityError, RadicandMismatch
 from fibonacci import PHI, PSI, SQRT5
+from numeric_reference import to_float
 
 
 def test_normalization_folds_square_factors():
@@ -129,6 +130,47 @@ def test_to_float_tiny_value_keeps_relative_precision():
     tiny = PHI ** (-40)
     expected = ((1 + math.sqrt(5)) / 2) ** (-40)
     assert abs(tiny.to_float() - expected) <= 1e-14 * expected
+
+
+def _float_or_overflow(convert, x):
+    try:
+        return repr(convert(x))
+    except OverflowError:
+        return "OverflowError"
+
+
+def test_to_float_matches_its_definition_randomized():
+    # the integer midpoint must round to the double that float() makes of
+    # the Fraction midpoint, and overflow exactly where it does
+    rng = random.Random(20261019)
+    radicands = {2, 3, 10 ** 12 + 39}
+    while len(radicands) < 40:
+        radicands.add(round(math.exp(rng.uniform(math.log(2), 27.7))))
+    # d = m^2 * d0; a square d has no radical part to convert
+    split = [d0 for d0 in (_squarefree_split(d)[1] for d in radicands)
+             if d0 > 1]
+    bound = 10 ** 30
+    edges = [QuadExt(0, 10 ** 400, 2), QuadExt(-(10 ** 400), 1, 3),
+             QuadExt(0, Fraction(1, 10 ** 400), 5),
+             QuadExt(Fraction(1, 10 ** 330), Fraction(1, 10 ** 330), 7),
+             QuadExt(Fraction(10 ** 320, 3))]
+    values = []
+    for i in range(2000):
+        d = rng.choice(split)
+        p, q = rng.randint(-bound, bound) or 1, rng.randint(1, 10 ** 6)
+        if i % 5:
+            a = Fraction(rng.randint(-bound, bound), rng.randint(1, 10 ** 6))
+        else:
+            # a = -b*sqrt(d) to within 3e-30
+            near = math.isqrt(p * p * d * 10 ** 60) * (1 if p < 0 else -1)
+            a = Fraction(near, q * bound) + Fraction(rng.randint(-2, 2),
+                                                     bound)
+        values.append(QuadExt._normalised(a, Fraction(p, q), d))
+    for x in edges + values:
+        assert _float_or_overflow(QuadExt.to_float, x) == \
+            _float_or_overflow(to_float, x), repr(x)
+    assert {_float_or_overflow(QuadExt.to_float, x) for x in edges[:2]} == \
+        {"OverflowError"}
 
 
 def test_zero_zero_power_is_one():

@@ -636,3 +636,31 @@ def test_closed_form_values_use_no_quadext_arithmetic(text, capsys,
     capsys.readouterr()
     assert counts["values"] == ANNIHILATOR_DEGREES[text]
     assert counts["arithmetic"] == 0
+
+
+@pytest.mark.parametrize("text", [
+    "a[n+2] = a[n+1] + a[n]; a[1] = 1; a[2] = 1",
+    "a[n+2] = 2*a[n+1] - a[n] + n^6; a[1] = 1; a[2] = 2",
+    # an orbit in Q(sqrt(3)) beside the rational root 3
+    "a[n+2] = 2*a[n+1] + 2*a[n] + 3^n; a[1] = 1; a[2] = 0"])
+def test_stepping_and_root_factors_hash_no_root(text, monkeypatch):
+    # the closed form groups its terms by root once, when it is built: the
+    # steps' set-up and root_factors read that grouping, not a dict keyed
+    # by roots, whose keys hash their Fractions
+    closed = inverse_transform(transform_of(parse_program(text).to_spec()))
+    degree = sum((len(f) - 1) * m for f, m in closed.root_factors())
+    fresh = ClosedFormSequence(closed.terms, closed.deltas)
+    hashed = [0]
+    real = QuadExt.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(QuadExt, "__hash__", counted)
+    values = fresh.ratios(degree)
+    factors = fresh.root_factors()
+    monkeypatch.undo()
+    assert hashed[0] == 0
+    assert values == closed.ratios(degree)
+    assert factors == closed.root_factors()

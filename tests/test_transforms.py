@@ -11,7 +11,9 @@ from dlaplace.sequences import ClosedFormSequence, inverse_transform
 from dlaplace.transforms import (MAX_N_POWER, convolve, difference,
                                  geometric, n_power, partial_sum, shift,
                                  times_n)
-from dlaplace.errors import DegreeLimitExceeded, ImproperRational
+from dlaplace.errors import (DegreeLimitExceeded, ImproperRational,
+                             UnsupportedForcing)
+from dlaplace.solver import ForcingTerm
 from fibonacci import PHI
 
 ONE = geometric(1)                     # 1/(t - 1), the constant sequence 1
@@ -140,6 +142,16 @@ def test_n_power_denominator_structure():
         n_power(-1)
     with pytest.raises(ValueError):
         n_power(2, 0)
+
+
+def test_one_degree_limit_for_n_power_and_forcing():
+    # one check, one class and one text, whichever side asks
+    text = f"n\\^{MAX_N_POWER + 1} exceeds the degree limit {MAX_N_POWER}$"
+    for refused in (lambda: n_power(MAX_N_POWER + 1),
+                    lambda: ForcingTerm(1, MAX_N_POWER + 1)):
+        with pytest.raises(DegreeLimitExceeded, match=text) as caught:
+            refused()
+        assert isinstance(caught.value, UnsupportedForcing)
 
 
 def test_convolution_is_the_product():
